@@ -211,15 +211,10 @@ class GreenKernel(Kernel):
     def pairwise(self, space, x, y):
         if space is not self.model.space:
             raise EnergyError("Green kernel evaluated on a different space")
-        xs = space._as_points(x)
-        ys = space._as_points(y)
-        bx = space.evaluate_basis(xs)[:, 1 : self.model.order + 1] * self.model._inv_sqrt_eigs
-        by = space.evaluate_basis(ys)[:, 1 : self.model.order + 1] * self.model._inv_sqrt_eigs
-        shift = self.model._phi(xs)[:, None] + self.model._phi(ys)[None, :]
-        return (bx @ by.T - shift) + self.model.constant
+        return self.model.pairwise(x, y)
 
     def diagonal_values(self, space):
-        return np.diag(self.model.kernel_matrix()).copy()
+        return self.model.node_diagonal()
 
     def lower_bound(self, space):
         return self.model.lower_bound()

@@ -13,6 +13,17 @@ Energies are cached and updated incrementally; every 1000 steps the cache
 is recomputed from scratch and must agree to 1e-9, so a drifting update
 rule cannot silently corrupt a run.  All randomness flows through one
 generator derived from (seed, name), making equal-seed runs byte-identical.
+
+Green-kernel chains also cache, per particle, the scaled basis row
+b~(x_j) and phi(x_j) of G(x, y) = b~(x).b~(y) - phi(x) - phi(y) + c, and the
+row sum S.  Moving particle i to p then changes the internal energy by
+
+    [(b~(p) - b~(x_i)).(S - b~(x_i)) - (n-1)(phi(p) - phi(x_i))] / n^2,
+
+one basis row per step instead of two kernel rows.  On accept the row is
+replaced and S is summed afresh from the rows, so no rounding error
+accumulates; the coherence check rebuilds the rows from the positions, and a
+tempering swap exchanges them with the positions.
 """
 
 import math
@@ -21,7 +32,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .energy import EnergyModel, FiniteEnergyModel, w_n
+from .energy import EnergyModel, FiniteEnergyModel, GreenKernel, w_n
 from .errors import EnergyError, EnumerationCapError, TrappedChainError
 from .measures import EmpiricalMeasure
 from .rng import derive_rng
@@ -123,14 +134,18 @@ def _propose_point(space, rng, point, scale):
     return moved
 
 
+def _stage_value(model, n, point):
+    """One-body stage-n potential at a single point."""
+    return float(model.potential_stage_values(n, point[None, :])[0])
+
+
 def _pair_row_sum(model, positions, i, point):
     """Sum over j != i of G(point, x_j) plus the one-body stage term."""
     n = positions.shape[0]
     row = model.kernel.pairwise(model.space, point[None, :], positions)[0]
     row[i] = 0.0
     internal = float(row.sum())
-    external = float(model.potential_stage_values(n, point[None, :])[0])
-    return internal, external
+    return internal, _stage_value(model, n, point)
 
 
 def _continuous_delta(model, positions, i, new_point):
@@ -158,6 +173,33 @@ def _finite_delta(model, counts, n, a, b):
     return model.w_counts(moved, n) - model.w_counts(counts, n)
 
 
+class _GreenCache:
+    """Scaled basis rows, phi values and their row sum for one Green-kernel
+    configuration (see the module docstring)."""
+
+    def __init__(self, green, positions):
+        self.green = green
+        self.rebuild(positions)
+
+    def rebuild(self, positions):
+        self.rows, self.phi = self.green.features(positions)
+        self.total = self.rows.sum(axis=0)
+
+    def internal_change(self, i, point):
+        """n^2 times the internal energy change of moving particle i to
+        ``point``, with the features of ``point`` for ``accept``."""
+        n = self.rows.shape[0]
+        rows, phi = self.green.features(point[None, :])
+        row, new_phi = rows[0], float(phi[0])
+        old = self.rows[i]
+        change = (row - old) @ (self.total - old) - (n - 1) * (new_phi - self.phi[i])
+        return float(change), (row, new_phi)
+
+    def accept(self, i, features):
+        self.rows[i], self.phi[i] = features
+        self.total = self.rows.sum(axis=0)
+
+
 # -- single-chain kernels ----------------------------------------------------------
 
 
@@ -177,6 +219,21 @@ class _ContinuousChain:
             raise EnergyError("initial configuration has infinite energy")
         self.state = ChainState(positions=positions, energy=energy, proposal_scale=scale)
         self.is_box = self.space.kind == "box"
+        self.green_cache = None
+        if isinstance(model.kernel, GreenKernel):
+            self.green_cache = _GreenCache(model.kernel.model, positions)
+
+    def delta(self, i, new_point):
+        """Energy change of moving particle i to ``new_point``, with what
+        ``accept`` needs to keep the Green cache (None for other kernels)."""
+        positions = self.state.positions
+        if self.green_cache is None:
+            return _continuous_delta(self.model, positions, i, new_point), None
+        n = self.n
+        internal, features = self.green_cache.internal_change(i, new_point)
+        external = (_stage_value(self.model, n, new_point)
+                    - _stage_value(self.model, n, positions[i]))
+        return internal / n ** 2 + external / n, features
 
     def step(self, rng, coupling):
         state = self.state
@@ -185,7 +242,7 @@ class _ContinuousChain:
         new_point = _propose_point(self.space, rng, state.positions[i], state.proposal_scale)
         accept = False
         if new_point is not None:
-            delta = _continuous_delta(self.model, state.positions, i, new_point)
+            delta, features = self.delta(i, new_point)
             if math.isfinite(delta):
                 log_alpha = -coupling * delta
                 if self.is_box:
@@ -198,6 +255,8 @@ class _ContinuousChain:
                 if log_alpha >= 0.0 or rng.random() < math.exp(log_alpha):
                     state.positions[i] = new_point
                     state.energy += delta
+                    if self.green_cache is not None:
+                        self.green_cache.accept(i, features)
                     accept = True
         self._book(accept)
 
@@ -219,6 +278,8 @@ class _ContinuousChain:
                     f"cached energy {state.energy!r} drifted from recomputed {fresh!r}"
                 )
             state.energy = fresh
+            if self.green_cache is not None:
+                self.green_cache.rebuild(state.positions)
 
     def fresh_energy(self):
         return w_n(self.model, self.state.positions)
@@ -389,6 +450,8 @@ def mcmc_run(model, n, steps, seed, initial=None, proposal_scale=0.5,
                     if kind == "finite":
                         lo.labels, hi.labels = hi.labels, lo.labels
                         lo.counts, hi.counts = hi.counts, lo.counts
+                    else:
+                        lo.green_cache, hi.green_cache = hi.green_cache, lo.green_cache
         if not in_burn:
             offset = step_index - burn_steps
             if offset % thin == 0:

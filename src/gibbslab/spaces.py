@@ -22,7 +22,6 @@ import hashlib
 import math
 
 import numpy as np
-from scipy.special import lpmv
 
 from .errors import CacheFormatError, DiagonalSingularityError, SpaceError
 
@@ -62,6 +61,8 @@ class Space:
         Nondecreasing Laplace-Beltrami eigenvalues, first entry 0.
     basis_values : ndarray or None, shape (n_nodes, n_basis)
         Basis functions tabulated at the nodes; column 0 is the constant 1.
+    mode_index : ndarray or None, shape (n_modes, 2)
+        Torus frequency pairs (m1, m2) as floats, one per cos/sin column pair.
     """
 
     def __init__(self, kind, dim, nodes, weights, cell_volumes, params,
@@ -75,7 +76,7 @@ class Space:
         self.params = dict(params)
         self.eigenvalues = None if eigenvalues is None else np.asarray(eigenvalues, float)
         self.basis_values = None if basis_values is None else np.asarray(basis_values, float)
-        self.mode_index = mode_index
+        self.mode_index = None if mode_index is None else np.asarray(mode_index, float)
         self.density_values = None if density_values is None else np.asarray(density_values, float)
 
     # -- basic geometry ----------------------------------------------------
@@ -294,14 +295,19 @@ def _torus_modes(order):
     return modes
 
 
-def _torus_basis(points, mode_index):
-    u = points
-    cols = [np.ones(u.shape[0])]
-    for m1, m2 in mode_index:
-        phase = 2.0 * np.pi * (m1 * u[:, 0] + m2 * u[:, 1])
-        cols.append(np.sqrt(2.0) * np.cos(phase))
-        cols.append(np.sqrt(2.0) * np.sin(phase))
-    return np.stack(cols, axis=1)
+def _torus_basis(points, modes):
+    """Basis table from one phase matrix; ``modes`` is the (M, 2) float array.
+
+    The phase is an elementwise multiply-add, not ``points @ modes.T``: a
+    matrix product would round differently from the per-mode formula
+    ``2*pi*(m1*u + m2*v)``, and the torus outputs are kept bit-stable.
+    """
+    phase = 2.0 * np.pi * (points[:, :1] * modes[:, 0] + points[:, 1:] * modes[:, 1])
+    out = np.empty((points.shape[0], 2 * modes.shape[0] + 1))
+    out[:, 0] = 1.0
+    out[:, 1::2] = np.sqrt(2.0) * np.cos(phase)
+    out[:, 2::2] = np.sqrt(2.0) * np.sin(phase)
+    return out
 
 
 def _build_torus(resolution, basis_order):
@@ -311,11 +317,9 @@ def _build_torus(resolution, basis_order):
     n = nodes.shape[0]
     weights = np.full(n, 1.0 / n)
     cells = np.full(n, 1.0 / n)
-    modes = _torus_modes(basis_order)
-    eigs = [0.0]
-    for m1, m2 in modes:
-        lam = 4.0 * np.pi ** 2 * (m1 ** 2 + m2 ** 2)
-        eigs += [lam, lam]
+    modes = np.array(_torus_modes(basis_order), dtype=float)
+    lam = 4.0 * np.pi ** 2 * (modes ** 2).sum(axis=1)
+    eigs = np.concatenate([[0.0], np.repeat(lam, 2)])
     basis = _torus_basis(nodes, modes)
     return Space("torus", 2, nodes, weights, cells,
                  {"resolution": resolution, "basis_order": basis_order},
@@ -331,22 +335,35 @@ def _sphere_norm(l, m):
 
 
 def _sphere_basis(points, order):
-    x, y, z = points[:, 0], points[:, 1], points[:, 2]
-    ct = np.clip(z, -1.0, 1.0)
-    phi = np.arctan2(y, x)
-    cols = [np.ones(points.shape[0])]
-    for l in range(1, order + 1):
-        for m in range(-l, l + 1):
-            am = abs(m)
-            leg = lpmv(am, l, ct)
-            norm = _sphere_norm(l, am)
+    """Real spherical harmonics up to degree ``order``; column l*l + l + m
+    holds degree l, order m (cosine for m > 0, sine of |m| for m < 0).
+
+    The associated Legendre functions P_l^m(cos theta) come from the
+    P_m^m -> P_{m+1}^m -> P_l^m recurrence, with the Condon-Shortley sign of
+    ``scipy.special.lpmv``.
+    """
+    ct = np.clip(points[:, 2], -1.0, 1.0)
+    phi = np.arctan2(points[:, 1], points[:, 0])
+    sine = np.sqrt((1.0 - ct) * (1.0 + ct))
+    out = np.empty((points.shape[0], (order + 1) ** 2))
+    pmm = np.ones_like(ct)
+    for m in range(order + 1):
+        if m > 0:
+            pmm = -(2 * m - 1) * sine * pmm
+        cos_m, sin_m = np.cos(m * phi), np.sin(m * phi)
+        prev, leg = None, pmm
+        for l in range(m, order + 1):
+            if l == m + 1:
+                prev, leg = leg, (2 * m + 1) * ct * leg
+            elif l > m + 1:
+                prev, leg = leg, ((2 * l - 1) * ct * leg - (l + m - 1) * prev) / (l - m)
+            norm = _sphere_norm(l, m)
             if m == 0:
-                cols.append(norm * leg)
-            elif m > 0:
-                cols.append(math.sqrt(2.0) * norm * leg * np.cos(am * phi))
+                out[:, l * l + l] = norm * leg
             else:
-                cols.append(math.sqrt(2.0) * norm * leg * np.sin(am * phi))
-    return np.stack(cols, axis=1)
+                out[:, l * l + l + m] = math.sqrt(2.0) * norm * leg * cos_m
+                out[:, l * l + l - m] = math.sqrt(2.0) * norm * leg * sin_m
+    return out
 
 
 def _icosahedron():
@@ -613,9 +630,11 @@ class GreenModel:
         self.constant = float((self.charge_coeffs ** 2 / self.eigs).sum())
         self._kernel_matrix = None
 
-    def _phi(self, points):
+    def features(self, points):
+        """Scaled basis rows b~(x) = basis(x)[1:order+1] / sqrt(lambda) and
+        phi(x), from one basis evaluation; G(x, y) = b~(x).b~(y) - phi(x) - phi(y) + c."""
         basis = self.space.evaluate_basis(points)[:, 1 : self.order + 1]
-        return basis @ (self.charge_coeffs / self.eigs)
+        return basis * self._inv_sqrt_eigs, basis @ (self.charge_coeffs / self.eigs)
 
     def kernel_matrix(self):
         """Dense node-by-node kernel table (cached)."""
@@ -627,23 +646,30 @@ class GreenModel:
             self._kernel_matrix = (h - shift) + self.constant
         return self._kernel_matrix
 
+    def node_diagonal(self):
+        """G(node, node) at every grid node in O(n_nodes * order), without the table."""
+        scaled = self.space.basis_values[:, 1 : self.order + 1] * self._inv_sqrt_eigs
+        return (np.einsum("ij,ij->i", scaled, scaled) - 2.0 * self.phi_nodes) + self.constant
+
+    def pairwise(self, x, y):
+        """Pairwise kernel values between two point arrays, finite on the diagonal."""
+        bx, phi_x = self.features(x)
+        by, phi_y = self.features(y)
+        return (bx @ by.T - (phi_x[:, None] + phi_y[None, :])) + self.constant
+
     def evaluate(self, x, y):
         """Pairwise kernel values between two point arrays."""
         xs = self.space._as_points(x)
         ys = self.space._as_points(y)
         if np.any(self.space.geodesic(xs, ys) < 1e-12):
             raise DiagonalSingularityError("Green kernel requested on the diagonal x == y")
-        bx = self.space.evaluate_basis(xs)[:, 1 : self.order + 1] * self._inv_sqrt_eigs
-        by = self.space.evaluate_basis(ys)[:, 1 : self.order + 1] * self._inv_sqrt_eigs
-        shift = self._phi(xs)[:, None] + self._phi(ys)[None, :]
-        return (bx @ by.T - shift) + self.constant
+        return self.pairwise(xs, ys)
 
     def rows_at_nodes(self, x):
         """Kernel values G(x_j, node_i) for arbitrary points x, shape (p, n_nodes)."""
-        xs = self.space._as_points(x)
         scaled = self.space.basis_values[:, 1 : self.order + 1] * self._inv_sqrt_eigs
-        bx = self.space.evaluate_basis(xs)[:, 1 : self.order + 1] * self._inv_sqrt_eigs
-        shift = self._phi(xs)[:, None] + self.phi_nodes[None, :]
+        bx, phi_x = self.features(x)
+        shift = phi_x[:, None] + self.phi_nodes[None, :]
         return (bx @ scaled.T - shift) + self.constant
 
     def lower_bound(self):

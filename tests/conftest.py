@@ -30,6 +30,13 @@ def torus_green(torus_space):
 
 
 @pytest.fixture(scope="session")
+def sphere_charged_green(sphere_space):
+    """Green model of a non-uniform background charge on the sphere."""
+    charge = BackgroundCharge.from_expression(sphere_space, "1 + 0.5*z + 0.3*x*y")
+    return GreenModel(sphere_space, charge)
+
+
+@pytest.fixture(scope="session")
 def box_space():
     return build_space("box", 64, bounds=[(-3.0, 3.0)])
 

@@ -5,6 +5,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.integrate import quad
 from scipy.stats import chi2 as chi2_dist
 
@@ -17,10 +19,11 @@ from gibbslab.energy import (
     GreenKernel,
     LogChordKernel,
     StaticPotential,
+    w_n,
 )
 from gibbslab.errors import EnergyError, EnumerationCapError, TrappedChainError
 from gibbslab.measures import FiniteSpace
-from gibbslab.sampler import enumerate_gibbs, mcmc_run
+from gibbslab.sampler import _ContinuousChain, enumerate_gibbs, mcmc_run
 from gibbslab.spaces import build_space
 
 
@@ -161,6 +164,51 @@ def test_sphere_and_torus_chains(sphere_space, torus_space, torus_green):
     assert np.abs(norms - 1.0).max() < 1e-12
     # the linear potential pushes mass toward the south pole
     assert res2.samples[..., 2].mean() < 0.0
+
+
+@pytest.fixture(scope="module")
+def green_chain_models(torus_green, sphere_charged_green):
+    """Torus Green gas (uniform charge) and sphere Green gas (non-uniform
+    charge, with a one-body potential)."""
+    pot = StaticPotential.from_expression(sphere_charged_green.space, "x*y - z")
+    return {
+        "torus": EnergyModel(torus_green.space, GreenKernel(torus_green),
+                             BetaSchedule.constant(2.0)),
+        "sphere": EnergyModel(sphere_charged_green.space, GreenKernel(sphere_charged_green),
+                              BetaSchedule.constant(1.0), potentials=[pot]),
+    }
+
+
+@settings(max_examples=60, deadline=None)
+@given(kind=st.sampled_from(["torus", "sphere"]), n=st.integers(2, 9),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_green_cached_delta_equals_energy_difference(green_chain_models, kind, n, seed):
+    model = green_chain_models[kind]
+    space = model.space
+    rng = np.random.default_rng(seed)
+    chain = _ContinuousChain(model, n, rng, space.sample_points(rng, n), 0.5)
+    positions = chain.state.positions
+    # several moves, each accepted, so later deltas run on an updated cache
+    for _ in range(4):
+        i = int(rng.integers(n))
+        point = space.sample_points(rng, 1)[0]
+        delta, features = chain.delta(i, point)
+        moved = positions.copy()
+        moved[i] = point
+        assert abs(delta - (w_n(model, moved) - w_n(model, positions))) < 1e-12
+        positions[i] = point
+        chain.green_cache.accept(i, features)
+
+
+def test_green_tempering_swaps_carry_the_cache(green_chain_models):
+    model = green_chain_models["torus"]
+    # fewer steps than the coherence check's period, so only the cache is judged
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        result = mcmc_run(model, n=8, steps=900, seed=5, ladder=[0.5, 1.0], swap_every=10)
+    assert result.swap_rates[0] > 0.0
+    final = result.final_state
+    assert abs(final.energy - w_n(model, final.positions)) < 1e-10
 
 
 # -- safety rails ----------------------------------------------------------------------

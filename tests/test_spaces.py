@@ -1,6 +1,9 @@
+import math
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
+from scipy.special import lpmv
 
 from gibbslab.errors import CacheFormatError, DiagonalSingularityError, SpaceError
 from gibbslab.spaces import (
@@ -8,6 +11,9 @@ from gibbslab.spaces import (
     GreenModel,
     Space,
     build_space,
+    _sphere_basis,
+    _sphere_norm,
+    _torus_modes,
     green_evaluate,
     green_identity_residual,
 )
@@ -46,6 +52,55 @@ def test_sphere_build(sphere_space):
     assert sphere_space.weights.min() > 0
     assert_allclose(sphere_space.eigenvalues[1:4], [2, 2, 2])
     assert_allclose(sphere_space.eigenvalues[4:9], [6] * 5)
+
+
+@pytest.mark.parametrize("fixture", ["circle_space", "torus_space", "sphere_space"])
+def torus_basis_loop(points, order):
+    """Reference torus basis: one column pair per mode, in a Python loop."""
+    cols = [np.ones(points.shape[0])]
+    for m1, m2 in _torus_modes(order):
+        phase = 2.0 * np.pi * (m1 * points[:, 0] + m2 * points[:, 1])
+        cols.append(np.sqrt(2.0) * np.cos(phase))
+        cols.append(np.sqrt(2.0) * np.sin(phase))
+    return np.stack(cols, axis=1)
+
+
+def sphere_basis_lpmv(points, order):
+    """Reference sphere basis: one scipy ``lpmv`` call per (l, m) column."""
+    ct = np.clip(points[:, 2], -1.0, 1.0)
+    phi = np.arctan2(points[:, 1], points[:, 0])
+    cols = [np.ones(points.shape[0])]
+    for l in range(1, order + 1):
+        for m in range(-l, l + 1):
+            am = abs(m)
+            leg = _sphere_norm(l, am) * lpmv(am, l, ct)
+            if m == 0:
+                cols.append(leg)
+            elif m > 0:
+                cols.append(math.sqrt(2.0) * leg * np.cos(am * phi))
+            else:
+                cols.append(math.sqrt(2.0) * leg * np.sin(am * phi))
+    return np.stack(cols, axis=1)
+
+
+def test_torus_basis_equals_mode_loop(torus_space, rng):
+    points = rng.uniform(size=(4096, 2))
+    assert np.array_equal(torus_space.evaluate_basis(points), torus_basis_loop(points, 16))
+    assert np.array_equal(torus_space.basis_values, torus_basis_loop(torus_space.nodes, 16))
+
+
+@pytest.mark.parametrize("order", [1, 12, 24])
+def test_sphere_basis_matches_lpmv(order, rng):
+    points = rng.normal(size=(2000, 3))
+    points /= np.linalg.norm(points, axis=1, keepdims=True)
+    points = np.vstack([points, [[0.0, 0.0, 1.0], [0.0, 0.0, -1.0], [1.0, 0.0, 0.0]]])
+    assert_allclose(_sphere_basis(points, order), sphere_basis_lpmv(points, order),
+                    rtol=0.0, atol=1e-12)
+
+
+def test_sphere_node_basis_matches_lpmv(sphere_space):
+    assert_allclose(sphere_space.basis_values, sphere_basis_lpmv(sphere_space.nodes, 12),
+                    rtol=0.0, atol=1e-12)
 
 
 @pytest.mark.parametrize("fixture", ["circle_space", "torus_space", "sphere_space"])
@@ -157,6 +212,14 @@ def test_green_normalization_every_node(fixture, request):
     model = GreenModel(space, BackgroundCharge(space, lam))
     integrals = model.kernel_matrix() @ (space.weights * lam)
     assert np.abs(integrals).max() < 1e-8
+
+
+@pytest.mark.parametrize("kind", ["torus", "sphere"])
+def test_green_node_diagonal_matches_dense_table(kind, torus_green, sphere_charged_green):
+    # fresh models, so that the session fixtures do not keep a dense table
+    base = {"torus": torus_green, "sphere": sphere_charged_green}[kind]
+    model = GreenModel(base.space, base.charge)
+    assert_allclose(model.node_diagonal(), np.diag(model.kernel_matrix()), rtol=0.0, atol=1e-12)
 
 
 def test_green_symmetry(torus_space):

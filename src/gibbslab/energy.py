@@ -744,19 +744,28 @@ class FiniteEnergyModel:
         counts = np.asarray(counts)
         if n is None:
             n = int(counts.sum())
+        return float(self.class_energies(counts[None, :], n)[0])
+
+    def class_energies(self, counts, n):
+        """Microscopic energies of the rows of an (r, m) array of atom counts."""
         if self.w_fn is not None:
-            return float(self.w_fn(counts, n))
-        c = counts.astype(float)
-        # sum over unordered distinct index pairs:
-        #   cross pairs c_a c_b G_ab (a<b) plus within-atom pairs C(c_a,2) G_aa
-        diag = np.diag(self.pair_matrix)
-        cross = 0.5 * (c @ self.pair_matrix @ c - (c ** 2 * diag).sum())
-        within = (c * (c - 1.0) / 2.0 * diag).sum()
-        return float((cross + within) / float(n) ** 2)
+            return np.array([float(self.w_fn(row, n)) for row in counts])
+        c = np.asarray(counts, dtype=float)
+        g = self.pair_matrix
+        # cross pairs c_a c_b G_ab (a < b) plus within-atom pairs C(c_a, 2) G_aa,
+        # term by term so that a row's value does not depend on its batch
+        total = np.zeros(c.shape[0])
+        for a in range(c.shape[1]):
+            total += c[:, a] * (c[:, a] - 1.0) / 2.0 * g[a, a]
+            for b in range(a + 1, c.shape[1]):
+                total += c[:, a] * c[:, b] * g[a, b]
+        return total / float(n) ** 2
 
     def w_mean(self, mu):
-        """Macroscopic energy (1/2) mu^T G mu of a distribution vector."""
+        """Macroscopic energy (1/2) mu^T G mu of a distribution vector, or of
+        each row of an (r, m) array of them."""
         if self.pair_matrix is None:
             raise EnergyError("macroscopic energy needs an explicit pair matrix")
-        mu = np.asarray(mu, dtype=float)
-        return float(0.5 * mu @ self.pair_matrix @ mu)
+        rows = np.asarray(mu, dtype=float).T
+        values = 0.5 * ((self.pair_matrix @ rows) * rows).sum(axis=0)
+        return values if rows.ndim == 2 else float(values)

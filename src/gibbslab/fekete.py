@@ -36,11 +36,11 @@ from .energy import (
     w_n,
 )
 from .equilibrium import minimize_free_energy
-from .errors import CollisionError, EnergyError, EnumerationCapError
+from .errors import CollisionError, EnergyError
 from .measures import EmpiricalMeasure, GridMeasure, _fmt, grid_projection
 from .rng import derive_rng
 from .sampler import _continuous_delta
-from .simplex import _compositions, simplex_minimize
+from .simplex import class_table, simplex_minimize
 from .spaces import _coordinate_names
 
 __all__ = [
@@ -57,7 +57,6 @@ __all__ = [
 ]
 
 _COLLISION_TOL = 1e-12
-_ENUMERATION_CAP = 10_000_000
 SMOOTHING_BANDWIDTH = 0.25
 
 
@@ -430,26 +429,12 @@ def _collision_free_init(space, rng, n):
 
 
 def _finite_fekete(model, n, f):
-    m = model.space.n_atoms
-    total = math.comb(n + m - 1, m - 1)
-    if total > _ENUMERATION_CAP:
-        raise EnumerationCapError(
-            f"{total} occupation classes exceed the cap {_ENUMERATION_CAP}"
-        )
-    counts = _compositions(n, m)
-    if model.pair_matrix is not None:
-        g = model.pair_matrix
-        diag = np.diag(g)
-        c = counts.astype(float)
-        cross = 0.5 * ((c @ g * c).sum(axis=1) - c ** 2 @ diag)
-        within = (c * (c - 1.0) / 2.0) @ diag
-        values = (cross + within) / float(n) ** 2
-    else:
-        values = np.array([model.w_counts(row, n) for row in counts])
+    table = class_table(model, n)
+    values = table.energies
     if f is not None:
-        values = values + f.simplex_values(model.space, counts / n)
+        values = values + f.simplex_values(model.space, table.counts / n)
     best = int(np.argmin(values))
-    labels = np.repeat(np.arange(m), counts[best])
+    labels = np.repeat(np.arange(model.space.n_atoms), table.counts[best])
     value = float(values[best])
     return FeketeResult(
         points=labels,
@@ -457,7 +442,7 @@ def _finite_fekete(model, n, f):
         restarts=1,
         restart_values=np.array([value]),
         gradient_norm=None,
-        iterations=total,
+        iterations=len(values),
         space=model.space,
     )
 
@@ -549,8 +534,7 @@ def macro_infimum(model, f=None, grid_steps=200):
         m = model.space.n_atoms
 
         def objective(taus):
-            taus = np.asarray(taus, dtype=float)
-            values = np.array([model.w_mean(row) for row in taus])
+            values = model.w_mean(taus)
             if f is not None:
                 values = values + f.simplex_values(model.space, taus)
             return values

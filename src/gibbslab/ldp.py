@@ -19,8 +19,8 @@ penalty continuation, and the two conditional-gas reductions (a varying
 environment folded into the energy, and the single-particle quadrature
 limit).
 
-Desk-scale caps (state count for enumeration, particle count for chains)
-are module constants.
+Desk-scale caps: ``simplex.CLASS_CAP`` bounds the type classes enumerated,
+``PARTICLE_CAP`` the particles of a chain.
 """
 
 import math
@@ -39,15 +39,14 @@ from .energy import (
     w_n,
 )
 from .equilibrium import minimize_free_energy
-from .errors import EnergyError, EnumerationCapError, InfeasibleConstraintError
+from .errors import EnergyError, InfeasibleConstraintError
 from .fekete import ComposedFunctional, IntegralFunctional, MeasureFunctional
 from .measures import FiniteSpace, GridMeasure, _fmt, relative_entropy
 from .rng import derive_rng
 from .sampler import mcmc_run
-from .simplex import simplex_minimize
+from .simplex import class_count, class_table, simplex_minimize
 
 __all__ = [
-    "STATE_CAP",
     "PARTICLE_CAP",
     "LaplaceVerdict",
     "HalfSpace",
@@ -59,7 +58,6 @@ __all__ = [
     "single_particle_limit",
 ]
 
-STATE_CAP = 10 ** 8  # finite-space enumeration refuses beyond m**n states
 PARTICLE_CAP = 64  # manifold Monte Carlo refuses beyond this particle count
 
 
@@ -143,31 +141,34 @@ def _simplex_functional(f, space):
     raise EnergyError(f"cannot evaluate {type(f).__name__} on finite-support measures")
 
 
-def _exact_class_table(model, n):
-    """Occupation classes with exact integer multiplicities."""
-    from .simplex import _compositions
-
-    m = model.space.n_atoms
-    counts = _compositions(n, m)
-    multis = []
-    nf = math.factorial(n)
-    for row in counts:
-        d = 1
-        for c in row:
-            d *= math.factorial(int(c))
-        multis.append(nf // d)
-    return counts, multis
+def _log_class_sum(table, exponents, probs, n):
+    """log sum over type classes of multinomial * pi^counts * exp(exponent):
+    exactly by ``math.fsum`` when every factor is a normal float, so that the
+    zero-energy dyadic case sums to exactly 1, else by ``logsumexp``.  The
+    choice reads log-magnitudes, which cannot overflow or underflow."""
+    finite = np.isfinite(exponents)
+    if not finite.any():
+        return -math.inf
+    log_terms = table.log_multinomials + table.log_reference + exponents
+    magnitude = max(float(table.log_multinomials.max()),
+                    -float(table.log_reference.min()),
+                    float(np.abs(exponents).max()))
+    if finite.all() and magnitude < 700.0 and -600.0 < float(log_terms.max()) < 600.0:
+        factorials = np.array([math.factorial(k) for k in range(n + 1)], dtype=object)
+        multis = (factorials[n] // np.prod(factorials[table.counts], axis=1)).astype(float)
+        prob_factors = np.prod(probs[None, :] ** table.counts, axis=1)
+        exps = np.fromiter(map(math.exp, exponents.tolist()), float, exponents.size)
+        return math.log(math.fsum(multis * prob_factors * exps))
+    return float(logsumexp(log_terms[finite]))
 
 
 def laplace_verify_finite(space, model, f, n_values, threshold=0.05, grid_steps=400):
     """Exact L_n on a finite atom space against the refined simplex limit.
 
     The per-class weights multinomial(c) * prod(pi^c) * exp(-coupling * S(c))
-    are accumulated with ``math.fsum`` in linear space whenever the exponents
-    stay in range (so the zero-energy, dyadic-reference case sums to exactly
-    1 and every gap is exactly 0), falling back to log-space accumulation
-    otherwise.  The limit -inf {f + F} comes from a refining simplex grid
-    search, polished by mirror descent.
+    come from one type-class table per n (``simplex.class_table``) and are
+    accumulated by ``_log_class_sum``.  The limit -inf {f + F} comes from a
+    refining simplex grid search, polished by mirror descent.
     """
     if not isinstance(model, FiniteEnergyModel):
         raise EnergyError("finite-space verification needs a FiniteEnergyModel")
@@ -176,51 +177,29 @@ def laplace_verify_finite(space, model, f, n_values, threshold=0.05, grid_steps=
     n_values = [int(n) for n in n_values]
     if not n_values or any(b <= a for a, b in zip(n_values, n_values[1:])):
         raise EnergyError("particle counts must be strictly increasing")
-    m = space.n_atoms
-    if m ** max(n_values) > STATE_CAP:
-        raise EnumerationCapError(
-            f"{m}^{max(n_values)} states exceed the cap {STATE_CAP}")
+    class_count(n_values[-1], space.n_atoms)
     f_vals = _simplex_functional(f, space)
-    probs = space.probs
     values = []
     for n in n_values:
         beta_n = model.beta.beta_at(n)
         coupling = n * beta_n
         if not math.isfinite(coupling):
             raise EnergyError(f"coupling n*beta_n is not finite at n={n}")
-        counts, multis = _exact_class_table(model, n)
-        energy = np.array([model.w_counts(row, n) for row in counts])
-        energy = energy + f_vals(counts / n)
-        exponents = -coupling * energy
-        prob_factors = np.prod(probs[None, :] ** counts, axis=1)
-        log_multis = np.array([math.log(mu) for mu in multis])
-        if np.all(np.isfinite(exponents)) and \
-                float(np.max(log_multis + np.log(prob_factors) + exponents)) < 600.0:
-            terms = [mu * pf * math.exp(ex)
-                     for mu, pf, ex in zip(multis, prob_factors, exponents)]
-            log_integral = math.log(math.fsum(terms))
-        else:
-            finite = np.isfinite(exponents)
-            if not finite.any():
-                log_integral = -math.inf
-            else:
-                log_terms = (log_multis[finite] + np.log(prob_factors[finite])
-                             + exponents[finite])
-                log_integral = float(logsumexp(log_terms))
-        values.append(log_integral / coupling)
+        table = class_table(model, n)
+        exponents = -coupling * (table.energies + f_vals(table.counts / n))
+        values.append(_log_class_sum(table, exponents, space.probs, n) / coupling)
     limit_value, tau = _finite_limit(model, f, grid_steps)
     return _verdict("finite-enumeration", n_values, values, None,
                     -limit_value + 0.0, threshold, witness=tau)
 
 
 def _finite_free_energy(model, taus):
-    taus = np.asarray(taus, dtype=float)
+    """w(tau) + D(tau || pi) / beta for each row of an (r, m) array."""
+    energies = model.w_mean(taus)
     beta = model.beta.limit
-    energies = np.array([model.w_mean(row) for row in taus])
     if math.isinf(beta):
         return energies
-    ent = np.array([relative_entropy(row, model.space.probs) for row in taus])
-    return energies + ent / beta
+    return energies + relative_entropy(taus, model.space.probs) / beta
 
 
 def _finite_limit(model, f, grid_steps):
@@ -229,7 +208,7 @@ def _finite_limit(model, f, grid_steps):
     f_vals = _simplex_functional(f, space)
 
     def objective(taus):
-        return _finite_free_energy(model, taus) + f_vals(np.asarray(taus, float))
+        return _finite_free_energy(model, taus) + f_vals(taus)
 
     value, tau = simplex_minimize(objective, space.n_atoms, steps=grid_steps)
     beta = model.beta.limit
@@ -238,7 +217,7 @@ def _finite_limit(model, f, grid_steps):
     if model.pair_matrix is not None and math.isfinite(beta) and linear_tilt:
         g_vec = (np.zeros(space.n_atoms) if f is None
                  else np.asarray(f.g, dtype=float))
-        masses, _, _ = _penalized_descent(
+        masses, _ = _penalized_descent(
             model.pair_matrix, g_vec, space.probs, beta,
             constraint=None, init=np.maximum(tau, 1e-12))
         total = float(_finite_free_energy(model, masses[None, :])[0]
@@ -407,19 +386,35 @@ def _model_tables_for_profile(model):
 def _penalized_descent(matrix, v, ref, beta, constraint, init, penalty=None,
                        max_iters=3000, tol=1e-10):
     """Entropic mirror descent on F(m) + penalty * relu(c - g@m)^2 over the
-    simplex of mass vectors; ``constraint`` is (g, c) or None."""
+    simplex of mass vectors; ``constraint`` is (g, c) or None.  Returns the
+    final masses and the iteration count.
+
+    A step is taken only if it does not raise the objective, judged by the
+    change computed directly rather than as a difference of two nearby
+    values, so that round-off near the optimum neither stops the descent early
+    nor lets it wander."""
     matrix = np.asarray(matrix, dtype=float)
     v = np.asarray(v, dtype=float)
     log_ref = np.log(ref)
     finite_beta = math.isfinite(beta)
 
-    def objective(m):
-        val = 0.5 * float(m @ matrix @ m) + float(v @ m)
+    def change(m, cand):
+        # objective(cand) - objective(m) for d = cand - m, which sums to zero
+        # so that constants drop out of d.w:
+        #   (c.Gc - m.Gm) / 2 = d.G(c + m) / 2,
+        #   D(c) - D(m) = d.log(m / ref) + sum(c log(1 + d / m) - d)
+        d = cand - m
+        w = 0.5 * (matrix @ (cand + m)) + v
         if finite_beta:
-            val += relative_entropy(m, ref) / beta
+            w = w + (np.log(m) - log_ref) / beta
+        val = float(d @ (w - w.mean()))
+        if finite_beta:
+            val += float((cand * np.log1p(d / m) - d).sum()) / beta
         if constraint is not None:
             g, c = constraint
-            val += penalty * max(0.0, c - float(g @ m)) ** 2
+            short_cand = max(0.0, c - float(g @ cand))
+            short_m = max(0.0, c - float(g @ m))
+            val += penalty * (short_cand - short_m) * (short_cand + short_m)
         return val
 
     def gradient(m):
@@ -442,7 +437,6 @@ def _penalized_descent(matrix, v, ref, beta, constraint, init, penalty=None,
     m = np.asarray(init, dtype=float)
     m = np.maximum(m, 1e-300)
     m = m / m.sum()
-    value = objective(m)
     eta = 1.0
     iterations = 0
     for iterations in range(1, max_iters + 1):
@@ -453,23 +447,21 @@ def _penalized_descent(matrix, v, ref, beta, constraint, init, penalty=None,
         if span > 0.0:
             eta = min(eta, 6.0 / span)
         cand = step(m, grad, eta)
-        cand_val = objective(cand)
         accepted = False
         while eta > 1e-16:
-            if cand_val <= value + 1e-12 * max(1.0, abs(value)):
+            if change(m, cand) <= 0.0:
                 accepted = True
                 break
             eta *= 0.5
             cand = step(m, grad, eta)
-            cand_val = objective(cand)
         if not accepted:
             break
         moved = float(np.abs(cand - m).max())
-        m, value = cand, cand_val
+        m = cand
         eta = min(eta * 1.3, 50.0)
         if moved < tol:
             break
-    return m, value, iterations
+    return m, iterations
 
 
 def rate_function_profile(model, descriptor=None, max_iters=3000, tol=1e-10):
@@ -489,8 +481,15 @@ def rate_function_profile(model, descriptor=None, max_iters=3000, tol=1e-10):
         return masses
 
     uniform = ref / ref.sum()
-    base_masses, base_value, base_iters = _penalized_descent(
+    def bare_value(m):
+        val = 0.5 * float(m @ matrix @ m) + float(v @ m)
+        if math.isfinite(beta):
+            val += relative_entropy(m, ref) / beta
+        return val
+
+    base_masses, base_iters = _penalized_descent(
         matrix, v, ref, beta, None, uniform, max_iters=max_iters, tol=tol)
+    base_value = bare_value(base_masses)
     if descriptor is None:
         return RateProfile(0.0, wrap(base_masses), base_value, base_value,
                            None, base_iters)
@@ -504,18 +503,12 @@ def rate_function_profile(model, descriptor=None, max_iters=3000, tol=1e-10):
         raise InfeasibleConstraintError(
             f"no probability measure reaches integral {c} (max attainable "
             f"{float(g.max())})")
-    def bare_value(m):
-        val = 0.5 * float(m @ matrix @ m) + float(v @ m)
-        if math.isfinite(beta):
-            val += relative_entropy(m, ref) / beta
-        return val
-
     ftol = 1e-7 * max(1.0, abs(c))
     masses = uniform
     iterations = base_iters
     best = None
     for penalty in (1e2, 1e3, 1e4, 1e5, 1e6, 1e7):
-        masses, _, its = _penalized_descent(
+        masses, its = _penalized_descent(
             matrix, v, ref, beta, (g, c), masses, penalty=penalty,
             max_iters=max_iters, tol=tol)
         iterations += its
@@ -533,7 +526,7 @@ def rate_function_profile(model, descriptor=None, max_iters=3000, tol=1e-10):
         t = min(max(t, 0.0), 1.0)
         blended = (1.0 - t) * masses + t * vertex
         blended /= blended.sum()
-        polished, _, its = _penalized_descent(
+        polished, its = _penalized_descent(
             matrix, v, ref, beta, (g, c), blended, penalty=1e8,
             max_iters=max_iters, tol=tol)
         iterations += its

@@ -13,7 +13,7 @@ import math
 import numpy as np
 
 from .errors import MeasureError
-from .simplex import simplex_grid, simplex_minimize
+from .simplex import simplex_minimize
 
 __all__ = [
     "EmpiricalMeasure",
@@ -143,10 +143,7 @@ def _fmt(value):
 
 
 def _xlogx(x):
-    out = np.zeros_like(x)
-    mask = x > 0.0
-    out[mask] = x[mask] * np.log(x[mask])
-    return out
+    return x * np.log(np.where(x > 0.0, x, 1.0))
 
 
 def relative_entropy(mu, ref=None):
@@ -154,7 +151,8 @@ def relative_entropy(mu, ref=None):
 
     ``mu`` may be a GridMeasure (ref: GridMeasure or None for the space's
     reference), an EmpiricalMeasure (+inf against any diffuse reference), or
-    a plain probability vector with ``ref`` a vector of the same length.
+    a plain probability vector with ``ref`` a vector of the same length;
+    an (r, m) array of such vectors gives r values.
     """
     if isinstance(mu, EmpiricalMeasure):
         return math.inf
@@ -173,19 +171,17 @@ def relative_entropy(mu, ref=None):
             return math.inf
         mask = p > 0.0
         value = float((w[mask] * p[mask] * np.log(p[mask] / q[mask])).sum())
-    else:
-        p = np.asarray(mu, dtype=float)
-        q = np.asarray(ref, dtype=float)
-        if p.shape != q.shape:
-            raise MeasureError("distribution and reference have different lengths")
-        if np.any((q == 0.0) & (p > 0.0)):
-            return math.inf
-        mask = p > 0.0
-        value = float((p[mask] * np.log(p[mask] / q[mask])).sum())
-    # Entropy is nonnegative; clamp quadrature round-off.
-    if -1e-12 < value < 0.0:
-        return 0.0
-    return value
+        # Entropy is nonnegative; clamp quadrature round-off.
+        return 0.0 if -1e-12 < value < 0.0 else value
+    p = np.asarray(mu, dtype=float)
+    q = np.asarray(ref, dtype=float)
+    if p.shape[-1:] != q.shape:
+        raise MeasureError("distribution and reference have different lengths")
+    rows = np.atleast_2d(p)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        values = (rows * np.log(np.where(rows > 0.0, rows / q, 1.0))).sum(axis=1)
+    values[(-1e-12 < values) & (values < 0.0)] = 0.0
+    return values if p.ndim == 2 else float(values[0])
 
 
 @dataclass
@@ -198,26 +194,12 @@ class LegendreReport:
     tilt: np.ndarray
 
 
-_ENTROPY_CACHE = {}
-
-
-def _grid_entropy(m, steps):
-    """Cache sum(t*log t) over the global composition grid (g-independent)."""
-    key = (m, steps)
-    if key not in _ENTROPY_CACHE:
-        if len(_ENTROPY_CACHE) > 8:
-            _ENTROPY_CACHE.clear()
-        _ENTROPY_CACHE[key] = _xlogx(simplex_grid(m, steps)).sum(axis=1)
-    return _ENTROPY_CACHE[key]
-
-
-def _finite_objective(pi, g, grid=None, grid_entropy=None):
+def _finite_objective(pi, g):
     finite = np.isfinite(g)
     coef = np.where(finite, g, 0.0) - np.log(pi)
 
     def objective(taus):
-        ent = grid_entropy if taus is grid else _xlogx(taus).sum(axis=1)
-        vals = taus @ coef + ent
+        vals = taus @ coef + _xlogx(taus).sum(axis=1)
         if not finite.all():
             vals = np.where(taus[:, ~finite].max(axis=1) > 0.0, np.inf, vals)
         return vals
@@ -253,10 +235,9 @@ def legendre_check(space, g, grid_steps=200, refine_rounds=6):
 
     if space.n_atoms > 5:
         raise MeasureError("simplex grid oracle supports at most 5 atoms")
-    grid = simplex_grid(space.n_atoms, grid_steps)
-    objective = _finite_objective(pi, g, grid, _grid_entropy(space.n_atoms, grid_steps))
     value, _ = simplex_minimize(
-        objective, space.n_atoms, steps=grid_steps, refine_rounds=refine_rounds,
+        _finite_objective(pi, g), space.n_atoms, steps=grid_steps,
+        refine_rounds=refine_rounds,
     )
     return LegendreReport(lhs=lhs, rhs_closed=rhs_closed, rhs_grid=-value, tilt=tilt)
 

@@ -9,10 +9,11 @@ torus, sphere and box spaces, and per-particle independence proposals
 (fresh atom from the reference distribution) on finite atom spaces, which
 cancel the reference factor out of the acceptance ratio.
 
-Energies are cached and updated incrementally; every 1000 steps the cache
-is recomputed from scratch and must agree to 1e-9, so a drifting update
-rule cannot silently corrupt a run.  All randomness flows through one
-generator derived from (seed, name), making equal-seed runs byte-identical.
+Energies are cached and updated incrementally; every 1000 steps of a chain,
+burn-in included, the cache is recomputed from scratch and must agree to
+1e-9, so a drifting update rule cannot silently corrupt a run.  All
+randomness flows through one generator derived from (seed, name), making
+equal-seed runs byte-identical.
 
 Green-kernel chains also cache, per particle, the scaled basis row
 b~(x_j) and phi(x_j) of G(x, y) = b~(x).b~(y) - phi(x) - phi(y) + c, and the
@@ -31,12 +32,13 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.special import logsumexp
 
 from .energy import EnergyModel, FiniteEnergyModel, GreenKernel, w_n
-from .errors import EnergyError, EnumerationCapError, TrappedChainError
+from .errors import EnergyError, TrappedChainError
 from .measures import EmpiricalMeasure
 from .rng import derive_rng
-from .simplex import _compositions
+from .simplex import class_table
 
 __all__ = [
     "ChainState",
@@ -49,7 +51,6 @@ __all__ = [
 _COHERENCE_EVERY = 1000
 _COHERENCE_TOL = 1e-9
 _TRAP_LIMIT = 100_000
-_ENUMERATION_CAP = 10_000_000
 
 
 @dataclass
@@ -203,7 +204,40 @@ class _GreenCache:
 # -- single-chain kernels ----------------------------------------------------------
 
 
-class _ContinuousChain:
+class _Chain:
+    """Bookkeeping shared by the single-chain kernels.  ``age`` counts every
+    step since the chain started and drives the coherence check; the burn-in
+    adaptation resets ``state.steps`` and ``state.accepts`` but not it."""
+
+    age = 0
+
+    def _book(self, accept):
+        state = self.state
+        if accept:
+            state.accepts += 1
+            state.consecutive_rejects = 0
+        else:
+            state.consecutive_rejects += 1
+            if state.consecutive_rejects >= _TRAP_LIMIT:
+                raise TrappedChainError(
+                    f"chain rejected {state.consecutive_rejects} consecutive proposals"
+                )
+        self.age += 1
+        if self.age % _COHERENCE_EVERY == 0:
+            self.check_coherence()
+
+    def check_coherence(self):
+        """Replace the cached energy by a fresh one, which it must match."""
+        state = self.state
+        fresh = self.fresh_energy()
+        if abs(state.energy - fresh) > _COHERENCE_TOL * max(1.0, abs(fresh)):
+            raise EnergyError(
+                f"cached energy {state.energy!r} drifted from recomputed {fresh!r}"
+            )
+        state.energy = fresh
+
+
+class _ContinuousChain(_Chain):
     def __init__(self, model, n, rng, initial, scale):
         self.model = model
         self.space = model.space
@@ -260,26 +294,10 @@ class _ContinuousChain:
                     accept = True
         self._book(accept)
 
-    def _book(self, accept):
-        state = self.state
-        if accept:
-            state.accepts += 1
-            state.consecutive_rejects = 0
-        else:
-            state.consecutive_rejects += 1
-            if state.consecutive_rejects >= _TRAP_LIMIT:
-                raise TrappedChainError(
-                    f"chain rejected {state.consecutive_rejects} consecutive proposals"
-                )
-        if state.steps % _COHERENCE_EVERY == 0:
-            fresh = self.fresh_energy()
-            if abs(state.energy - fresh) > _COHERENCE_TOL * max(1.0, abs(fresh)):
-                raise EnergyError(
-                    f"cached energy {state.energy!r} drifted from recomputed {fresh!r}"
-                )
-            state.energy = fresh
-            if self.green_cache is not None:
-                self.green_cache.rebuild(state.positions)
+    def check_coherence(self):
+        super().check_coherence()
+        if self.green_cache is not None:
+            self.green_cache.rebuild(self.state.positions)
 
     def fresh_energy(self):
         return w_n(self.model, self.state.positions)
@@ -288,7 +306,7 @@ class _ContinuousChain:
         return self.state.positions.copy()
 
 
-class _FiniteChain:
+class _FiniteChain(_Chain):
     def __init__(self, model, n, rng, initial, scale):
         self.model = model
         self.n = n
@@ -327,25 +345,6 @@ class _FiniteChain:
                     state.energy += delta
                     accept = True
         self._book(accept)
-
-    def _book(self, accept):
-        state = self.state
-        if accept:
-            state.accepts += 1
-            state.consecutive_rejects = 0
-        else:
-            state.consecutive_rejects += 1
-            if state.consecutive_rejects >= _TRAP_LIMIT:
-                raise TrappedChainError(
-                    f"chain rejected {state.consecutive_rejects} consecutive proposals"
-                )
-        if state.steps % _COHERENCE_EVERY == 0:
-            fresh = self.fresh_energy()
-            if abs(state.energy - fresh) > _COHERENCE_TOL * max(1.0, abs(fresh)):
-                raise EnergyError(
-                    f"cached energy {state.energy!r} drifted from recomputed {fresh!r}"
-                )
-            state.energy = fresh
 
     def fresh_energy(self):
         return self.model.w_counts(self.counts, self.n)
@@ -518,21 +517,9 @@ class GibbsEnumeration:
         values = np.array([float(fn(c)) for c in self.counts])
         return float(self.probs @ values)
 
-    def variance(self, fn):
-        values = np.array([float(fn(c)) for c in self.counts])
-        mean = float(self.probs @ values)
-        return float(self.probs @ (values - mean) ** 2)
-
     def marginal(self):
         """Exact single-site occupation frequencies E[c/n]."""
         return (self.probs @ self.counts) / self.n
-
-
-def _log_multinomial(counts):
-    value = math.lgamma(counts.sum() + 1.0)
-    for c in counts:
-        value -= math.lgamma(c + 1.0)
-    return value
 
 
 def enumerate_gibbs(model, n, coupling=None):
@@ -543,29 +530,15 @@ def enumerate_gibbs(model, n, coupling=None):
     """
     if not isinstance(model, FiniteEnergyModel):
         raise EnergyError("exact enumeration needs a FiniteEnergyModel")
-    m = model.space.n_atoms
-    n_classes = math.comb(n + m - 1, m - 1)
-    if n_classes > _ENUMERATION_CAP:
-        raise EnumerationCapError(
-            f"{n_classes} type classes exceed the enumeration cap {_ENUMERATION_CAP}"
-        )
+    table = class_table(model, n)
     if coupling is None:
         coupling = n * model.beta.beta_at(n)
     if not math.isfinite(coupling):
         raise EnergyError(f"enumeration needs a finite coupling, got {coupling!r}")
-    counts = _compositions(n, m)
-    log_pi = np.log(model.space.probs)
-    log_weights = np.empty(len(counts))
-    for row, c in enumerate(counts):
-        energy = model.w_counts(c, n)
-        log_weights[row] = (
-            _log_multinomial(c) + float(c @ log_pi) - coupling * energy
-        )
-    from scipy.special import logsumexp
-
+    log_weights = table.log_multinomials + table.log_reference - coupling * table.energies
     log_z = float(logsumexp(log_weights))
     return GibbsEnumeration(
-        counts=counts,
+        counts=table.counts,
         log_probs=log_weights - log_z,
         log_partition=log_z,
         n=n,

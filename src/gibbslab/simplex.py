@@ -1,36 +1,92 @@
-"""Dense probability-simplex grids with local refinement.
+"""Lattice points of the probability simplex: type classes and grids.
 
-Used as the independent optimization oracle on finite atom spaces: a global
-composition grid locates the basin and a shrinking local pattern search
-polishes the incumbent.  Only objective evaluations are used, so results are
-independent of any closed-form solution being checked.
+The compositions of ``total`` into ``parts`` non-negative integers serve
+twice: as the occupation-count type classes of n particles on m atoms, and,
+divided by ``steps``, as the global grid of the simplex oracle.  They are
+generated in lexicographic order, block by block, so memory stays bounded
+however many rows there are; ``argmin`` tie-breaking and the row order of
+enumerated tables depend on that order.
+
+The oracle locates the basin on the grid and polishes the incumbent by a
+shrinking local pattern search.  Only objective evaluations are used, so
+results are independent of any closed-form solution being checked.
 """
 
+import math
+from collections import namedtuple
+
 import numpy as np
+from scipy.special import gammaln
 
-__all__ = ["simplex_grid", "simplex_minimize"]
+from .errors import EnumerationCapError
 
-_GRID_CACHE = {}
+__all__ = ["CLASS_CAP", "class_count", "class_table", "compositions", "simplex_minimize"]
+
+# Type-class tables are held whole in memory, about (m + 6) * 8 bytes a class.
+CLASS_CAP = 1_000_000
+_BLOCK_ROWS = 1 << 17
 
 
-def _compositions(total, parts):
+def _blocks(total, parts, block_rows):
+    """Compositions of ``total`` into ``parts``, in lexicographic order, as
+    column-major arrays of at most ``block_rows`` rows."""
     if parts == 1:
-        return np.array([[total]], dtype=np.int64)
-    blocks = []
-    for first in range(total + 1):
-        rest = _compositions(total - first, parts - 1)
-        blocks.append(np.column_stack([np.full(len(rest), first, dtype=np.int64), rest]))
-    return np.vstack(blocks)
+        yield np.array([[total]], dtype=np.int64)
+        return
+    # every row extends a composition of total into parts - 1 whose last
+    # entry r splits into (k, r - k) for k = 0..r
+    head = compositions(total, parts - 1)
+    lengths = head[:, -1] + 1
+    ends = np.cumsum(lengths)
+    n_rows = int(ends[-1])
+    for start in range(0, n_rows, block_rows):
+        size = min(block_rows, n_rows - start)
+        first = int(np.searchsorted(ends, start, side="right"))
+        last = int(np.searchsorted(ends, start + size - 1, side="right"))
+        reps = lengths[first:last + 1]
+        skip = start - int(ends[first] - reps[0])
+
+        def spread(values):
+            return np.repeat(values, reps)[skip:skip + size]
+
+        rows = np.empty((size, parts), dtype=np.int64, order="F")
+        for j in range(parts - 2):
+            rows[:, j] = spread(head[first:last + 1, j])
+        k = np.arange(start, start + size) - spread(ends[first:last + 1] - reps)
+        rows[:, -2] = k
+        rows[:, -1] = spread(head[first:last + 1, -1]) - k
+        yield rows
 
 
-def simplex_grid(m, steps):
-    """All probability vectors on m atoms with coordinates multiples of 1/steps."""
-    key = (m, steps)
-    if key not in _GRID_CACHE:
-        if len(_GRID_CACHE) > 8:
-            _GRID_CACHE.clear()
-        _GRID_CACHE[key] = _compositions(steps, m).astype(float) / steps
-    return _GRID_CACHE[key]
+def compositions(total, parts):
+    """All non-negative integer vectors of length ``parts`` summing to
+    ``total``, in lexicographic order."""
+    return next(_blocks(total, parts, math.comb(total + parts - 1, parts - 1)))
+
+
+def class_count(n, m):
+    """Number C(n+m-1, m-1) of type classes of n particles on m atoms;
+    raises EnumerationCapError above CLASS_CAP."""
+    count = math.comb(n + m - 1, m - 1)
+    if count > CLASS_CAP:
+        raise EnumerationCapError(
+            f"{count} type classes of n={n} on {m} atoms exceed the cap {CLASS_CAP}")
+    return count
+
+
+ClassTable = namedtuple("ClassTable", "counts log_multinomials energies log_reference")
+
+
+def class_table(model, n):
+    """Every type class of n particles under a FiniteEnergyModel (capped):
+    the (classes, m) counts in lexicographic order, log n!/prod c_a!, w_n,
+    and counts @ log pi."""
+    m = model.space.n_atoms
+    class_count(n, m)
+    counts = compositions(n, m)
+    log_multis = gammaln(n + 1.0) - gammaln(counts + 1.0).sum(axis=1)
+    return ClassTable(counts, log_multis, model.class_energies(counts, n),
+                      counts @ np.log(model.space.probs))
 
 
 def _local_offsets(m, radius):
@@ -46,13 +102,16 @@ def simplex_minimize(objective, m, steps=200, refine_rounds=4, shrink=5, radius=
     """Minimize a vectorized objective over the m-simplex.
 
     ``objective`` maps an (r, m) array of probability vectors to r values
-    (+inf allowed).  Returns ``(value, argmin)``.
+    (+inf allowed); the grid reaches it block by block.  Returns
+    ``(value, argmin)``; ties on the grid go to its first row.
     """
-    grid = simplex_grid(m, steps)
-    values = np.asarray(objective(grid), dtype=float)
-    best = int(np.argmin(values))
-    best_tau = grid[best].copy()
-    best_val = float(values[best])
+    best_val, best_tau = math.inf, None
+    for rows in _blocks(steps, m, _BLOCK_ROWS):
+        taus = rows / steps
+        values = np.asarray(objective(taus), dtype=float)
+        i = int(np.argmin(values))
+        if best_tau is None or values[i] < best_val:
+            best_val, best_tau = float(values[i]), taus[i].copy()
     h = 1.0 / steps
     offsets = _local_offsets(m, radius)
     for _ in range(refine_rounds):

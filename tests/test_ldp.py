@@ -1,5 +1,6 @@
 import math
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -7,6 +8,8 @@ from numpy.testing import assert_allclose
 from scipy.optimize import brentq
 from scipy.special import iv
 
+from gibbslab import ldp
+from gibbslab.config import RunConfig, build_finite_model, build_functional
 from gibbslab.energy import (
     BetaSchedule,
     CallableKernel,
@@ -32,10 +35,9 @@ from gibbslab.ldp import (
     laplace_verify_finite,
     rate_function_profile,
     single_particle_limit,
-    _exact_class_table,
 )
 from gibbslab.measures import EmpiricalMeasure, FiniteSpace
-from gibbslab.simplex import simplex_minimize
+from gibbslab.simplex import CLASS_CAP, class_table, simplex_minimize
 
 
 TWO_ATOM_PI = np.array([0.5, 0.5])
@@ -64,18 +66,17 @@ def _three_atom_free_energy(taus):
 
 def _enumerated_decay(model, n, g, level):
     """Exact -log P_n(mean of g >= level) / (n beta_n) from the class table."""
-    counts, multis = _exact_class_table(model, n)
+    table = class_table(model, n)
+    counts = table.counts
     coupling = n * model.beta.beta_at(n)
-    log_w = (np.array([math.log(m) for m in multis])
-             + counts @ np.log(model.space.probs)
-             - coupling * np.array([model.w_counts(row, n) for row in counts]))
+    log_w = table.log_multinomials + table.log_reference - coupling * table.energies
     shift = log_w.max()
     log_total = shift + math.log(np.exp(log_w - shift).sum())
     inset = (counts @ g) / n >= level - 1e-12
     kept = log_w[inset]
     shift = kept.max()
     log_part = shift + math.log(np.exp(kept - shift).sum())
-    return -(log_part - log_total) / coupling, int(len(multis))
+    return -(log_part - log_total) / coupling, int(len(counts))
 
 
 # -- exact finite-space verdicts --------------------------------------------------
@@ -137,6 +138,69 @@ def test_product_case_matches_closed_form_at_every_n():
     assert verdict.errors is None
 
 
+@pytest.mark.parametrize("probs,tilt", [([0.5, 0.5], None), ([0.3, 0.7], [0.4, -0.2])])
+def test_large_n_sums_in_log_space(probs, tilt):
+    # n = 1100 on two atoms: multinomials overflow a float and pi^counts
+    # underflows to zero, so the sum must be taken in log space
+    probs = np.array(probs)
+    beta = 1.3
+    space = FiniteSpace(probs)
+    model = FiniteEnergyModel(space, BetaSchedule.constant(beta),
+                              pair_matrix=np.zeros((2, 2)))
+    f = None if tilt is None else IntegralFunctional(np.array(tilt))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        verdict = laplace_verify_finite(space, model, f, [1100], grid_steps=100)
+    g = np.zeros(2) if tilt is None else np.array(tilt)
+    closed = math.log((probs * np.exp(-beta * g)).sum()) / beta
+    assert abs(verdict.values[0] - closed) < 1e-14
+
+
+def _fixed_point_error(tau, model, g):
+    """max |tau - T(tau)| for T(tau) proportional to pi exp(-beta (G tau + g))."""
+    field = model.pair_matrix @ tau + g
+    mapped = model.space.probs * np.exp(-model.beta.limit * (field - field.min()))
+    return float(np.abs(tau - mapped / mapped.sum()).max())
+
+
+def _finite2_config_model():
+    config = RunConfig.from_file(
+        Path(__file__).resolve().parent.parent / "configs" / "finite2_laplace.yaml")
+    model = build_finite_model(config)
+    f = build_functional(config, config.section("ldp")["f"], model.space)
+    return model, f
+
+
+@pytest.mark.parametrize("case,grid_steps", [
+    ("benchmark 3-atom", 40), ("benchmark 3-atom", 200),
+    ("finite2 config", 400), ("diagonal 3-atom", 200)])
+def test_limit_witness_is_the_fixed_point(case, grid_steps, monkeypatch):
+    if case == "benchmark 3-atom":  # the finite-exact benchmark's tilted model
+        model = FiniteEnergyModel(
+            FiniteSpace([0.5, 0.3, 0.2]), BetaSchedule.constant(1.5),
+            pair_matrix=[[0.0, 1.0, 0.4], [1.0, 0.3, -0.2], [0.4, -0.2, 0.6]])
+        f = IntegralFunctional(np.array([0.5, 0.0, -0.3]))
+    elif case == "finite2 config":
+        model, f = _finite2_config_model()
+    else:
+        model = FiniteEnergyModel(FiniteSpace(THREE_ATOM_PI), BetaSchedule.constant(2.0),
+                                  pair_matrix=np.diag([1.0, 0.5, 2.0]))
+        f = None
+    iterations = []
+    descent = ldp._penalized_descent
+
+    def recording(*args, **kwargs):
+        result = descent(*args, **kwargs)
+        iterations.append(result[1])
+        return result
+
+    monkeypatch.setattr(ldp, "_penalized_descent", recording)
+    verdict = laplace_verify_finite(model.space, model, f, [2], grid_steps=grid_steps)
+    g = np.zeros(model.space.n_atoms) if f is None else np.asarray(f.g, dtype=float)
+    assert _fixed_point_error(verdict.witness, model, g) <= 1e-9
+    assert len(iterations) == 1 and iterations[0] < 200
+
+
 def test_finite_enumeration_guards(three_atom_model):
     space = three_atom_model.space
     with pytest.raises(EnergyError, match="FiniteEnergyModel"):
@@ -148,8 +212,10 @@ def test_finite_enumeration_guards(three_atom_model):
         laplace_verify_finite(space, three_atom_model, None, [4, 4])
     with pytest.raises(EnergyError, match="increasing"):
         laplace_verify_finite(space, three_atom_model, None, [])
+    over_cap = 1500  # C(1502, 2) = 1,127,251 type classes on 3 atoms
+    assert math.comb(over_cap + 2, 2) > CLASS_CAP
     with pytest.raises(EnumerationCapError):
-        laplace_verify_finite(space, three_atom_model, None, [17])
+        laplace_verify_finite(space, three_atom_model, None, [2, over_cap])
     schedule = BetaSchedule.from_callable(lambda n: math.inf, 1.0)
     bad = FiniteEnergyModel(space, schedule, pair_matrix=THREE_ATOM_G)
     with pytest.raises(EnergyError, match="finite"):

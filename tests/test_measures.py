@@ -44,6 +44,17 @@ def test_relative_entropy_absolute_continuity_failure():
     assert relative_entropy(np.array([0.5, 0.5]), np.array([1.0, 0.0])) == math.inf
 
 
+def test_relative_entropy_rows_keep_the_clamp():
+    # rows within 1e-9 of the reference sum to tiny negatives before the clamp
+    probs = np.array([0.4, 0.3, 0.2, 0.1])
+    rows = probs * (1.0 + 1e-9 * np.random.default_rng(7).standard_normal((200, 4)))
+    rows /= rows.sum(axis=1, keepdims=True)
+    values = relative_entropy(rows, probs)
+    assert values.shape == (200,) and np.all(values >= 0.0)
+    pair = relative_entropy(np.array([[0.5, 0.5], [1.0, 0.0]]), np.array([1.0, 0.0]))
+    assert list(pair) == [math.inf, 0.0]
+
+
 def test_relative_entropy_on_grids(circle_space):
     rho = 1.0 + 0.5 * np.cos(circle_space.nodes[:, 0])
     mu = GridMeasure.from_unnormalized(circle_space, rho)

@@ -235,6 +235,22 @@ def test_cache_coherence_guard(circle_space):
         mcmc_run(model, n=6, steps=5000, seed=2, burn_in=0.0)
 
 
+def test_coherence_checks_run_through_burn_in(circle_space, monkeypatch):
+    # the burn-in adaptation resets the acceptance counters every 200 steps;
+    # the check every 1000 steps must not depend on them
+    checks = []
+    fresh_energy = _ContinuousChain.fresh_energy
+
+    def counting(chain):
+        checks.append(chain.state.steps)
+        return fresh_energy(chain)
+
+    monkeypatch.setattr(_ContinuousChain, "fresh_energy", counting)
+    model = EnergyModel(circle_space, LogChordKernel(), BetaSchedule.constant(1.0))
+    mcmc_run(model, n=4, steps=10_000, seed=5, burn_in=0.5)
+    assert len(checks) == 10
+
+
 def test_run_guards(four_atom_model, circle_space):
     model = EnergyModel(circle_space, ConstantKernel(0.0), BetaSchedule.constant(1.0))
     with pytest.raises(EnergyError):

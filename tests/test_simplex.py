@@ -1,0 +1,105 @@
+"""Vectorized type classes and simplex grids against the loops they replace."""
+
+import math
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from numpy.testing import assert_allclose, assert_array_equal
+
+from gibbslab.energy import BetaSchedule, FiniteEnergyModel
+from gibbslab.ldp import _finite_free_energy
+from gibbslab.measures import FiniteSpace
+from gibbslab.simplex import _blocks, class_table, compositions, simplex_minimize
+
+PROBS = np.array([0.4, 0.3, 0.2, 0.1])
+PAIR = np.array([[0.0, 1.0, 0.5, -0.3], [1.0, 0.2, 0.8, 0.1],
+                 [0.5, 0.8, 0.0, 0.4], [-0.3, 0.1, 0.4, 0.6]])
+
+
+def _recursive_compositions(total, parts):
+    """The recursive generator the block generator replaced."""
+    if parts == 1:
+        return np.array([[total]], dtype=np.int64)
+    blocks = []
+    for first in range(total + 1):
+        rest = _recursive_compositions(total - first, parts - 1)
+        blocks.append(np.column_stack([np.full(len(rest), first, dtype=np.int64), rest]))
+    return np.vstack(blocks)
+
+
+@pytest.mark.parametrize("parts", [1, 2, 3, 4, 5])
+def test_compositions_equal_the_recursive_generator(parts):
+    for total in range(0, 13):
+        want = _recursive_compositions(total, parts)
+        got = compositions(total, parts)
+        assert got.dtype == want.dtype
+        assert_array_equal(got, want)
+        for rows in (1, 2, 5, 64):
+            blocks = list(_blocks(total, parts, rows))
+            assert all(len(b) == rows for b in blocks[:-1])
+            assert_array_equal(np.concatenate(blocks), want)
+
+
+def test_grid_minimizer_is_the_first_one_across_blocks():
+    # a constant objective ties everywhere: the first grid row must win, as
+    # np.argmin over the whole grid would pick it
+    value, tau = simplex_minimize(lambda taus: np.zeros(len(taus)), 3, steps=600,
+                                  refine_rounds=0)
+    assert value == 0.0
+    assert_array_equal(tau, [0.0, 0.0, 1.0])
+
+
+@pytest.mark.parametrize("n", [1, 7, 40])
+def test_class_energies_equal_w_counts_row_by_row(n):
+    model = FiniteEnergyModel(FiniteSpace(PROBS), BetaSchedule.constant(1.0),
+                              pair_matrix=PAIR)
+    counts = compositions(n, 4)
+    want = np.array([model.w_counts(row, n) for row in counts])
+    assert_array_equal(model.class_energies(counts, n), want)
+    override = FiniteEnergyModel(FiniteSpace(PROBS), BetaSchedule.constant(1.0),
+                                 w_fn=lambda c, n: float(c[0] * c[3]) / n)
+    assert_array_equal(override.class_energies(counts, n),
+                       [override.w_counts(row, n) for row in counts])
+
+
+@pytest.mark.parametrize("n,m", [(1, 2), (9, 4), (60, 3), (300, 2)])
+def test_log_multinomials_equal_exact_factorial_ratios(n, m):
+    model = FiniteEnergyModel(FiniteSpace(np.full(m, 1.0 / m)), BetaSchedule.constant(1.0),
+                              pair_matrix=np.zeros((m, m)))
+    table = class_table(model, n)
+    exact = [math.log(math.factorial(n) // math.prod(math.factorial(int(c)) for c in row))
+             for row in table.counts]
+    assert_allclose(table.log_multinomials, exact, rtol=1e-14, atol=1e-12)
+    assert_allclose(table.log_reference, table.counts @ np.log(model.space.probs),
+                    rtol=1e-15)
+
+
+def _free_energy_rows(model, taus):
+    """The per-row loop the batched grid objective replaced."""
+    out = []
+    for row in taus:
+        mask = row > 0.0
+        entropy = float((row[mask] * np.log(row[mask] / model.space.probs[mask])).sum())
+        if -1e-12 < entropy < 0.0:
+            entropy = 0.0
+        out.append(float(0.5 * row @ model.pair_matrix @ row)
+                   + entropy / model.beta.limit)
+    return np.array(out)
+
+
+_weights = st.lists(st.sampled_from([0.0, 0.0, 1e-300, 1e-9, 0.25, 1.0, 3.0])
+                    | st.floats(0.0, 5.0), min_size=4, max_size=4)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(_weights, min_size=1, max_size=12), st.floats(0.1, 10.0))
+def test_batched_free_energy_equals_the_row_loop(rows, beta):
+    taus = np.array(rows, dtype=float)
+    taus[taus.sum(axis=1) == 0.0, 0] = 1.0
+    taus /= taus.sum(axis=1, keepdims=True)
+    model = FiniteEnergyModel(FiniteSpace(PROBS), BetaSchedule.constant(beta),
+                              pair_matrix=PAIR)
+    assert_allclose(_finite_free_energy(model, taus), _free_energy_rows(model, taus),
+                    rtol=0.0, atol=1e-14)

@@ -295,36 +295,15 @@ def build_beta(config):
                       f"or expression, got {kind!r}")
 
 
-def _broadcast_distances(space, a, b):
-    """Elementwise geodesic and chord distances on broadcastable point
-    arrays (same formulas as the pairwise Space methods)."""
-    kind = space.kind
-    if kind == "circle":
-        delta = np.abs(a[..., 0] - b[..., 0]) % (2.0 * math.pi)
-        d = np.minimum(delta, 2.0 * math.pi - delta)
-        return d, 2.0 * np.sin(0.5 * d)
-    if kind == "torus":
-        delta = np.abs(a - b) % 1.0
-        delta = np.minimum(delta, 1.0 - delta)
-        d = np.sqrt((delta ** 2).sum(axis=-1))
-        return d, d
-    if kind == "sphere":
-        dots = np.clip((a * b).sum(axis=-1), -1.0, 1.0)
-        chord = np.sqrt(((a - b) ** 2).sum(axis=-1))
-        return np.arccos(dots), chord
-    d = np.sqrt(((a - b) ** 2).sum(axis=-1))
-    return d, d
-
-
 def _distance_kernel(space, expr):
     """Kernel from an expression over the geodesic (d) and chord (c)
     distances; symmetric by construction."""
     fn = compile_expression(expr, ["d", "c"])
 
     def pair_fn(sp, a, b):
-        d, c = _broadcast_distances(sp, np.asarray(a, float),
-                                    np.asarray(b, float))
-        return np.asarray(fn(d, c), dtype=float)
+        a, b = np.asarray(a, float), np.asarray(b, float)
+        return np.asarray(fn(sp.distance(a, b), sp.distance(a, b, chord=True)),
+                          dtype=float)
 
     return CallableKernel(pair_fn, singular=False)
 

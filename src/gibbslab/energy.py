@@ -507,17 +507,16 @@ def _macro_internal_integral(model, mu, clip=None):
             raise EnergyError("clipping is implemented for arity-2 kernels only")
         space = model.space
         nodes = space.nodes
+        size = space.n_nodes
+        # for each first point i, all (j, k) pairs in one call: row j of the
+        # block holds G(x_i, x_j, x_k) over k
+        second = np.repeat(nodes, size, axis=0)
+        third = np.tile(nodes, (size, 1))
         total = 0.0
-        for i in range(space.n_nodes):
-            block = np.empty((space.n_nodes, space.n_nodes))
-            for j in range(space.n_nodes):
-                arrays = (
-                    np.repeat(nodes[i : i + 1], space.n_nodes, axis=0),
-                    np.repeat(nodes[j : j + 1], space.n_nodes, axis=0),
-                    nodes,
-                )
-                block[j] = model.kernel.tuple_values(space, arrays)
-            total += masses[i] * float(masses @ block @ masses)
+        for i in range(size):
+            first = np.repeat(nodes[i : i + 1], size * size, axis=0)
+            block = model.kernel.tuple_values(space, (first, second, third))
+            total += masses[i] * float(masses @ block.reshape(size, size) @ masses)
         return total
     raise EnergyError(f"macroscopic energy supports arity <= 3, got {k}")
 
@@ -748,6 +747,8 @@ class FiniteEnergyModel:
 
     def class_energies(self, counts, n):
         """Microscopic energies of the rows of an (r, m) array of atom counts."""
+        if n < 1:
+            raise EnergyError(f"need n >= 1 particles, got {n}")
         if self.w_fn is not None:
             return np.array([float(self.w_fn(row, n)) for row in counts])
         c = np.asarray(counts, dtype=float)

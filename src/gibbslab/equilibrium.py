@@ -5,19 +5,22 @@ inverse temperature beta, the discrete free energy of node masses m is
 
     F(m) = (1/2) m^T M m + V^T m + (1/beta) sum_i m_i log(m_i / w_i),
 
-the grid transcription of  energy + (1/beta) * relative entropy.  The
-minimizer runs entropic mirror descent (multiplicative weights) with an
-Armijo backtracking line search; its certified optimality measure is the
-simplex duality gap  <g, m> - min_i g_i.
+the grid transcription of  energy + (1/beta) * relative entropy.  One
+entropic mirror descent (multiplicative weights, ``_mirror_descent``)
+minimizes it here and, with an optional half-space penalty, for the finite
+limits and rate profiles of ``ldp``; a step is accepted only if the directly
+computed objective change is not positive, and the certified optimality
+measure is the simplex duality gap  <g, m> - min_i g_i.
 """
 
 import math
+from collections import namedtuple
 from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.special import logsumexp
 
-from .energy import EnergyModel, GreenKernel, w_macro
+from .energy import GreenKernel, w_macro
 from .errors import EnergyError, MeasureError, StepSizeFailureError
 from .measures import GridMeasure, relative_entropy
 
@@ -31,8 +34,6 @@ __all__ = [
     "mean_field_residual",
     "directional_derivative_check",
 ]
-
-_ARMIJO_SLOPE = 1e-4
 
 
 def free_energy(model, mu, clip=None):
@@ -91,24 +92,118 @@ class EquilibriumResult:
     trace: list = field(default_factory=list)
 
 
-def _md_step(log_m, gradient, eta, beta):
-    shifted = log_m - eta * gradient
-    masses = np.exp(shifted - logsumexp(shifted))
-    if not math.isinf(beta):
-        masses = np.maximum(masses, 1e-300)
-        masses /= masses.sum()
-    return masses
+Descent = namedtuple("Descent", "masses gradient gap iterations status trace")
+
+
+def _mirror_descent(matrix, v, ref, beta, init, penalty=None, constraint=None,
+                    max_iters=3000, tol=1e-10, step=1.0):
+    """Entropic mirror descent on F(m) + penalty * relu(c - g.m)^2 over the
+    simplex of mass vectors, where F(m) = m.Mm/2 + v.m + D(m || ref)/beta and
+    ``constraint`` is (g, c) or None.
+
+    A step is taken only if the objective change, computed directly rather
+    than as a difference of two nearby values, is <= 0, so that round-off
+    near the optimum neither stops the descent early nor lets it wander; the
+    step size is capped at 6/span(gradient) so that a steep term cannot
+    teleport the iterate onto a simplex vertex.  The descent ends when the
+    simplex duality gap <grad, m> - min grad falls to tol * (1 + |F|)
+    (status ``gap_below_tol``), when no step size is accepted or an accepted
+    step moves less than tol in total variation (``stalled``), or after
+    ``max_iters`` gap evaluations (``max_iterations``).  The trace starts at
+    the initial objective and adds each accepted change, so it never rises.
+    """
+    finite_beta = math.isfinite(beta)
+    g, c = (None, None) if constraint is None else constraint
+
+    def shortfall(m):
+        return 0.0 if constraint is None else max(0.0, c - float(g @ m))
+
+    def gradient(m):
+        grad = _gradient(matrix, v, ref, m, beta)
+        short = shortfall(m)
+        if short > 0.0:
+            grad = grad - 2.0 * penalty * short * g
+        return grad
+
+    def duality_gap(m, grad):
+        gap = float(grad @ m - grad.min())
+        if not math.isfinite(gap):
+            raise StepSizeFailureError(
+                f"free-energy gradient is not finite at iteration {iterations}")
+        return gap
+
+    def change(m, cand):
+        # objective(x) - objective(m) for x = cand and d = x - m, which sums
+        # to zero so that constants drop out of d.w:
+        #   (x.Mx - m.Mm) / 2 = d.M(x + m) / 2,
+        #   D(x) - D(m) = d.log(m / ref) + sum(x log(1 + d / m) - d)
+        d = cand - m
+        w = 0.5 * (matrix @ (cand + m)) + v
+        if finite_beta:
+            w = w + np.log(m / ref) / beta
+        val = float(d @ (w - w.mean()))
+        if finite_beta:
+            val += float((cand * np.log1p(d / m) - d).sum()) / beta
+        if penalty is not None:
+            short_cand, short_m = shortfall(cand), shortfall(m)
+            val += penalty * (short_cand - short_m) * (short_cand + short_m)
+        return val
+
+    def candidate(m, grad, eta):
+        with np.errstate(divide="ignore"):
+            shifted = np.log(m) - eta * grad
+        cand = np.exp(shifted - logsumexp(shifted))
+        if finite_beta:
+            cand = np.maximum(cand, 1e-300)
+            cand /= cand.sum()
+        return cand
+
+    m = np.array(init, dtype=float)
+    value = _objective(matrix, v, ref, m, beta)
+    if penalty is not None:
+        value += penalty * shortfall(m) ** 2
+    trace = [value]
+    status = "max_iterations"
+    eta = float(step)
+    iterations = 0
+    grad = gradient(m)
+    for iterations in range(1, max_iters + 1):
+        if duality_gap(m, grad) <= tol * (1.0 + abs(trace[-1])):
+            break
+        span = float(grad.max() - grad.min())
+        if span > 0.0:
+            eta = min(eta, 6.0 / span)
+        while True:
+            cand = candidate(m, grad, eta)
+            delta = change(m, cand)
+            if delta <= 0.0 or eta <= step * 1e-16:
+                break
+            eta *= 0.5
+        if not delta <= 0.0:
+            status = "stalled"
+            break
+        moved = float(np.abs(cand - m).sum())
+        m = cand
+        trace.append(trace[-1] + delta)
+        grad = gradient(m)
+        eta = min(eta * 1.3, 50.0 * step)
+        if moved < tol:
+            status = "stalled"
+            break
+    gap = duality_gap(m, grad)
+    if gap <= tol * (1.0 + abs(trace[-1])):
+        status = "gap_below_tol"
+    return Descent(m, grad, gap, iterations, status, trace)
 
 
 def minimize_free_energy(model, initial=None, max_iters=5000, tol=1e-10, step=1.0):
-    """Entropic mirror descent to the minimizer of the free energy.
+    """Entropic mirror descent (``_mirror_descent``) to the minimizer of the
+    free energy, from the reference weights or ``initial``.
 
-    Stops when the simplex duality gap <g, m> - min g falls below
-    ``tol * (1 + |F|)``.  A first phase runs multiplicative updates under an
-    Armijo line search; once objective decreases fall below float resolution,
-    a second phase iterates the fixed-step update map and keeps the iterate
-    with the smallest gap.  Raises StepSizeFailureError when the line search
-    cannot decrease the objective while the gap is still far from the target.
+    Converged means the simplex duality gap <g, m> - min g fell to
+    ``tol * (1 + |F|)``.  Raises StepSizeFailureError when the gradient is not
+    finite, or when the descent stalls while the gap is still above
+    ``max(1e3 * tol, 1e-6) * (1 + |F|)``.
     """
     space = model.space
     matrix, v = _model_tables(model)
@@ -123,94 +218,17 @@ def minimize_free_energy(model, initial=None, max_iters=5000, tol=1e-10, step=1.
     if not math.isinf(beta) and masses.min() <= 0.0:
         raise MeasureError("finite-temperature minimization needs a strictly "
                            "positive initial density")
-
-    eta = float(step)
-    value = _objective(matrix, v, weights, masses, beta)
-    trace = [value]
-    status = "max_iterations"
-    converged = False
-    gradient = _gradient(matrix, v, weights, masses, beta)
-    iterations = 0
-    polish = False
-    for iterations in range(1, max_iters + 1):
-        gap = float(gradient @ masses - gradient.min())
-        if not math.isfinite(gap):
-            raise StepSizeFailureError(
-                f"free-energy gradient is not finite at iteration {iterations}"
-            )
-        if gap <= tol * (1.0 + abs(value)):
-            status, converged = "gap_below_tol", True
-            break
-        if polish:
-            break
-        with np.errstate(divide="ignore"):
-            log_m = np.log(masses)
-        accepted = False
-        while eta >= step * 1e-15:
-            new_masses = _md_step(log_m, gradient, eta, beta)
-            predicted = float(gradient @ (masses - new_masses))
-            new_value = _objective(matrix, v, weights, new_masses, beta)
-            if math.isfinite(new_value) and new_value <= value - _ARMIJO_SLOPE * predicted:
-                accepted = True
-                break
-            eta *= 0.5
-        if not accepted:
-            # The objective can no longer be resolved past float rounding.
-            if gap > max(1e3 * tol, 1e-6) * (1.0 + abs(value)):
-                raise StepSizeFailureError(
-                    f"line search stalled at gap {gap!r} after {iterations} iterations"
-                )
-            polish = True
-            break
-        masses, value = new_masses, new_value
-        trace.append(value)
-        gradient = _gradient(matrix, v, weights, masses, beta)
-        eta = min(eta * 1.3, step * 100.0)
-
-    if polish and not converged:
-        # Fixed-step polish: the update map contracts near the optimum, and
-        # tracking the best gap avoids comparing objective values in the
-        # rounding-floor regime.  Restarting from the best iterate with a
-        # halved step whenever progress stops walks eta into the stable range.
-        best_masses, best_gradient = masses, gradient
-        best_gap = float(gradient @ masses - gradient.min())
-        since_best = 0
-        # The line search drains eta to a no-op scale while it fights the
-        # rounding floor, so restart from the caller's base step.
-        eta = float(step)
-        while iterations < max_iters:
-            iterations += 1
-            with np.errstate(divide="ignore"):
-                log_m = np.log(masses)
-            masses = _md_step(log_m, gradient, eta, beta)
-            gradient = _gradient(matrix, v, weights, masses, beta)
-            gap = float(gradient @ masses - gradient.min())
-            if gap <= tol * (1.0 + abs(value)):
-                best_masses, best_gradient, best_gap = masses, gradient, gap
-                break
-            if gap < 0.9 * best_gap:
-                best_masses, best_gradient, best_gap = masses, gradient, gap
-                since_best = 0
-                continue
-            since_best += 1
-            if gap > 3.0 * best_gap or since_best % 15 == 0:
-                masses, gradient = best_masses, best_gradient
-                eta *= 0.5
-            if since_best >= 100 or eta < step * 1e-15:
-                break
-        masses, gradient = best_masses, best_gradient
-        value = _objective(matrix, v, weights, masses, beta)
-        trace.append(value)
-        if best_gap <= tol * (1.0 + abs(value)):
-            status, converged = "gap_below_tol", True
-        else:
-            status = "polish_floor"
-
-    gap = float(gradient @ masses - gradient.min())
-    measure = GridMeasure(space, masses / weights)
-    return EquilibriumResult(measure=measure, value=value, gap=gap,
-                             iterations=iterations, converged=converged,
-                             status=status, gradient=gradient, trace=trace)
+    result = _mirror_descent(matrix, v, weights, beta, masses,
+                             max_iters=max_iters, tol=tol, step=step)
+    value = _objective(matrix, v, weights, result.masses, beta)
+    if result.status == "stalled" and result.gap > max(1e3 * tol, 1e-6) * (1.0 + abs(value)):
+        raise StepSizeFailureError(
+            f"descent stalled at gap {result.gap!r} after {result.iterations} iterations")
+    return EquilibriumResult(measure=GridMeasure(space, result.masses / weights),
+                             value=value, gap=result.gap, iterations=result.iterations,
+                             converged=result.status == "gap_below_tol",
+                             status=result.status, gradient=result.gradient,
+                             trace=result.trace)
 
 
 # -- mean-field first-order condition ---------------------------------------------

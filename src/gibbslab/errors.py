@@ -12,7 +12,6 @@ __all__ = [
     "EnumerationCapError",
     "InfeasibleConstraintError",
     "ConfigError",
-    "CacheFormatError",
 ]
 
 
@@ -37,7 +36,8 @@ class EnergyError(GibbsLabError):
 
 
 class StepSizeFailureError(GibbsLabError):
-    """Armijo backoff kept failing; the descent step size collapsed."""
+    """The mirror descent stalled far from optimality or met a non-finite
+    gradient."""
 
 
 class CollisionError(GibbsLabError):
@@ -72,6 +72,3 @@ class ConfigError(GibbsLabError):
         self.line = line
         self.column = column
 
-
-class CacheFormatError(GibbsLabError):
-    """A binary cache file has the wrong magic number or version."""

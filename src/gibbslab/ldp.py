@@ -38,7 +38,7 @@ from .energy import (
     StaticPotential,
     w_n,
 )
-from .equilibrium import minimize_free_energy
+from .equilibrium import _mirror_descent, _objective, minimize_free_energy
 from .errors import EnergyError, InfeasibleConstraintError
 from .fekete import ComposedFunctional, IntegralFunctional, MeasureFunctional
 from .measures import FiniteSpace, GridMeasure, _fmt, relative_entropy
@@ -217,9 +217,9 @@ def _finite_limit(model, f, grid_steps):
     if model.pair_matrix is not None and math.isfinite(beta) and linear_tilt:
         g_vec = (np.zeros(space.n_atoms) if f is None
                  else np.asarray(f.g, dtype=float))
-        masses, _ = _penalized_descent(
-            model.pair_matrix, g_vec, space.probs, beta,
-            constraint=None, init=np.maximum(tau, 1e-12))
+        init = np.maximum(tau, 1e-12)
+        masses = _mirror_descent(model.pair_matrix, g_vec, space.probs, beta,
+                                 init / init.sum()).masses
         total = float(_finite_free_energy(model, masses[None, :])[0]
                       + f_vals(masses[None, :])[0])
         if total < value:
@@ -383,87 +383,6 @@ def _model_tables_for_profile(model):
     raise EnergyError(f"cannot profile a {type(model).__name__}")
 
 
-def _penalized_descent(matrix, v, ref, beta, constraint, init, penalty=None,
-                       max_iters=3000, tol=1e-10):
-    """Entropic mirror descent on F(m) + penalty * relu(c - g@m)^2 over the
-    simplex of mass vectors; ``constraint`` is (g, c) or None.  Returns the
-    final masses and the iteration count.
-
-    A step is taken only if it does not raise the objective, judged by the
-    change computed directly rather than as a difference of two nearby
-    values, so that round-off near the optimum neither stops the descent early
-    nor lets it wander."""
-    matrix = np.asarray(matrix, dtype=float)
-    v = np.asarray(v, dtype=float)
-    log_ref = np.log(ref)
-    finite_beta = math.isfinite(beta)
-
-    def change(m, cand):
-        # objective(cand) - objective(m) for d = cand - m, which sums to zero
-        # so that constants drop out of d.w:
-        #   (c.Gc - m.Gm) / 2 = d.G(c + m) / 2,
-        #   D(c) - D(m) = d.log(m / ref) + sum(c log(1 + d / m) - d)
-        d = cand - m
-        w = 0.5 * (matrix @ (cand + m)) + v
-        if finite_beta:
-            w = w + (np.log(m) - log_ref) / beta
-        val = float(d @ (w - w.mean()))
-        if finite_beta:
-            val += float((cand * np.log1p(d / m) - d).sum()) / beta
-        if constraint is not None:
-            g, c = constraint
-            short_cand = max(0.0, c - float(g @ cand))
-            short_m = max(0.0, c - float(g @ m))
-            val += penalty * (short_cand - short_m) * (short_cand + short_m)
-        return val
-
-    def gradient(m):
-        grad = matrix @ m + v
-        if finite_beta:
-            grad = grad + (np.log(m / ref) + 1.0) / beta
-        if constraint is not None:
-            g, c = constraint
-            gap = c - float(g @ m)
-            if gap > 0.0:
-                grad = grad - 2.0 * penalty * gap * g
-        return grad
-
-    def step(m, grad, eta):
-        shifted = np.log(m) - eta * grad
-        shifted -= logsumexp(shifted)
-        cand = np.maximum(np.exp(shifted), 1e-300)
-        return cand / cand.sum()
-
-    m = np.asarray(init, dtype=float)
-    m = np.maximum(m, 1e-300)
-    m = m / m.sum()
-    eta = 1.0
-    iterations = 0
-    for iterations in range(1, max_iters + 1):
-        grad = gradient(m)
-        # cap the multiplicative reweighting per step so a steep penalty
-        # cannot teleport the iterate onto a simplex vertex
-        span = float(grad.max() - grad.min())
-        if span > 0.0:
-            eta = min(eta, 6.0 / span)
-        cand = step(m, grad, eta)
-        accepted = False
-        while eta > 1e-16:
-            if change(m, cand) <= 0.0:
-                accepted = True
-                break
-            eta *= 0.5
-            cand = step(m, grad, eta)
-        if not accepted:
-            break
-        moved = float(np.abs(cand - m).max())
-        m = cand
-        eta = min(eta * 1.3, 50.0)
-        if moved < tol:
-            break
-    return m, iterations
-
-
 def rate_function_profile(model, descriptor=None, max_iters=3000, tol=1e-10):
     """Infimum of the rate function I = F - inf F over a half-space of
     measures, by mirror descent with penalty continuation.
@@ -481,39 +400,32 @@ def rate_function_profile(model, descriptor=None, max_iters=3000, tol=1e-10):
         return masses
 
     uniform = ref / ref.sum()
-    def bare_value(m):
-        val = 0.5 * float(m @ matrix @ m) + float(v @ m)
-        if math.isfinite(beta):
-            val += relative_entropy(m, ref) / beta
-        return val
-
-    base_masses, base_iters = _penalized_descent(
-        matrix, v, ref, beta, None, uniform, max_iters=max_iters, tol=tol)
-    base_value = bare_value(base_masses)
+    base = _mirror_descent(matrix, v, ref, beta, uniform, max_iters=max_iters, tol=tol)
+    base_value = _objective(matrix, v, ref, base.masses, beta)
     if descriptor is None:
-        return RateProfile(0.0, wrap(base_masses), base_value, base_value,
-                           None, base_iters)
+        return RateProfile(0.0, wrap(base.masses), base_value, base_value,
+                           None, base.iterations)
     g = descriptor.node_values(model.space)
     c = float(descriptor.c)
-    slack = float(g @ base_masses) - c
+    slack = float(g @ base.masses) - c
     if slack >= 0.0:
-        return RateProfile(0.0, wrap(base_masses), base_value, base_value,
-                           slack, base_iters)
+        return RateProfile(0.0, wrap(base.masses), base_value, base_value,
+                           slack, base.iterations)
     if c > float(g.max()) + 1e-12:
         raise InfeasibleConstraintError(
             f"no probability measure reaches integral {c} (max attainable "
             f"{float(g.max())})")
     ftol = 1e-7 * max(1.0, abs(c))
     masses = uniform
-    iterations = base_iters
+    iterations = base.iterations
     best = None
     for penalty in (1e2, 1e3, 1e4, 1e5, 1e6, 1e7):
-        masses, its = _penalized_descent(
-            matrix, v, ref, beta, (g, c), masses, penalty=penalty,
-            max_iters=max_iters, tol=tol)
-        iterations += its
+        descent = _mirror_descent(matrix, v, ref, beta, masses, penalty=penalty,
+                                  constraint=(g, c), max_iters=max_iters, tol=tol)
+        masses = descent.masses
+        iterations += descent.iterations
         if float(g @ masses) >= c - ftol:
-            cand = bare_value(masses)
+            cand = _objective(matrix, v, ref, masses, beta)
             if best is None or cand < best[0]:
                 best = (cand, masses)
     if best is None:
@@ -526,12 +438,11 @@ def rate_function_profile(model, descriptor=None, max_iters=3000, tol=1e-10):
         t = min(max(t, 0.0), 1.0)
         blended = (1.0 - t) * masses + t * vertex
         blended /= blended.sum()
-        polished, its = _penalized_descent(
-            matrix, v, ref, beta, (g, c), blended, penalty=1e8,
-            max_iters=max_iters, tol=tol)
-        iterations += its
-        masses = polished if float(g @ polished) >= c - ftol else blended
-        best = (bare_value(masses), masses)
+        descent = _mirror_descent(matrix, v, ref, beta, blended, penalty=1e8,
+                                  constraint=(g, c), max_iters=max_iters, tol=tol)
+        iterations += descent.iterations
+        masses = descent.masses if float(g @ descent.masses) >= c - ftol else blended
+        best = (_objective(matrix, v, ref, masses, beta), masses)
     constrained, masses = best
     slack = float(g @ masses) - c
     return RateProfile(max(0.0, constrained - base_value), wrap(masses),

@@ -16,14 +16,11 @@ where ``H`` is the zero-mean Green kernel of the reference measure,
 so that ``integral of G(x, .) against L`` vanishes for every ``x``.
 """
 
-import io
-import json
-import hashlib
 import math
 
 import numpy as np
 
-from .errors import CacheFormatError, DiagonalSingularityError, SpaceError
+from .errors import DiagonalSingularityError, SpaceError
 
 __all__ = [
     "Space",
@@ -33,10 +30,6 @@ __all__ = [
     "green_evaluate",
     "green_identity_residual",
 ]
-
-_SPACE_MAGIC = "GIBBSLAB-SPACE"
-_GREEN_MAGIC = "GIBBSLAB-GREEN"
-_CACHE_VERSION = 1
 
 _MIN_NODES = 8
 
@@ -128,34 +121,30 @@ class Space:
             )
         return pts
 
-    def geodesic(self, x, y):
-        """Pairwise geodesic distance matrix between point arrays."""
-        a = self._as_points(x)
-        b = self._as_points(y)
+    def distance(self, a, b, chord=False):
+        """Elementwise geodesic distance, or with ``chord`` the embedding
+        distance, between broadcastable point arrays whose last axis holds
+        the coordinates; the two agree on the torus and in boxes."""
         if self.kind == "circle":
-            d = np.abs(a[:, None, 0] - b[None, :, 0]) % (2.0 * np.pi)
-            return np.minimum(d, 2.0 * np.pi - d)
+            d = np.abs(a[..., 0] - b[..., 0]) % (2.0 * np.pi)
+            d = np.minimum(d, 2.0 * np.pi - d)
+            return 2.0 * np.sin(0.5 * d) if chord else d
         if self.kind == "torus":
-            d = np.abs(a[:, None, :] - b[None, :, :]) % 1.0
+            d = np.abs(a - b) % 1.0
             d = np.minimum(d, 1.0 - d)
             return np.sqrt((d ** 2).sum(axis=-1))
-        if self.kind == "sphere":
-            dots = np.clip(a @ b.T, -1.0, 1.0)
-            return np.arccos(dots)
-        diff = a[:, None, :] - b[None, :, :]
-        return np.sqrt((diff ** 2).sum(axis=-1))
+        if self.kind == "sphere" and not chord:
+            return np.arccos(np.clip((a * b).sum(axis=-1), -1.0, 1.0))
+        return np.sqrt(((a - b) ** 2).sum(axis=-1))
+
+    def geodesic(self, x, y):
+        """Pairwise geodesic distance matrix between point arrays."""
+        return self.distance(self._as_points(x)[:, None], self._as_points(y)[None])
 
     def chord(self, x, y):
         """Pairwise embedding (chord) distance; equals geodesic on the torus."""
-        a = self._as_points(x)
-        b = self._as_points(y)
-        if self.kind == "circle":
-            d = self.geodesic(a, b)
-            return 2.0 * np.sin(0.5 * d)
-        if self.kind in ("sphere", "box"):
-            diff = a[:, None, :] - b[None, :, :]
-            return np.sqrt((diff ** 2).sum(axis=-1))
-        return self.geodesic(a, b)
+        return self.distance(self._as_points(x)[:, None], self._as_points(y)[None],
+                             chord=True)
 
     # -- spectral basis ----------------------------------------------------
 
@@ -204,58 +193,6 @@ class Space:
         step = (bounds[:, 1] - bounds[:, 0]) / res
         jitter = rng.uniform(-0.5, 0.5, size=(count, self.dim)) * step
         return self.nodes[idx] + jitter
-
-    # -- serialization -------------------------------------------------------
-
-    def save(self, path):
-        """Write a self-describing binary cache of the space."""
-        payload = {
-            "nodes": self.nodes,
-            "weights": self.weights,
-            "cell_volumes": self.cell_volumes,
-        }
-        if self.eigenvalues is not None:
-            payload["eigenvalues"] = self.eigenvalues
-            payload["basis_values"] = self.basis_values
-        if self.mode_index is not None:
-            payload["mode_index"] = np.asarray(self.mode_index, dtype=np.int64)
-        if self.density_values is not None:
-            payload["density_values"] = self.density_values
-        header = {
-            "magic": _SPACE_MAGIC,
-            "version": _CACHE_VERSION,
-            "kind": self.kind,
-            "dim": self.dim,
-            "params": {k: v for k, v in self.params.items() if not k.startswith("_")},
-        }
-        payload["header"] = np.frombuffer(json.dumps(header, sort_keys=True).encode(), np.uint8)
-        with open(path, "wb") as fh:
-            np.savez(fh, **payload)
-
-    @classmethod
-    def load(cls, path):
-        with np.load(path) as data:
-            header = json.loads(bytes(data["header"].tobytes()).decode())
-            if header.get("magic") != _SPACE_MAGIC:
-                raise CacheFormatError(f"{path}: not a space cache (bad magic number)")
-            if header.get("version") != _CACHE_VERSION:
-                raise CacheFormatError(
-                    f"{path}: cache version {header.get('version')} != {_CACHE_VERSION}"
-                )
-            params = header["params"]
-            if header["kind"] == "box" and params.get("density"):
-                params["_density_fn"] = _compile_density(params["density"], header["dim"])
-                params["_density_norm"] = params["density_norm"]
-            elif header["kind"] == "box":
-                params["_density_norm"] = params["density_norm"]
-            return cls(
-                header["kind"], header["dim"], data["nodes"], data["weights"],
-                data["cell_volumes"], params,
-                eigenvalues=data["eigenvalues"] if "eigenvalues" in data else None,
-                basis_values=data["basis_values"] if "basis_values" in data else None,
-                mode_index=data["mode_index"] if "mode_index" in data else None,
-                density_values=data["density_values"] if "density_values" in data else None,
-            )
 
 
 # -- per-kind construction ---------------------------------------------------
@@ -584,9 +521,6 @@ class BackgroundCharge:
     def is_uniform(self):
         return bool(np.allclose(self.values, 1.0, atol=1e-14))
 
-    def digest(self):
-        return hashlib.sha256(np.ascontiguousarray(self.values).tobytes()).hexdigest()
-
 
 def _coordinate_names(space):
     return {
@@ -678,38 +612,6 @@ class GreenModel:
 
     def identity_residual(self, f_coeffs, x):
         return green_identity_residual(self, f_coeffs, x)
-
-    def save(self, path):
-        header = {
-            "magic": _GREEN_MAGIC,
-            "version": _CACHE_VERSION,
-            "order": self.order,
-            "charge_digest": self.charge.digest(),
-        }
-        with open(path, "wb") as fh:
-            np.savez(
-                fh,
-                header=np.frombuffer(json.dumps(header, sort_keys=True).encode(), np.uint8),
-                charge_values=self.charge.values,
-                charge_coeffs=self.charge_coeffs,
-                phi_nodes=self.phi_nodes,
-                constant=np.array([self.constant]),
-            )
-
-    @classmethod
-    def load(cls, path, space):
-        with np.load(path) as data:
-            header = json.loads(bytes(data["header"].tobytes()).decode())
-            if header.get("magic") != _GREEN_MAGIC:
-                raise CacheFormatError(f"{path}: not a Green-model cache (bad magic number)")
-            if header.get("version") != _CACHE_VERSION:
-                raise CacheFormatError(
-                    f"{path}: cache version {header.get('version')} != {_CACHE_VERSION}"
-                )
-            charge = BackgroundCharge(space, data["charge_values"])
-            if charge.digest() != header["charge_digest"]:
-                raise CacheFormatError(f"{path}: charge digest mismatch")
-            return cls(space, charge, order=header["order"])
 
 
 def green_evaluate(model, x, y):

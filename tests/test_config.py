@@ -3,7 +3,7 @@ import os
 
 import numpy as np
 import pytest
-from numpy.testing import assert_allclose
+from numpy.testing import assert_allclose, assert_array_equal
 
 from gibbslab.config import (
     RunConfig,
@@ -25,6 +25,7 @@ from gibbslab.energy import (
 )
 from gibbslab.errors import ConfigError
 from gibbslab.measures import FiniteSpace
+from gibbslab.spaces import build_space
 
 MINIMAL = "seed: 1\n"
 
@@ -247,6 +248,21 @@ def test_expression_kernel_on_sphere(sphere_space):
     expected = sphere_space.geodesic(nodes, nodes) - sphere_space.chord(
         nodes, nodes)
     assert_allclose(values, expected, atol=1e-12)
+
+
+@pytest.mark.parametrize("kind", ["circle", "torus", "sphere", "box"])
+def test_expression_kernel_tables_are_the_pairwise_distances(kind):
+    if kind == "box":
+        space = build_space(kind, 12, bounds=[(-1.0, 2.0), (0.0, 1.0)])
+    else:
+        space = build_space(kind, 2 if kind == "sphere" else 12, 3)
+    nodes = space.nodes
+    for expr, pairwise in (("d", space.geodesic), ("c", space.chord)):
+        config = RunConfig.from_text(
+            f"seed: 1\nkernel:\n  kind: expression\n  expr: {expr}\n")
+        kernel = build_kernel(config, space)
+        assert_array_equal(kernel.pairwise(space, nodes, nodes[::2]),
+                           pairwise(nodes, nodes[::2]))
 
 
 def test_build_finite_model():

@@ -185,6 +185,33 @@ def test_monotone_truncation(circle_space):
     assert_allclose(values[-1], full, atol=1e-12)
 
 
+def _looped_three_body_integral(model, masses):
+    """The per-(i, j) loop that one tuple_values call per i replaced."""
+    space = model.space
+    nodes = space.nodes
+    size = space.n_nodes
+    total = 0.0
+    for i in range(size):
+        block = np.empty((size, size))
+        for j in range(size):
+            arrays = (np.repeat(nodes[i : i + 1], size, axis=0),
+                      np.repeat(nodes[j : j + 1], size, axis=0), nodes)
+            block[j] = model.kernel.tuple_values(space, arrays)
+        total += masses[i] * float(masses @ block @ masses)
+    return total
+
+
+@pytest.mark.parametrize("kind", ["circle", "torus"])
+def test_three_body_macro_energy_matches_loop(kind, rng):
+    space = build_space(kind, 12 if kind == "circle" else 8, 3)
+    # not symmetric in its arguments, so a misplaced axis would show
+    fn = lambda sp, a, b, c: np.cos(a[:, 0] + 2.0 * b[:, 0] - 0.5 * c[:, -1]) + a[:, -1] * c[:, 0]
+    model = EnergyModel(space, CallableKernel(fn, arity=3), BETA)
+    mu = GridMeasure.from_unnormalized(space, rng.uniform(0.2, 1.0, space.n_nodes))
+    expected = _looped_three_body_integral(model, mu.node_masses) / 6.0
+    assert abs(w_macro(model, mu) - expected) <= 1e-12
+
+
 def test_macro_guards(circle_space, box_space):
     model = EnergyModel(circle_space, LogChordKernel(), BETA)
     with pytest.raises(EnergyError):

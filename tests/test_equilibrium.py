@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from gibbslab.energy import (
@@ -16,6 +18,7 @@ from gibbslab.energy import (
     w_macro,
 )
 from gibbslab.equilibrium import (
+    _mirror_descent,
     directional_derivative_check,
     free_energy,
     free_energy_gradient,
@@ -72,6 +75,53 @@ def test_mean_field_residual_at_equilibrium(torus_model, torus_equilibrium):
     assert report.residual < 1e-8
     assert report.tail < 1e-12
     assert report.beta == 2.0
+
+
+def test_charged_torus_reaches_the_gap_tolerance(torus_space):
+    charge = BackgroundCharge.from_expression(torus_space, "1 + 0.5*cos(2*pi*u)")
+    model = EnergyModel(torus_space, GreenKernel(GreenModel(torus_space, charge)),
+                        BetaSchedule.constant(2.0))
+    result = minimize_free_energy(model, max_iters=100)
+    assert result.converged and result.status == "gap_below_tol"
+    assert result.gap <= 1e-10 * (1.0 + abs(result.value))
+    assert np.all(np.diff(result.trace) <= 0.0)
+
+
+@settings(max_examples=150, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), size=st.integers(2, 6),
+       beta=st.sampled_from([0.5, 2.0, math.inf]), penalized=st.booleans())
+def test_each_accepted_change_is_the_objective_difference(seed, size, beta, penalized):
+    rng = np.random.default_rng(seed)
+    half = rng.normal(size=(size, size))
+    matrix = half + half.T
+    v = rng.normal(size=size)
+    ref = rng.uniform(0.1, 1.0, size)
+    ref /= ref.sum()
+    init = rng.uniform(0.05, 1.0, size)
+    init /= init.sum()
+    g = rng.normal(size=size)
+    c = float(g @ init) + 0.5  # the penalty is active at the start
+    penalty, constraint = (30.0, (g, c)) if penalized else (None, None)
+
+    def objective(m):
+        value = 0.5 * float(m @ matrix @ m) + float(v @ m)
+        if math.isfinite(beta):
+            value += float((m * np.log(m / ref)).sum()) / beta
+        if penalized:
+            value += penalty * max(0.0, c - float(g @ m)) ** 2
+        return value
+
+    previous = init
+    for steps in range(1, 6):
+        # tol = 0 turns both stop rules off; run k repeats run k-1 and adds a step
+        result = _mirror_descent(matrix, v, ref, beta, init, penalty=penalty,
+                                 constraint=constraint, max_iters=steps, tol=0.0)
+        if len(result.trace) != steps + 1:
+            break
+        change = result.trace[-1] - result.trace[-2]
+        assert change <= 0.0
+        assert abs(change - (objective(result.masses) - objective(previous))) <= 1e-12
+        previous = result.masses
 
 
 def test_semicircle_density():

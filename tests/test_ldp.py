@@ -187,14 +187,14 @@ def test_limit_witness_is_the_fixed_point(case, grid_steps, monkeypatch):
                                   pair_matrix=np.diag([1.0, 0.5, 2.0]))
         f = None
     iterations = []
-    descent = ldp._penalized_descent
+    descent = ldp._mirror_descent
 
     def recording(*args, **kwargs):
         result = descent(*args, **kwargs)
-        iterations.append(result[1])
+        iterations.append(result.iterations)
         return result
 
-    monkeypatch.setattr(ldp, "_penalized_descent", recording)
+    monkeypatch.setattr(ldp, "_mirror_descent", recording)
     verdict = laplace_verify_finite(model.space, model, f, [2], grid_steps=grid_steps)
     g = np.zeros(model.space.n_atoms) if f is None else np.asarray(f.g, dtype=float)
     assert _fixed_point_error(verdict.witness, model, g) <= 1e-9

@@ -1,6 +1,7 @@
 """Vectorized type classes and simplex grids against the loops they replace."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -9,8 +10,10 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose, assert_array_equal
 
 from gibbslab.energy import BetaSchedule, FiniteEnergyModel
-from gibbslab.ldp import _finite_free_energy
+from gibbslab.errors import EnergyError
+from gibbslab.ldp import _finite_free_energy, laplace_verify_finite
 from gibbslab.measures import FiniteSpace
+from gibbslab.sampler import enumerate_gibbs
 from gibbslab.simplex import _blocks, class_table, compositions, simplex_minimize
 
 PROBS = np.array([0.4, 0.3, 0.2, 0.1])
@@ -103,3 +106,18 @@ def test_batched_free_energy_equals_the_row_loop(rows, beta):
                               pair_matrix=PAIR)
     assert_allclose(_finite_free_energy(model, taus), _free_energy_rows(model, taus),
                     rtol=0.0, atol=1e-14)
+
+
+def test_zero_particles_raise_before_dividing():
+    model = FiniteEnergyModel(FiniteSpace(PROBS[:2] / PROBS[:2].sum()),
+                              BetaSchedule.constant(1.0), pair_matrix=PAIR[:2, :2])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(EnergyError, match="n >= 1"):
+            class_table(model, 0)
+        with pytest.raises(EnergyError, match="n >= 1"):
+            enumerate_gibbs(model, 0)
+        with pytest.raises(EnergyError, match="n >= 1"):
+            laplace_verify_finite(model.space, model, None, [0, 2])
+        with pytest.raises(EnergyError, match="n >= 1"):
+            model.w_counts([0, 0])

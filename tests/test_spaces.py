@@ -5,11 +5,10 @@ import pytest
 from numpy.testing import assert_allclose
 from scipy.special import lpmv
 
-from gibbslab.errors import CacheFormatError, DiagonalSingularityError, SpaceError
+from gibbslab.errors import DiagonalSingularityError, SpaceError
 from gibbslab.spaces import (
     BackgroundCharge,
     GreenModel,
-    Space,
     build_space,
     _sphere_basis,
     _sphere_norm,
@@ -254,63 +253,6 @@ def test_background_charge_validation(circle_space):
         BackgroundCharge(circle_space, np.ones(4))
     charge = BackgroundCharge.from_expression(circle_space, "1 + 0.5*cos(theta)")
     assert abs((circle_space.weights * charge.values).sum() - 1.0) < 1e-12
-
-
-def test_space_roundtrip(tmp_path):
-    space = build_space("torus", 16, 4)
-    path = tmp_path / "space.npz"
-    space.save(path)
-    loaded = Space.load(path)
-    assert loaded.kind == "torus"
-    assert np.array_equal(loaded.nodes, space.nodes)
-    assert np.array_equal(loaded.weights, space.weights)
-    assert np.array_equal(loaded.eigenvalues, space.eigenvalues)
-    assert np.array_equal(loaded.basis_values, space.basis_values)
-
-
-def test_box_roundtrip(tmp_path):
-    space = build_space("box", 16, bounds=[(0.0, 1.0), (0.0, 2.0)], density="exp(-x-y)")
-    path = tmp_path / "box.npz"
-    space.save(path)
-    loaded = Space.load(path)
-    assert np.array_equal(loaded.nodes, space.nodes)
-    assert np.array_equal(loaded.weights, space.weights)
-    assert_allclose(loaded.reference_density(space.nodes), space.reference_density(space.nodes))
-
-
-def test_green_roundtrip(tmp_path):
-    space = build_space("circle", 32, 8)
-    model = GreenModel(space, BackgroundCharge.uniform(space), order=10)
-    path = tmp_path / "green.npz"
-    model.save(path)
-    loaded = GreenModel.load(path, space)
-    assert np.allclose(loaded.kernel_matrix(), model.kernel_matrix())
-    assert loaded.order == 10
-
-
-def test_cache_magic_guard(tmp_path):
-    space = build_space("circle", 32, 8)
-    path = tmp_path / "space.npz"
-    space.save(path)
-    with pytest.raises(CacheFormatError):
-        GreenModel.load(path, space)
-
-
-def test_cache_version_guard(tmp_path):
-    import json
-
-    space = build_space("circle", 32, 8)
-    path = tmp_path / "space.npz"
-    space.save(path)
-    with np.load(path) as data:
-        payload = {k: data[k] for k in data.files}
-    header = json.loads(bytes(payload["header"].tobytes()).decode())
-    header["version"] = 99
-    payload["header"] = np.frombuffer(json.dumps(header).encode(), np.uint8)
-    with open(path, "wb") as fh:
-        np.savez(fh, **payload)
-    with pytest.raises(CacheFormatError):
-        Space.load(path)
 
 
 def test_build_space_errors():

@@ -409,9 +409,13 @@ class EnergyModel:
         self._node_matrix = None
 
     def node_matrix(self):
-        """Corrected kernel table on the grid (cached)."""
+        """Corrected kernel table on the grid (cached).  A Green kernel gives
+        its rank-(order + 2) ``GreenOperator``, which offers products only."""
         if self._node_matrix is None:
-            self._node_matrix = kernel_node_matrix(self.kernel, self.space)
+            if isinstance(self.kernel, GreenKernel):
+                self._node_matrix = self.kernel.model.kernel_matrix()
+            else:
+                self._node_matrix = kernel_node_matrix(self.kernel, self.space)
         return self._node_matrix
 
     def potential_stage_values(self, n, points):
@@ -498,6 +502,9 @@ def _macro_internal_integral(model, mu, clip=None):
     if k == 2:
         matrix = model.node_matrix()
         if clip is not None:
+            if isinstance(model.kernel, GreenKernel):
+                # clipping needs the entries, which the Green operator does not hold
+                matrix = kernel_node_matrix(model.kernel, model.space)
             matrix = np.minimum(matrix, clip)
         return float(masses @ matrix @ masses)
     if k == 3:

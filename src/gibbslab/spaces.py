@@ -16,6 +16,7 @@ where ``H`` is the zero-mean Green kernel of the reference measure,
 so that ``integral of G(x, .) against L`` vanishes for every ``x``.
 """
 
+import functools
 import math
 
 import numpy as np
@@ -26,6 +27,7 @@ __all__ = [
     "Space",
     "BackgroundCharge",
     "GreenModel",
+    "GreenOperator",
     "build_space",
     "green_evaluate",
     "green_identity_residual",
@@ -562,7 +564,13 @@ class GreenModel:
         self.charge_coeffs = basis.T @ (space.weights * charge.values)
         self.phi_nodes = basis @ (self.charge_coeffs / self.eigs)
         self.constant = float((self.charge_coeffs ** 2 / self.eigs).sum())
-        self._kernel_matrix = None
+
+    @functools.cached_property
+    def scaled_nodes(self):
+        """Scaled node basis B~ = basis(nodes)[:, 1:order+1] / sqrt(lambda),
+        built on first use so that models that only evaluate off the grid
+        never hold it."""
+        return self.space.basis_values[:, 1 : self.order + 1] * self._inv_sqrt_eigs
 
     def features(self, points):
         """Scaled basis rows b~(x) = basis(x)[1:order+1] / sqrt(lambda) and
@@ -571,18 +579,12 @@ class GreenModel:
         return basis * self._inv_sqrt_eigs, basis @ (self.charge_coeffs / self.eigs)
 
     def kernel_matrix(self):
-        """Dense node-by-node kernel table (cached)."""
-        if self._kernel_matrix is None:
-            scaled = self.space.basis_values[:, 1 : self.order + 1] * self._inv_sqrt_eigs
-            h = scaled @ scaled.T
-            h = 0.5 * (h + h.T)  # force exact symmetry over BLAS blocking
-            shift = self.phi_nodes[:, None] + self.phi_nodes[None, :]
-            self._kernel_matrix = (h - shift) + self.constant
-        return self._kernel_matrix
+        """The node-by-node kernel table as a rank-(order + 2) GreenOperator."""
+        return GreenOperator(self.scaled_nodes, self.phi_nodes, self.constant)
 
     def node_diagonal(self):
         """G(node, node) at every grid node in O(n_nodes * order), without the table."""
-        scaled = self.space.basis_values[:, 1 : self.order + 1] * self._inv_sqrt_eigs
+        scaled = self.scaled_nodes
         return (np.einsum("ij,ij->i", scaled, scaled) - 2.0 * self.phi_nodes) + self.constant
 
     def pairwise(self, x, y):
@@ -601,17 +603,51 @@ class GreenModel:
 
     def rows_at_nodes(self, x):
         """Kernel values G(x_j, node_i) for arbitrary points x, shape (p, n_nodes)."""
-        scaled = self.space.basis_values[:, 1 : self.order + 1] * self._inv_sqrt_eigs
         bx, phi_x = self.features(x)
         shift = phi_x[:, None] + self.phi_nodes[None, :]
-        return (bx @ scaled.T - shift) + self.constant
+        return (bx @ self.scaled_nodes.T - shift) + self.constant
 
     def lower_bound(self):
-        """Grid minimum of the kernel table (finite for the truncated kernel)."""
-        return float(self.kernel_matrix().min())
+        """Grid minimum of the kernel table, taken over blocks of about 4 MB of
+        rows so that the table is never held (finite for the truncated kernel)."""
+        scaled, phi = self.scaled_nodes, self.phi_nodes
+        rows = max(1, 2 ** 19 // scaled.shape[0])
+        low = math.inf
+        for start in range(0, scaled.shape[0], rows):
+            part = slice(start, start + rows)
+            block = (scaled[part] @ scaled.T - (phi[part, None] + phi[None, :])) + self.constant
+            low = min(low, float(block.min()))
+        return low
 
     def identity_residual(self, f_coeffs, x):
         return green_identity_residual(self, f_coeffs, x)
+
+
+class GreenOperator:
+    """The node kernel table G = B~ B~^T - phi 1^T - 1 phi^T + c of a Green
+    model, held as its factors: ``op @ x`` and ``x @ op`` cost
+    O(n_nodes * order) and the n_nodes^2 table is never formed.  It offers
+    products only; code that needs entries builds the table with
+    ``energy.kernel_node_matrix``."""
+
+    # makes ``ndarray @ op`` defer to __rmatmul__ instead of numpy treating
+    # op as an object scalar
+    __array_ufunc__ = None
+
+    def __init__(self, scaled, phi, constant):
+        self.scaled = scaled
+        self.phi = phi
+        self.constant = constant
+
+    def __matmul__(self, x):
+        if np.ndim(x) != 1:
+            raise SpaceError("the Green node operator applies to vectors of node values")
+        total = x.sum()
+        return self.scaled @ (self.scaled.T @ x) - self.phi * total + (
+            self.constant * total - float(self.phi @ x))
+
+    # G is symmetric, so x @ G = G @ x
+    __rmatmul__ = __matmul__
 
 
 def green_evaluate(model, x, y):

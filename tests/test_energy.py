@@ -185,6 +185,19 @@ def test_monotone_truncation(circle_space):
     assert_allclose(values[-1], full, atol=1e-12)
 
 
+def test_green_truncation_clips_the_node_table(circle_green):
+    # the Green node matrix is an operator without entries, so clipping
+    # builds the table
+    space = circle_green.space
+    model = EnergyModel(space, GreenKernel(circle_green), BETA)
+    mu = GridMeasure.from_unnormalized(space, 1.0 + 0.5 * np.cos(space.nodes[:, 0]))
+    masses = mu.node_masses
+    table = kernel_node_matrix(model.kernel, space)
+    for clip in (0.0, 1.0, 8.0):
+        want = 0.5 * float(masses @ np.minimum(table, clip) @ masses)
+        assert w_macro(model, mu, clip=clip) == want
+
+
 def _looped_three_body_integral(model, masses):
     """The per-(i, j) loop that one tuple_values call per i replaced."""
     space = model.space

@@ -1,6 +1,7 @@
 """Free-energy values, the mirror-descent minimizer, and stationarity checks."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from gibbslab.energy import (
     GreenKernel,
     LogChordKernel,
     StaticPotential,
+    kernel_node_matrix,
     w_macro,
 )
 from gibbslab.equilibrium import (
@@ -27,7 +29,7 @@ from gibbslab.equilibrium import (
 )
 from gibbslab.errors import EnergyError, MeasureError, StepSizeFailureError
 from gibbslab.measures import GridMeasure, relative_entropy
-from gibbslab.spaces import BackgroundCharge, GreenModel, build_space
+from gibbslab.spaces import BackgroundCharge, GreenModel, GreenOperator, build_space
 
 
 @pytest.fixture(scope="module")
@@ -85,6 +87,53 @@ def test_charged_torus_reaches_the_gap_tolerance(torus_space):
     assert result.converged and result.status == "gap_below_tol"
     assert result.gap <= 1e-10 * (1.0 + abs(result.value))
     assert np.all(np.diff(result.trace) <= 0.0)
+
+
+def test_operator_descent_matches_the_dense_table(torus_space):
+    charge = BackgroundCharge.from_expression(torus_space, "1 + 0.5*cos(2*pi*u)")
+    model = EnergyModel(torus_space, GreenKernel(GreenModel(torus_space, charge)),
+                        BetaSchedule.constant(2.0))
+    op = model.node_matrix()
+    assert isinstance(op, GreenOperator)
+    weights = torus_space.weights
+    v = np.zeros(torus_space.n_nodes)
+    dense, fast = (_mirror_descent(table, v, weights, 2.0, weights)
+                   for table in (kernel_node_matrix(model.kernel, torus_space), op))
+    assert fast.status == dense.status == "gap_below_tol"
+    assert fast.iterations == dense.iterations
+    assert np.abs(fast.masses - dense.masses).max() <= 1e-12
+
+
+def _traced_equilibrium(space):
+    """Equilibrium of the uniform-charge Green gas with potential cos(2 pi u)
+    at beta = 2 on a fresh model, its mean-field report and the tracemalloc
+    peak in MiB of both calls."""
+    pot = StaticPotential.from_expression(space, "cos(2*pi*u)")
+    model = EnergyModel(space, GreenKernel(GreenModel(space, BackgroundCharge.uniform(space))),
+                        BetaSchedule.constant(2.0), potentials=[pot])
+    tracemalloc.start()
+    try:
+        result = minimize_free_energy(model)
+        report = mean_field_residual(model, result.measure)
+        peak = tracemalloc.get_traced_memory()[1] / 2 ** 20
+    finally:
+        tracemalloc.stop()
+    return result, report, peak
+
+
+def test_torus_equilibrium_never_forms_the_node_table(torus_space):
+    # the 64^2 node table alone would take 128 MiB
+    result, _, peak = _traced_equilibrium(torus_space)
+    assert result.status == "gap_below_tol"
+    assert peak <= 100.0
+
+
+def test_torus_128_equilibrium():
+    # the 128^2 node table would take 2 GiB; the scaled node basis takes 136 MiB
+    result, report, peak = _traced_equilibrium(build_space("torus", 128, 16))
+    assert result.status == "gap_below_tol"
+    assert report.residual < 1e-8
+    assert peak <= 250.0
 
 
 @settings(max_examples=150, deadline=None)

@@ -2,9 +2,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 from scipy.special import lpmv
 
+from gibbslab.energy import GreenKernel, kernel_node_matrix
 from gibbslab.errors import DiagonalSingularityError, SpaceError
 from gibbslab.spaces import (
     BackgroundCharge,
@@ -22,6 +25,15 @@ def circle_closed_form(delta):
     # Zero-mean Green kernel of the uniform circle: Fourier series of the
     # second Bernoulli polynomial, valid for delta in [0, 2*pi].
     return 2.0 * (np.pi ** 2 / 6.0 - np.pi * delta / 2.0 + delta ** 2 / 4.0)
+
+
+def dense_green_table(model):
+    """Reference node table of a Green model, formed densely."""
+    scaled = model.space.basis_values[:, 1 : model.order + 1] * model._inv_sqrt_eigs
+    h = scaled @ scaled.T
+    h = 0.5 * (h + h.T)  # force exact symmetry over BLAS blocking
+    shift = model.phi_nodes[:, None] + model.phi_nodes[None, :]
+    return (h - shift) + model.constant
 
 
 def gram_matrix(space):
@@ -209,7 +221,7 @@ def test_green_normalization_every_node(fixture, request):
         lam = 1.0 + 0.5 * space.nodes[:, 2]
     lam = lam / float((space.weights * lam).sum())
     model = GreenModel(space, BackgroundCharge(space, lam))
-    integrals = model.kernel_matrix() @ (space.weights * lam)
+    integrals = dense_green_table(model) @ (space.weights * lam)
     assert np.abs(integrals).max() < 1e-8
 
 
@@ -218,13 +230,13 @@ def test_green_node_diagonal_matches_dense_table(kind, torus_green, sphere_charg
     # fresh models, so that the session fixtures do not keep a dense table
     base = {"torus": torus_green, "sphere": sphere_charged_green}[kind]
     model = GreenModel(base.space, base.charge)
-    assert_allclose(model.node_diagonal(), np.diag(model.kernel_matrix()), rtol=0.0, atol=1e-12)
+    assert_allclose(model.node_diagonal(), np.diag(dense_green_table(model)), rtol=0.0, atol=1e-12)
 
 
 def test_green_symmetry(torus_space):
     lam = 1.0 + 0.5 * np.cos(2.0 * np.pi * torus_space.nodes[:, 1])
     model = GreenModel(torus_space, BackgroundCharge(torus_space, lam))
-    k = model.kernel_matrix()
+    k = dense_green_table(model)
     assert np.array_equal(k, k.T)
 
 
@@ -235,7 +247,7 @@ def test_green_unique_up_to_constant():
     fine = GreenModel(space, charge, order=2000)
     rng = np.random.default_rng(7)
     idx = rng.choice(space.n_nodes, size=160, replace=False)
-    diff = (fine.kernel_matrix() - coarse.kernel_matrix())[np.ix_(idx, idx)]
+    diff = (dense_green_table(fine) - dense_green_table(coarse))[np.ix_(idx, idx)]
     off = ~np.eye(len(idx), dtype=bool)
     assert diff[off].std() < 1e-4
 
@@ -243,7 +255,42 @@ def test_green_unique_up_to_constant():
 def test_green_lower_bound_finite(circle_green):
     bound = circle_green.lower_bound()
     assert np.isfinite(bound)
-    assert circle_green.kernel_matrix().min() >= bound
+    assert dense_green_table(circle_green).min() >= bound
+
+
+@pytest.mark.parametrize("case", ["torus", "charged-torus", "charged-sphere", "circle"])
+def test_green_operator_matches_dense_table(case, circle_green, torus_green,
+                                            sphere_charged_green):
+    if case == "charged-torus":
+        space = torus_green.space
+        model = GreenModel(space, BackgroundCharge.from_expression(
+            space, "1 + 0.5*cos(2*pi*u)"))
+    else:
+        model = {"torus": torus_green, "charged-sphere": sphere_charged_green,
+                 "circle": circle_green}[case]
+    op = model.kernel_matrix()
+    table = kernel_node_matrix(GreenKernel(model), model.space)
+    size = model.space.n_nodes
+
+    @settings(max_examples=25, deadline=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1), zeros=st.sampled_from([0.0, 0.5, 0.99, 1.0]),
+           signs=st.sampled_from(["mixed", "positive", "negative"]))
+    def check(seed, zeros, signs):
+        rng = np.random.default_rng(seed)
+        x = rng.standard_normal(size)
+        if signs != "mixed":
+            x = np.abs(x) if signs == "positive" else -np.abs(x)
+        x[rng.random(size) < zeros] = 0.0
+        if x.any():
+            x /= np.abs(x).sum()  # a signed measure of total variation 1
+        dense = table @ x
+        assert np.abs(op @ x - dense).max() <= 1e-12
+        assert np.abs(x @ op - x @ table).max() <= 1e-12
+        assert abs(x @ op @ x - x @ table @ x) <= 1e-12
+
+    check()
+    with pytest.raises(SpaceError):
+        op @ np.ones((size, 2))
 
 
 def test_background_charge_validation(circle_space):

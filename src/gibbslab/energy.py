@@ -634,12 +634,6 @@ class TransformedEnergyModel:
     def limit_kernel(self):
         return TiltedKernel(self.base_kernel, self.v_fn, 1.0)
 
-    def model_at(self, n):
-        return EnergyModel(self.space, self.kernel_at(n), self.beta)
-
-    def limit_model(self):
-        return EnergyModel(self.space, self.limit_kernel, self.beta)
-
 
 def _reweighted_box(space, v_fn, factor):
     """Copy of a box space with reference density multiplied by exp(-factor*V)."""

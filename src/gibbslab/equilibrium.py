@@ -7,10 +7,10 @@ inverse temperature beta, the discrete free energy of node masses m is
 
 the grid transcription of  energy + (1/beta) * relative entropy.  One
 entropic mirror descent (multiplicative weights, ``_mirror_descent``)
-minimizes it here and, with an optional half-space penalty, for the finite
-limits and rate profiles of ``ldp``; a step is accepted only if the directly
-computed objective change is not positive, and the certified optimality
-measure is the simplex duality gap  <g, m> - min_i g_i.
+minimizes it here, for the finite limits of ``ldp`` and, with V replaced
+by V - lambda g, for its rate profiles; a step is accepted only if the
+directly computed objective change is not positive, and the certified
+optimality measure is the simplex duality gap  <g, m> - min_i g_i.
 """
 
 import math
@@ -95,11 +95,9 @@ class EquilibriumResult:
 Descent = namedtuple("Descent", "masses gradient gap iterations status trace")
 
 
-def _mirror_descent(matrix, v, ref, beta, init, penalty=None, constraint=None,
-                    max_iters=3000, tol=1e-10, step=1.0):
-    """Entropic mirror descent on F(m) + penalty * relu(c - g.m)^2 over the
-    simplex of mass vectors, where F(m) = m.Mm/2 + v.m + D(m || ref)/beta and
-    ``constraint`` is (g, c) or None.
+def _mirror_descent(matrix, v, ref, beta, init, max_iters=3000, tol=1e-10, step=1.0):
+    """Entropic mirror descent on F(m) = m.Mm/2 + v.m + D(m || ref)/beta over
+    the simplex of mass vectors.
 
     A step is taken only if the objective change, computed directly rather
     than as a difference of two nearby values, is <= 0, so that round-off
@@ -113,17 +111,6 @@ def _mirror_descent(matrix, v, ref, beta, init, penalty=None, constraint=None,
     the initial objective and adds each accepted change, so it never rises.
     """
     finite_beta = math.isfinite(beta)
-    g, c = (None, None) if constraint is None else constraint
-
-    def shortfall(m):
-        return 0.0 if constraint is None else max(0.0, c - float(g @ m))
-
-    def gradient(m):
-        grad = _gradient(matrix, v, ref, m, beta)
-        short = shortfall(m)
-        if short > 0.0:
-            grad = grad - 2.0 * penalty * short * g
-        return grad
 
     def duality_gap(m, grad):
         gap = float(grad @ m - grad.min())
@@ -144,9 +131,6 @@ def _mirror_descent(matrix, v, ref, beta, init, penalty=None, constraint=None,
         val = float(d @ (w - w.mean()))
         if finite_beta:
             val += float((cand * np.log1p(d / m) - d).sum()) / beta
-        if penalty is not None:
-            short_cand, short_m = shortfall(cand), shortfall(m)
-            val += penalty * (short_cand - short_m) * (short_cand + short_m)
         return val
 
     def candidate(m, grad, eta):
@@ -159,14 +143,11 @@ def _mirror_descent(matrix, v, ref, beta, init, penalty=None, constraint=None,
         return cand
 
     m = np.array(init, dtype=float)
-    value = _objective(matrix, v, ref, m, beta)
-    if penalty is not None:
-        value += penalty * shortfall(m) ** 2
-    trace = [value]
+    trace = [_objective(matrix, v, ref, m, beta)]
     status = "max_iterations"
     eta = float(step)
     iterations = 0
-    grad = gradient(m)
+    grad = _gradient(matrix, v, ref, m, beta)
     for iterations in range(1, max_iters + 1):
         if duality_gap(m, grad) <= tol * (1.0 + abs(trace[-1])):
             break
@@ -185,7 +166,7 @@ def _mirror_descent(matrix, v, ref, beta, init, penalty=None, constraint=None,
         moved = float(np.abs(cand - m).sum())
         m = cand
         trace.append(trace[-1] + delta)
-        grad = gradient(m)
+        grad = _gradient(matrix, v, ref, m, beta)
         eta = min(eta * 1.3, 50.0 * step)
         if moved < tol:
             status = "stalled"

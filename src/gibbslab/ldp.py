@@ -14,10 +14,11 @@ against explicit thresholds -- a limit is never declared from finitely many
 terms.
 
 Also provided: constrained minimization of the rate function I = F - inf F
-over half-spaces {mu : integral of g dmu >= c} by mirror descent with
-penalty continuation, and the two conditional-gas reductions (a varying
-environment folded into the energy, and the single-particle quadrature
-limit).
+over half-spaces {mu : integral of g dmu >= c} through the tilted family
+argmin (F - lambda * integral of g dmu), whose one multiplier lambda >= 0 is
+found by bisection and is the slope of the profile in c, and the two
+conditional-gas reductions (a varying environment folded into the energy,
+and the single-particle quadrature limit).
 
 Desk-scale caps: ``simplex.CLASS_CAP`` bounds the type classes enumerated,
 ``PARTICLE_CAP`` the particles of a chain.
@@ -59,6 +60,7 @@ __all__ = [
 ]
 
 PARTICLE_CAP = 64  # manifold Monte Carlo refuses beyond this particle count
+_DOUBLING_CAP = 60  # a rate profile's multiplier bracket grows to at most 2**60
 
 
 # -- verdict record -----------------------------------------------------------------
@@ -350,7 +352,12 @@ class HalfSpace:
 
 @dataclass
 class RateProfile:
-    """Constrained infimum of the rate function I = F - inf F."""
+    """Constrained infimum of the rate function I = F - inf F.
+
+    ``multiplier`` is the Lagrange multiplier lambda of the half-space: 0 when
+    the constraint is absent or inactive, and None when the witness was
+    solved on the face {argmax g}, where the search over lambda does not
+    run."""
 
     value: float
     witness: object
@@ -358,6 +365,7 @@ class RateProfile:
     constrained_value: float
     constraint_slack: float | None
     iterations: int
+    multiplier: float | None = 0.0
 
     def to_json_dict(self):
         return {
@@ -366,6 +374,7 @@ class RateProfile:
             "constrained_value": self.constrained_value,
             "constraint_slack": self.constraint_slack,
             "iterations": self.iterations,
+            "multiplier": self.multiplier,
         }
 
 
@@ -384,8 +393,19 @@ def _model_tables_for_profile(model):
 
 
 def rate_function_profile(model, descriptor=None, max_iters=3000, tol=1e-10):
-    """Infimum of the rate function I = F - inf F over a half-space of
-    measures, by mirror descent with penalty continuation.
+    """Infimum of the rate function I = F - inf F over a half-space
+    {mu : g.mu >= c}.
+
+    An active constraint is met by the tilted minimizer of F - lambda g.m,
+    the unconstrained descent with V replaced by V - lambda g; g.m does not
+    decrease in lambda >= 0.  The multiplier is bracketed by doubling from 1
+    and bisected until the bracket collapses at round-off, each bisection
+    descent warm-started from the last feasible masses, and the feasible end
+    is returned, so the witness meets the constraint.  For c within 1e-12 of
+    max g the witness is the minimizer on the face {argmax g} instead.
+    Raises InfeasibleConstraintError when c > max g + 1e-12, and EnergyError
+    when no multiplier up to 2**_DOUBLING_CAP reaches c or when g.m jumps
+    across c at the collapsed bracket (a duality gap of a non-convex F).
 
     Returns a RateProfile whose ``witness`` is a GridMeasure (continuous
     models) or an atom-mass vector (finite models)."""
@@ -393,60 +413,63 @@ def rate_function_profile(model, descriptor=None, max_iters=3000, tol=1e-10):
     beta = model.beta.limit
     if not beta > 0.0:
         raise EnergyError(f"limit temperature must be positive, got {beta!r}")
+    iterations = 0
 
-    def wrap(masses):
-        if isinstance(model, EnergyModel):
-            return GridMeasure.from_unnormalized(model.space, masses / ref)
-        return masses
+    def descend(matrix, v, ref, init):
+        nonlocal iterations
+        descent = _mirror_descent(matrix, v, ref, beta, init, max_iters=max_iters, tol=tol)
+        iterations += descent.iterations
+        return descent.masses
 
-    uniform = ref / ref.sum()
-    base = _mirror_descent(matrix, v, ref, beta, uniform, max_iters=max_iters, tol=tol)
-    base_value = _objective(matrix, v, ref, base.masses, beta)
+    def profile(masses, multiplier=0.0):
+        value = _objective(matrix, v, ref, masses, beta)
+        witness = (GridMeasure.from_unnormalized(model.space, masses / ref)
+                   if isinstance(model, EnergyModel) else masses)
+        slack = None if descriptor is None else float(g @ masses) - c
+        return RateProfile(max(0.0, value - base_value), witness, base_value,
+                           value, slack, iterations, multiplier)
+
+    base = descend(matrix, v, ref, ref / ref.sum())
+    base_value = _objective(matrix, v, ref, base, beta)
     if descriptor is None:
-        return RateProfile(0.0, wrap(base.masses), base_value, base_value,
-                           None, base.iterations)
-    g = descriptor.node_values(model.space)
-    c = float(descriptor.c)
-    slack = float(g @ base.masses) - c
-    if slack >= 0.0:
-        return RateProfile(0.0, wrap(base.masses), base_value, base_value,
-                           slack, base.iterations)
-    if c > float(g.max()) + 1e-12:
+        return profile(base)
+    g, c = descriptor.node_values(model.space), float(descriptor.c)
+    if float(g @ base) >= c:
+        return profile(base)
+    g_max = float(g.max())
+    if c > g_max + 1e-12:
         raise InfeasibleConstraintError(
-            f"no probability measure reaches integral {c} (max attainable "
-            f"{float(g.max())})")
-    ftol = 1e-7 * max(1.0, abs(c))
-    masses = uniform
-    iterations = base.iterations
-    best = None
-    for penalty in (1e2, 1e3, 1e4, 1e5, 1e6, 1e7):
-        descent = _mirror_descent(matrix, v, ref, beta, masses, penalty=penalty,
-                                  constraint=(g, c), max_iters=max_iters, tol=tol)
-        masses = descent.masses
-        iterations += descent.iterations
-        if float(g @ masses) >= c - ftol:
-            cand = _objective(matrix, v, ref, masses, beta)
-            if best is None or cand < best[0]:
-                best = (cand, masses)
-    if best is None:
-        # force feasibility by blending toward the best-constraint vertex,
-        # then let a stiff penalty round it back off the vertex
-        vertex = np.full_like(masses, 1e-300)
-        vertex[int(np.argmax(g))] = 1.0
-        vertex /= vertex.sum()
-        t = (c - float(g @ masses)) / (float(g @ vertex) - float(g @ masses))
-        t = min(max(t, 0.0), 1.0)
-        blended = (1.0 - t) * masses + t * vertex
-        blended /= blended.sum()
-        descent = _mirror_descent(matrix, v, ref, beta, blended, penalty=1e8,
-                                  constraint=(g, c), max_iters=max_iters, tol=tol)
-        iterations += descent.iterations
-        masses = descent.masses if float(g @ descent.masses) >= c - ftol else blended
-        best = (_objective(matrix, v, ref, masses, beta), masses)
-    constrained, masses = best
-    slack = float(g @ masses) - c
-    return RateProfile(max(0.0, constrained - base_value), wrap(masses),
-                       base_value, constrained, slack, iterations)
+            f"no probability measure reaches integral {c} (max attainable {g_max})")
+    if c >= g_max - 1e-12:
+        # the face block of the table from one product per face node, which a
+        # GreenOperator serves as well as a dense table
+        face = np.flatnonzero(g == g_max)
+        block = np.column_stack([np.asarray(matrix @ np.eye(1, ref.size, j)[0])[face]
+                                 for j in face])
+        masses = np.zeros(ref.size)
+        masses[face] = descend(block, v[face], ref[face], ref[face] / ref[face].sum())
+        return profile(masses, None)
+    lo, lam, masses = 0.0, 1.0, base
+    for _ in range(_DOUBLING_CAP):
+        masses = descend(matrix, v - lam * g, ref, masses)
+        if float(g @ masses) >= c:
+            break
+        lo, lam = lam, 2.0 * lam
+    else:
+        raise EnergyError(f"no multiplier up to {lo!r} reaches the constraint level {c}")
+    while lo < 0.5 * (lo + lam) < lam:
+        mid = 0.5 * (lo + lam)
+        trial = descend(matrix, v - mid * g, ref, masses)
+        if float(g @ trial) >= c:
+            lam, masses = mid, trial
+        else:
+            lo = mid
+    overshoot = float(g @ masses) - c
+    if overshoot > 1e-8 * (1.0 + abs(c)):
+        raise EnergyError(
+            f"the tilted minimizers jump across the level {c} at multiplier "
+            f"{lam!r} (overshoot {overshoot:.3e}): a duality gap")
+    return profile(masses, lam)
 
 
 # -- conditional gases -----------------------------------------------------------------------

@@ -312,6 +312,9 @@ class _FiniteChain(_Chain):
         self.n = n
         self.m = model.space.n_atoms
         self.probs = model.space.probs
+        # the cumulative table rng.choice(m, p=probs) builds on every call
+        self._cdf = np.cumsum(self.probs)
+        self._cdf /= self._cdf[-1]
         if initial is None:
             labels = rng.choice(self.m, size=n, p=self.probs)
         else:
@@ -330,7 +333,7 @@ class _FiniteChain(_Chain):
         state.steps += 1
         i = int(rng.integers(self.n))
         a = int(self.labels[i])
-        b = int(rng.choice(self.m, p=self.probs))
+        b = int(self._cdf.searchsorted(rng.random(), side="right"))
         accept = False
         if a == b:
             accept = True

@@ -519,10 +519,6 @@ class BackgroundCharge:
             raise SpaceError("charge expression integrates to 0; cannot normalize")
         return cls(space, values / total)
 
-    @property
-    def is_uniform(self):
-        return bool(np.allclose(self.values, 1.0, atol=1e-14))
-
 
 def _coordinate_names(space):
     return {
@@ -618,9 +614,6 @@ class GreenModel:
             block = (scaled[part] @ scaled.T - (phi[part, None] + phi[None, :])) + self.constant
             low = min(low, float(block.min()))
         return low
-
-    def identity_residual(self, f_coeffs, x):
-        return green_identity_residual(self, f_coeffs, x)
 
 
 class GreenOperator:

@@ -138,8 +138,8 @@ def test_torus_128_equilibrium():
 
 @settings(max_examples=150, deadline=None)
 @given(seed=st.integers(0, 2 ** 32 - 1), size=st.integers(2, 6),
-       beta=st.sampled_from([0.5, 2.0, math.inf]), penalized=st.booleans())
-def test_each_accepted_change_is_the_objective_difference(seed, size, beta, penalized):
+       beta=st.sampled_from([0.5, 2.0, math.inf]))
+def test_each_accepted_change_is_the_objective_difference(seed, size, beta):
     rng = np.random.default_rng(seed)
     half = rng.normal(size=(size, size))
     matrix = half + half.T
@@ -148,23 +148,17 @@ def test_each_accepted_change_is_the_objective_difference(seed, size, beta, pena
     ref /= ref.sum()
     init = rng.uniform(0.05, 1.0, size)
     init /= init.sum()
-    g = rng.normal(size=size)
-    c = float(g @ init) + 0.5  # the penalty is active at the start
-    penalty, constraint = (30.0, (g, c)) if penalized else (None, None)
 
     def objective(m):
         value = 0.5 * float(m @ matrix @ m) + float(v @ m)
         if math.isfinite(beta):
             value += float((m * np.log(m / ref)).sum()) / beta
-        if penalized:
-            value += penalty * max(0.0, c - float(g @ m)) ** 2
         return value
 
     previous = init
     for steps in range(1, 6):
         # tol = 0 turns both stop rules off; run k repeats run k-1 and adds a step
-        result = _mirror_descent(matrix, v, ref, beta, init, penalty=penalty,
-                                 constraint=constraint, max_iters=steps, tol=0.0)
+        result = _mirror_descent(matrix, v, ref, beta, init, max_iters=steps, tol=0.0)
         if len(result.trace) != steps + 1:
             break
         change = result.trace[-1] - result.trace[-2]

@@ -18,8 +18,10 @@ from gibbslab.energy import (
     EnvironmentPotential,
     EnvironmentSequence,
     FiniteEnergyModel,
+    GreenKernel,
     LogChordKernel,
     StaticPotential,
+    kernel_node_matrix,
 )
 from gibbslab.errors import (
     EnergyError,
@@ -347,7 +349,8 @@ def test_profile_without_constraint_is_zero(three_atom_model):
     assert_allclose(profile.witness, tau, atol=1e-4)
     blob = profile.to_json_dict()
     assert set(blob) == {"value", "base_value", "constrained_value",
-                         "constraint_slack", "iterations"}
+                         "constraint_slack", "iterations", "multiplier"}
+    assert profile.multiplier == 0.0
 
 
 def test_profile_matches_masked_grid_oracle(three_atom_model):
@@ -366,6 +369,67 @@ def test_profile_matches_masked_grid_oracle(three_atom_model):
         assert_allclose(profile.witness[0], level, atol=1e-5)
         assert profile.constraint_slack > -1e-6
         assert_allclose(profile.witness, oracle_tau, atol=1e-3)
+
+
+@pytest.mark.parametrize("level", [0.7, 0.75, 0.9, 0.99])
+def test_profile_witness_is_feasible(three_atom_model, level):
+    profile = rate_function_profile(
+        three_atom_model, HalfSpace(np.array([1.0, 0.0, 0.0]), level))
+    assert 0.0 <= profile.constraint_slack <= 1e-9
+    assert profile.multiplier > 0.0
+    if level == 0.7:
+        assert profile.iterations <= 500
+
+
+def test_profile_multiplier_is_the_slope_in_the_level(three_atom_model):
+    # Legendre duality: the multiplier of the half-space is dI/dc
+    g = np.array([1.0, 0.0, 0.0])
+    level, h = 0.7, 1e-4
+    profile = rate_function_profile(three_atom_model, HalfSpace(g, level))
+    up, down = (rate_function_profile(three_atom_model, HalfSpace(g, c)).value
+                for c in (level + h, level - h))
+    assert_allclose(profile.multiplier, (up - down) / (2.0 * h), atol=1e-6)
+    assert profile.to_json_dict()["multiplier"] == profile.multiplier
+
+
+def test_profile_at_the_largest_level_is_the_face_minimizer(three_atom_model):
+    profile = rate_function_profile(
+        three_atom_model, HalfSpace(np.array([1.0, 0.0, 0.0]), 1.0))
+    assert np.array_equal(profile.witness, [1.0, 0.0, 0.0])
+    vertex_value = 0.5 * THREE_ATOM_G[0, 0] + math.log(1.0 / 0.4) / 2.0
+    assert_allclose(profile.constrained_value, vertex_value, rtol=0.0, atol=1e-12)
+    assert_allclose(profile.value, vertex_value - profile.base_value, rtol=0.0, atol=1e-12)
+    assert profile.constraint_slack == 0.0
+    assert profile.multiplier is None
+
+
+def test_profile_face_through_the_green_operator(torus_space, torus_green):
+    model = EnergyModel(torus_space, GreenKernel(torus_green), BetaSchedule.constant(2.0))
+    g = np.cos(2.0 * np.pi * torus_space.nodes[:, 0])
+    profile = rate_function_profile(model, HalfSpace(g, float(g.max())))
+    face = np.flatnonzero(g == g.max())
+    masses = profile.witness.node_masses
+    assert_allclose(masses[face].sum(), 1.0, atol=1e-12)
+    assert not masses[g < g.max()].any()
+    table = kernel_node_matrix(model.kernel, torus_space)[np.ix_(face, face)]
+    ref = torus_space.weights[face]
+    dense = ldp._mirror_descent(table, np.zeros(face.size), ref, 2.0, ref / ref.sum())
+    assert np.abs(masses[face] - dense.masses).max() <= 1e-12
+
+
+def test_profile_raises_when_the_tilted_minimizers_jump():
+    # a concave energy: the tilted minimizers jump from t ~ 0 to t ~ 1
+    model = FiniteEnergyModel(FiniteSpace([0.45, 0.55]), BetaSchedule.constant(20.0),
+                              pair_matrix=[[0.0, 4.0], [4.0, 0.0]])
+    with pytest.raises(EnergyError, match="duality gap"):
+        rate_function_profile(model, HalfSpace(np.array([1.0, 0.0]), 0.3))
+
+
+def test_profile_raises_without_a_bracket(three_atom_model, monkeypatch):
+    monkeypatch.setattr(ldp, "_DOUBLING_CAP", 1)
+    with pytest.raises(EnergyError, match="no multiplier"):
+        rate_function_profile(three_atom_model,
+                              HalfSpace(np.array([1.0, 0.0, 0.0]), 0.99))
 
 
 def test_profile_inactive_constraint_returns_zero(three_atom_model):
@@ -406,6 +470,8 @@ def test_profile_on_circle_matches_tilted_family(circle_space):
     base = -math.log((weights * np.exp(-np.cos(theta))).sum())
     assert_allclose(profile.value, constrained - base, atol=5e-7)
     assert profile.constraint_slack > -1e-6
+    assert 0.0 <= profile.constraint_slack <= 1e-9
+    assert_allclose(profile.multiplier, lam, atol=1e-6)
     assert_allclose(profile.witness.node_masses.sum(), 1.0, atol=1e-10)
 
 

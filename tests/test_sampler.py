@@ -23,7 +23,7 @@ from gibbslab.energy import (
 )
 from gibbslab.errors import EnergyError, EnumerationCapError, TrappedChainError
 from gibbslab.measures import FiniteSpace
-from gibbslab.sampler import _ContinuousChain, enumerate_gibbs, mcmc_run
+from gibbslab.sampler import _ContinuousChain, _FiniteChain, enumerate_gibbs, mcmc_run
 from gibbslab.spaces import build_space
 
 
@@ -88,6 +88,19 @@ def test_seed_determinism_byte_exact(four_atom_model):
     assert a.energies.tobytes() == b.energies.tobytes()
     c = mcmc_run(four_atom_model, 6, steps=20_000, seed=124)
     assert a.samples.tobytes() != c.samples.tobytes()
+
+
+@pytest.mark.parametrize("probs", [[0.5, 0.25, 0.125, 0.125], [0.4, 0.3, 0.2, 0.1]])
+def test_finite_proposal_draws_the_stream_of_rng_choice(probs):
+    model = FiniteEnergyModel(FiniteSpace(probs), BetaSchedule.constant(1.0),
+                              pair_matrix=np.zeros((4, 4)))
+    chain = _FiniteChain(model, 3, np.random.default_rng(0), None, 1.0)
+    ours, reference = np.random.default_rng(11), np.random.default_rng(11)
+    drawn = [int(chain._cdf.searchsorted(ours.random(), side="right"))
+             for _ in range(100_000)]
+    chosen = [int(reference.choice(4, p=chain.probs)) for _ in range(100_000)]
+    assert drawn == chosen
+    assert ours.bit_generator.state == reference.bit_generator.state
 
 
 def test_detailed_balance_flow_counts(four_atom_model):

@@ -19,6 +19,7 @@ is used by the free-energy minimizer, so both sides of every comparison see
 one discretization.
 """
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -438,10 +439,18 @@ def _sorted_sum(values):
     return float(np.sort(flat).sum())
 
 
+@functools.lru_cache(maxsize=64)
+def _upper_triangle(n):
+    """Read-only index pair of the strict upper triangle of an n x n table."""
+    rows, cols = np.triu_indices(n, k=1)
+    rows.flags.writeable = False
+    cols.flags.writeable = False
+    return rows, cols
+
+
 def _internal_pair_values(model, config):
     matrix = model.kernel.pairwise(model.space, config, config)
-    iu = np.triu_indices(config.shape[0], k=1)
-    return matrix[iu]
+    return matrix[_upper_triangle(config.shape[0])]
 
 
 def _internal_tuple_sum(model, config):
@@ -500,11 +509,17 @@ def _macro_internal_integral(model, mu, clip=None):
     masses = mu.node_masses
     k = model.kernel.arity
     if k == 2:
+        if clip is not None and isinstance(model.kernel, GreenKernel):
+            # clipped block by block: the Green table is never held whole
+            green = model.kernel.model
+            diagonal = green.node_diagonal()
+            total = 0.0
+            for part, block in green.table_blocks():
+                np.fill_diagonal(block[:, part.start :], diagonal[part])
+                total += float(masses[part] @ np.minimum(block, clip) @ masses)
+            return total
         matrix = model.node_matrix()
         if clip is not None:
-            if isinstance(model.kernel, GreenKernel):
-                # clipping needs the entries, which the Green operator does not hold
-                matrix = kernel_node_matrix(model.kernel, model.space)
             matrix = np.minimum(matrix, clip)
         return float(masses @ matrix @ masses)
     if k == 3:

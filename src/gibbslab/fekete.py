@@ -10,7 +10,8 @@ from the reference distribution, descended by geodesic gradient steps with
 Armijo backtracking (kernels differentiable off the diagonal) or refined by
 coordinate-wise pattern search (non-smooth kernels), then polished by
 single-particle relocation sweeps that may exchange a particle's position
-for a better fresh draw.  Finite atom spaces are solved exactly by
+for the best of a batch of fresh draws, all scored by one collision table
+and one batched energy delta.  Finite atom spaces are solved exactly by
 enumerating occupation-count classes.  Results are best-found local minima,
 not certified global optima; the circle log-gas, whose global minimum is
 known in closed form, serves as the regression anchor for the optimizer.
@@ -39,7 +40,7 @@ from .equilibrium import minimize_free_energy
 from .errors import CollisionError, EnergyError
 from .measures import EmpiricalMeasure, GridMeasure, _fmt, grid_projection
 from .rng import derive_rng
-from .sampler import _continuous_delta
+from .sampler import _continuous_deltas
 from .simplex import class_table, simplex_minimize
 from .spaces import _coordinate_names
 
@@ -217,7 +218,8 @@ def _closest_pair(space, config):
     n = config.shape[0]
     if n < 2:
         return math.inf, None
-    dists = space.geodesic(config, config) + np.diag(np.full(n, np.inf))
+    dists = space.geodesic(config, config)
+    np.fill_diagonal(dists, np.inf)
     i, j = np.unravel_index(int(np.argmin(dists)), dists.shape)
     return float(dists[i, j]), (int(i), int(j))
 
@@ -379,7 +381,9 @@ def _pattern_search(model, config, f, max_iters):
 def _relocation_polish(model, config, f, rng, value, rounds, candidates):
     """Single-particle exchange sweeps: each particle may trade its position
     for the best of a batch of fresh reference draws when that strictly
-    lowers the objective."""
+    lowers the objective.  The batch costs one geodesic table for the
+    collision mask and, unless f is a density functional, one batched
+    energy delta."""
     space = model.space
     n = config.shape[0]
     improved_any = False
@@ -387,27 +391,28 @@ def _relocation_polish(model, config, f, rng, value, rounds, candidates):
         improved = False
         for i in range(n):
             draws = space.sample_points(rng, candidates)
-            best_delta, best_point = 0.0, None
-            for cand in draws:
-                gaps = space.geodesic(cand[None, :], config)[0]
-                gaps[i] = np.inf
-                if float(gaps.min()) < _COLLISION_TOL:
-                    continue
-                if f is None or isinstance(f, IntegralFunctional):
-                    delta = _continuous_delta(model, config, i, cand)
-                    if isinstance(f, IntegralFunctional):
-                        old = f.point_values(space, config[i][None, :])[0]
-                        new = f.point_values(space, cand[None, :])[0]
-                        delta += (new - old) / n
-                else:
+            gaps = space.geodesic(draws, config)
+            gaps[:, i] = np.inf
+            clear = gaps.min(axis=1) >= _COLLISION_TOL
+            if f is None or isinstance(f, IntegralFunctional):
+                deltas = _continuous_deltas(model, config, i, draws)
+                if isinstance(f, IntegralFunctional):
+                    old = f.point_values(space, config[i][None, :])[0]
+                    deltas += (f.point_values(space, draws) - old) / n
+            else:
+                deltas = np.full(candidates, math.inf)
+                for r in np.flatnonzero(clear):
                     moved = config.copy()
-                    moved[i] = cand
-                    delta = _objective(model, moved, f) - value
-                if delta < best_delta:
-                    best_delta, best_point = delta, cand
-            if best_point is not None and best_delta < -1e-13 * max(1.0, abs(value)):
+                    moved[i] = draws[r]
+                    deltas[r] = _objective(model, moved, f) - value
+            # colliding draws and NaN deltas never win; argmin keeps the first
+            # of equal minima, as a strict-improvement scan would
+            deltas[~clear | np.isnan(deltas)] = math.inf
+            best = int(np.argmin(deltas))
+            best_delta = deltas[best]
+            if best_delta < -1e-13 * max(1.0, abs(value)):
                 config = config.copy()
-                config[i] = best_point
+                config[i] = draws[best]
                 value += best_delta
                 improved = improved_any = True
         if not improved:

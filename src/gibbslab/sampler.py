@@ -15,7 +15,13 @@ burn-in included, the cache is recomputed from scratch and must agree to
 randomness flows through one generator derived from (seed, name), making
 equal-seed runs byte-identical.
 
-Green-kernel chains also cache, per particle, the scaled basis row
+Pair kernels other than the Green kernel take a move's energy change from
+one (R + 1, n) kernel table, the rows of R candidate points and of the
+moving particle's own position, with the particle's own column zeroed: a
+chain step has R = 1, and the Fekete relocation polish scores a whole batch
+of candidate draws at once.
+
+Green-kernel chains instead cache, per particle, the scaled basis row
 b~(x_j) and phi(x_j) of G(x, y) = b~(x).b~(y) - phi(x) - phi(y) + c, and the
 row sum S.  Moving particle i to p then changes the internal energy by
 
@@ -140,27 +146,32 @@ def _stage_value(model, n, point):
     return float(model.potential_stage_values(n, point[None, :])[0])
 
 
-def _pair_row_sum(model, positions, i, point):
-    """Sum over j != i of G(point, x_j) plus the one-body stage term."""
-    n = positions.shape[0]
-    row = model.kernel.pairwise(model.space, point[None, :], positions)[0]
-    row[i] = 0.0
-    internal = float(row.sum())
-    return internal, _stage_value(model, n, point)
+def _continuous_deltas(model, positions, i, points):
+    """Energy changes of moving particle i to each of the (R, d) ``points``.
 
-
-def _continuous_delta(model, positions, i, new_point):
+    Pair kernels take one (R + 1, n) kernel table: the R candidate rows and
+    particle i's own row, with column i zeroed.  A row that sums to NaN
+    gives +inf.  Higher arities difference w_n against one w_n(positions).
+    """
     n = positions.shape[0]
     if model.kernel.arity == 2:
+        rows = np.concatenate((points, positions[i : i + 1]))
         with np.errstate(invalid="ignore"):
-            new_int, new_ext = _pair_row_sum(model, positions, i, new_point)
-            old_int, old_ext = _pair_row_sum(model, positions, i, positions[i])
-        if math.isnan(new_int):
-            return math.inf
-        return (new_int - old_int) / n ** 2 + (new_ext - old_ext) / n
-    moved = positions.copy()
-    moved[i] = new_point
-    return w_n(model, moved) - w_n(model, positions)
+            table = model.kernel.pairwise(model.space, rows, positions)
+            table[:, i] = 0.0
+            internal = table.sum(axis=1)
+            external = model.potential_stage_values(n, rows)
+            deltas = ((internal[:-1] - internal[-1]) / n ** 2
+                      + (external[:-1] - external[-1]) / n)
+        deltas[np.isnan(internal[:-1])] = math.inf
+        return deltas
+    base = w_n(model, positions)
+    deltas = np.empty(points.shape[0])
+    for r, point in enumerate(points):
+        moved = positions.copy()
+        moved[i] = point
+        deltas[r] = w_n(model, moved) - base
+    return deltas
 
 
 def _finite_delta(model, counts, n, a, b):
@@ -262,7 +273,8 @@ class _ContinuousChain(_Chain):
         ``accept`` needs to keep the Green cache (None for other kernels)."""
         positions = self.state.positions
         if self.green_cache is None:
-            return _continuous_delta(self.model, positions, i, new_point), None
+            delta = _continuous_deltas(self.model, positions, i, new_point[None, :])[0]
+            return float(delta), None
         n = self.n
         internal, features = self.green_cache.internal_change(i, new_point)
         external = (_stage_value(self.model, n, new_point)

@@ -603,17 +603,20 @@ class GreenModel:
         shift = phi_x[:, None] + self.phi_nodes[None, :]
         return (bx @ self.scaled_nodes.T - shift) + self.constant
 
-    def lower_bound(self):
-        """Grid minimum of the kernel table, taken over blocks of about 4 MB of
-        rows so that the table is never held (finite for the truncated kernel)."""
+    def table_blocks(self):
+        """The node kernel table as (row slice, block) pairs of about 4 MB of
+        rows each, so that the table is never held whole."""
         scaled, phi = self.scaled_nodes, self.phi_nodes
         rows = max(1, 2 ** 19 // scaled.shape[0])
-        low = math.inf
         for start in range(0, scaled.shape[0], rows):
             part = slice(start, start + rows)
-            block = (scaled[part] @ scaled.T - (phi[part, None] + phi[None, :])) + self.constant
-            low = min(low, float(block.min()))
-        return low
+            shift = phi[part, None] + phi[None, :]
+            yield part, (scaled[part] @ scaled.T - shift) + self.constant
+
+    def lower_bound(self):
+        """Grid minimum of the kernel table, taken block by block (finite for
+        the truncated kernel)."""
+        return min(float(block.min()) for _, block in self.table_blocks())
 
 
 class GreenOperator:
@@ -621,7 +624,7 @@ class GreenOperator:
     model, held as its factors: ``op @ x`` and ``x @ op`` cost
     O(n_nodes * order) and the n_nodes^2 table is never formed.  It offers
     products only; code that needs entries builds the table with
-    ``energy.kernel_node_matrix``."""
+    ``energy.kernel_node_matrix`` or walks ``GreenModel.table_blocks``."""
 
     # makes ``ndarray @ op`` defer to __rmatmul__ instead of numpy treating
     # op as an object scalar

@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -186,8 +187,8 @@ def test_monotone_truncation(circle_space):
 
 
 def test_green_truncation_clips_the_node_table(circle_green):
-    # the Green node matrix is an operator without entries, so clipping
-    # builds the table
+    # clipping takes the Green table's entries block by block; the circle's
+    # 256 rows fit one block, so the sum is the dense one
     space = circle_green.space
     model = EnergyModel(space, GreenKernel(circle_green), BETA)
     mu = GridMeasure.from_unnormalized(space, 1.0 + 0.5 * np.cos(space.nodes[:, 0]))
@@ -196,6 +197,25 @@ def test_green_truncation_clips_the_node_table(circle_green):
     for clip in (0.0, 1.0, 8.0):
         want = 0.5 * float(masses @ np.minimum(table, clip) @ masses)
         assert w_macro(model, mu, clip=clip) == want
+
+
+def test_torus_clipped_energy_never_forms_the_node_table(torus_green):
+    # the 64^2 node table alone would take 128 MiB
+    space = torus_green.space
+    model = EnergyModel(space, GreenKernel(torus_green), BETA)
+    mu = GridMeasure.from_unnormalized(space, 1.0 + 0.5 * np.cos(2.0 * np.pi * space.nodes[:, 0]))
+    tracemalloc.start()
+    try:
+        clipped = w_macro(model, mu, clip=0.1)
+        unclipped = w_macro(model, mu, clip=math.inf)
+        peak = tracemalloc.get_traced_memory()[1] / 2 ** 20
+    finally:
+        tracemalloc.stop()
+    assert peak <= 64.0
+    # an infinite clip leaves the table whole, which the rank-(order + 2)
+    # operator applies without entries
+    assert_allclose(unclipped, w_macro(model, mu), rtol=1e-12)
+    assert clipped < unclipped
 
 
 def _looped_three_body_integral(model, masses):

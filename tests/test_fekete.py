@@ -14,6 +14,7 @@ from gibbslab.energy import (
     EnergyModel,
     FiniteEnergyModel,
     LogChordKernel,
+    RieszKernel,
     StaticPotential,
 )
 from gibbslab.errors import CollisionError, EnergyError, EnumerationCapError
@@ -24,6 +25,8 @@ from gibbslab.fekete import (
     _analytic_pair_gradient,
     _fd_pair_gradient,
     _gradient_descent,
+    _objective,
+    _relocation_polish,
     fekete_minimize,
     infima_convergence_table,
     macro_infimum,
@@ -100,6 +103,89 @@ def test_sphere_minimizers(sphere_space):
     r6 = fekete_minimize(model, 6, restarts=4, seed=2)
     assert_allclose(r6.value, -math.log(2.0) / 4.0, atol=1e-10)
     assert np.abs(np.linalg.norm(r6.points, axis=1) - 1.0).max() < 1e-12
+
+
+# -- relocation polish: batched against the per-candidate scan -----------------------------
+
+
+def _row_delta(model, config, i, point):
+    """Energy change of moving particle i to ``point`` from two kernel rows
+    and two one-body values, one candidate at a time."""
+    n = config.shape[0]
+    sums = []
+    for p in (point, config[i]):
+        with np.errstate(invalid="ignore"):
+            row = model.kernel.pairwise(model.space, p[None, :], config)[0]
+        row[i] = 0.0
+        sums.append((float(row.sum()), float(model.potential_stage_values(n, p[None, :])[0])))
+    (new_int, new_ext), (old_int, old_ext) = sums
+    if math.isnan(new_int):
+        return math.inf
+    return (new_int - old_int) / n ** 2 + (new_ext - old_ext) / n
+
+
+def _looped_relocation_polish(model, config, f, rng, value, rounds, candidates):
+    """The per-candidate scan that the batched polish replaced."""
+    space = model.space
+    n = config.shape[0]
+    improved_any = False
+    for _ in range(rounds):
+        improved = False
+        for i in range(n):
+            draws = space.sample_points(rng, candidates)
+            best_delta, best_point = 0.0, None
+            for cand in draws:
+                gaps = space.geodesic(cand[None, :], config)[0]
+                gaps[i] = np.inf
+                if float(gaps.min()) < 1e-12:
+                    continue
+                if f is None or isinstance(f, IntegralFunctional):
+                    delta = _row_delta(model, config, i, cand)
+                    if isinstance(f, IntegralFunctional):
+                        old = f.point_values(space, config[i][None, :])[0]
+                        new = f.point_values(space, cand[None, :])[0]
+                        delta += (new - old) / n
+                else:
+                    moved = config.copy()
+                    moved[i] = cand
+                    delta = _objective(model, moved, f) - value
+                if delta < best_delta:
+                    best_delta, best_point = delta, cand
+            if best_point is not None and best_delta < -1e-13 * max(1.0, abs(value)):
+                config = config.copy()
+                config[i] = best_point
+                value += best_delta
+                improved = improved_any = True
+        if not improved:
+            break
+    if improved_any:
+        value = _objective(model, config, f)
+    return config, value, improved_any
+
+
+@pytest.mark.parametrize("case", ["circle", "sphere", "circle tilt", "circle density"])
+def test_batched_polish_matches_looped_scan(case, circle_space, sphere_space):
+    if case.startswith("sphere"):
+        model = EnergyModel(sphere_space, RieszKernel(1.0), BetaSchedule.constant(1.0))
+    else:
+        model = EnergyModel(circle_space, LogChordKernel(), BetaSchedule.linear(1.0))
+    f = {"circle tilt": IntegralFunctional(lambda pts: np.cos(3.0 * pts[:, 0])),
+         "circle density": DensityFunctional(lambda mu: float((mu.node_masses ** 2).sum()))
+         }.get(case)
+    n, rounds = (4, 1) if case == "circle density" else (12, 3)
+    start_rng = np.random.default_rng(31)
+    config = model.space.sample_points(start_rng, n)
+    value = _objective(model, config, f)
+    outcomes = []
+    for polish in (_relocation_polish, _looped_relocation_polish):
+        rng = np.random.default_rng(7)
+        out = polish(model, config.copy(), f, rng, value, rounds, 8)
+        outcomes.append((out, rng.bit_generator.state))
+    (batched, state), (looped, looped_state) = outcomes
+    assert batched[2] and looped[2]
+    assert np.array_equal(batched[0], looped[0])
+    assert batched[1] == looped[1]
+    assert state == looped_state
 
 
 # -- explicit coefficient identities ----------------------------------------------------

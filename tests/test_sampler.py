@@ -18,12 +18,19 @@ from gibbslab.energy import (
     FiniteEnergyModel,
     GreenKernel,
     LogChordKernel,
+    RieszKernel,
     StaticPotential,
     w_n,
 )
 from gibbslab.errors import EnergyError, EnumerationCapError, TrappedChainError
 from gibbslab.measures import FiniteSpace
-from gibbslab.sampler import _ContinuousChain, _FiniteChain, enumerate_gibbs, mcmc_run
+from gibbslab.sampler import (
+    _ContinuousChain,
+    _continuous_deltas,
+    _FiniteChain,
+    enumerate_gibbs,
+    mcmc_run,
+)
 from gibbslab.spaces import build_space
 
 
@@ -211,6 +218,87 @@ def test_green_cached_delta_equals_energy_difference(green_chain_models, kind, n
         assert abs(delta - (w_n(model, moved) - w_n(model, positions))) < 1e-12
         positions[i] = point
         chain.green_cache.accept(i, features)
+
+
+@pytest.fixture(scope="module")
+def dense_delta_models(circle_space, sphere_space, box_space, torus_green):
+    """Pair models whose deltas come from one (R + 1, n) kernel table: the
+    circle log gas, a sphere Riesz gas, a box log gas in a confining
+    potential, and the torus Green gas (the Fekete polish reaches it through
+    its pairwise table)."""
+    return {
+        "circle": EnergyModel(circle_space, LogChordKernel(), BetaSchedule.constant(2.0)),
+        "sphere": EnergyModel(sphere_space, RieszKernel(1.0), BetaSchedule.constant(1.0)),
+        "box": EnergyModel(box_space, LogChordKernel(2.0), BetaSchedule.constant(2.0),
+                           potentials=[StaticPotential(lambda p: 0.5 * p[:, 0] ** 2)]),
+        "torus": EnergyModel(torus_green.space, GreenKernel(torus_green),
+                             BetaSchedule.constant(2.0)),
+    }
+
+
+def _energy_difference(model, positions, i, point):
+    moved = positions.copy()
+    moved[i] = point
+    before, after = w_n(model, positions), w_n(model, moved)
+    return after - before, max(1.0, abs(before), abs(after))
+
+
+@settings(max_examples=60, deadline=None)
+@given(kind=st.sampled_from(["circle", "sphere", "box", "torus"]), n=st.integers(2, 9),
+       r=st.integers(1, 8), seed=st.integers(0, 2 ** 32 - 1))
+def test_dense_deltas_equal_energy_differences(dense_delta_models, kind, n, r, seed):
+    model = dense_delta_models[kind]
+    space = model.space
+    rng = np.random.default_rng(seed)
+    positions = space.sample_points(rng, n)
+    i = int(rng.integers(n))
+    points = space.sample_points(rng, r)
+    deltas = _continuous_deltas(model, positions, i, points)
+    assert deltas.shape == (r,)
+    for point, delta in zip(points, deltas):
+        want, scale = _energy_difference(model, positions, i, point)
+        assert abs(delta - want) < 1e-12 * scale
+
+
+@pytest.mark.parametrize("kind", ["circle", "sphere", "box", "torus"])
+def test_dense_deltas_at_a_particle(dense_delta_models, kind, rng):
+    model = dense_delta_models[kind]
+    positions = model.space.sample_points(rng, 6)
+    # row 0: particle 2's own position; row 1: particle 4's position
+    deltas = _continuous_deltas(model, positions, 2, positions[[2, 4]])
+    assert deltas[0] == 0.0
+    if kind == "torus":  # the truncated Green kernel is finite on the diagonal
+        want, scale = _energy_difference(model, positions, 2, positions[4])
+        assert abs(deltas[1] - want) < 1e-12 * scale
+    else:
+        assert deltas[1] == math.inf
+
+
+def test_dense_delta_nan_row_is_infinite(circle_space):
+    # the kernel is undefined beyond angle 5
+    def fn(space, a, b):
+        t, p = a[..., 0], b[..., 0]
+        return np.where((t > 5.0) | (p > 5.0), np.nan, np.cos(t - p))
+
+    model = EnergyModel(circle_space, CallableKernel(fn), BetaSchedule.constant(1.0))
+    positions = np.array([[0.5], [1.5], [2.5], [3.5]])
+    deltas = _continuous_deltas(model, positions, 1, np.array([[5.5], [4.5]]))
+    assert deltas[0] == math.inf
+    want, scale = _energy_difference(model, positions, 1, np.array([4.5]))
+    assert abs(deltas[1] - want) < 1e-12 * scale
+
+
+def test_three_body_deltas_difference_w_n(circle_space, rng):
+    def fn(space, a, b, c):
+        return np.cos(a[:, 0] - b[:, 0]) * np.cos(b[:, 0] - c[:, 0]) * np.cos(c[:, 0] - a[:, 0])
+
+    model = EnergyModel(circle_space, CallableKernel(fn, arity=3), BetaSchedule.constant(1.0),
+                        potentials=[StaticPotential(lambda p: np.sin(p[:, 0]))])
+    positions = circle_space.sample_points(rng, 5)
+    points = circle_space.sample_points(rng, 3)
+    deltas = _continuous_deltas(model, positions, 3, points)
+    for point, delta in zip(points, deltas):
+        assert delta == _energy_difference(model, positions, 3, point)[0]
 
 
 def test_green_tempering_swaps_carry_the_cache(green_chain_models):

@@ -18,11 +18,11 @@ from collections import namedtuple
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import logsumexp
 
 from .energy import GreenKernel, w_macro
 from .errors import EnergyError, MeasureError, StepSizeFailureError
 from .measures import GridMeasure, relative_entropy
+from .simplex import logsumexp
 
 __all__ = [
     "EquilibriumResult",

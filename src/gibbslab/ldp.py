@@ -29,7 +29,6 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import logsumexp
 
 from .energy import (
     BetaSchedule,
@@ -45,7 +44,7 @@ from .fekete import ComposedFunctional, IntegralFunctional, MeasureFunctional
 from .measures import FiniteSpace, GridMeasure, _fmt, relative_entropy
 from .rng import derive_rng
 from .sampler import mcmc_run
-from .simplex import class_count, class_table, simplex_minimize
+from .simplex import class_count, class_table, logsumexp, simplex_minimize
 
 __all__ = [
     "PARTICLE_CAP",
@@ -415,7 +414,7 @@ def rate_function_profile(model, descriptor=None, max_iters=3000, tol=1e-10):
         raise EnergyError(f"limit temperature must be positive, got {beta!r}")
     iterations = 0
 
-    def descend(matrix, v, ref, init):
+    def descend(matrix, v, ref, init, tol=tol):
         nonlocal iterations
         descent = _mirror_descent(matrix, v, ref, beta, init, max_iters=max_iters, tol=tol)
         iterations += descent.iterations
@@ -449,9 +448,20 @@ def rate_function_profile(model, descriptor=None, max_iters=3000, tol=1e-10):
         masses = np.zeros(ref.size)
         masses[face] = descend(block, v[face], ref[face], ref[face] / ref[face].sum())
         return profile(masses, None)
+    # the descent stops at a duality gap of tol * (1 + |F - lam g.m|) and at a
+    # total-variation move of tol; the first loosens as lam grows, the second
+    # as the mass off the face {argmax g}, at least (max g - c) / span g,
+    # shrinks, and either leaves the multiplier low.  The tilted descents
+    # scale tol back by both.
+    off_face = min(1.0, (g_max - c) / (g_max - float(g.min())))
+
+    def tilted(lam, init):
+        return descend(matrix, v - lam * g, ref, init,
+                       tol * off_face / (1.0 + lam * float(np.abs(g).max())))
+
     lo, lam, masses = 0.0, 1.0, base
     for _ in range(_DOUBLING_CAP):
-        masses = descend(matrix, v - lam * g, ref, masses)
+        masses = tilted(lam, masses)
         if float(g @ masses) >= c:
             break
         lo, lam = lam, 2.0 * lam
@@ -459,7 +469,7 @@ def rate_function_profile(model, descriptor=None, max_iters=3000, tol=1e-10):
         raise EnergyError(f"no multiplier up to {lo!r} reaches the constraint level {c}")
     while lo < 0.5 * (lo + lam) < lam:
         mid = 0.5 * (lo + lam)
-        trial = descend(matrix, v - mid * g, ref, masses)
+        trial = tilted(mid, masses)
         if float(g @ trial) >= c:
             lam, masses = mid, trial
         else:

@@ -38,13 +38,12 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import logsumexp
 
 from .energy import EnergyModel, FiniteEnergyModel, GreenKernel, w_n
 from .errors import EnergyError, TrappedChainError
 from .measures import EmpiricalMeasure
 from .rng import derive_rng
-from .simplex import class_table
+from .simplex import class_table, logsumexp
 
 __all__ = [
     "ChainState",

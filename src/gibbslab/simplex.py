@@ -16,11 +16,11 @@ import math
 from collections import namedtuple
 
 import numpy as np
-from scipy.special import gammaln
 
 from .errors import EnumerationCapError
 
-__all__ = ["CLASS_CAP", "class_count", "class_table", "compositions", "simplex_minimize"]
+__all__ = ["CLASS_CAP", "class_count", "class_table", "compositions", "logsumexp",
+           "simplex_minimize"]
 
 # Type-class tables are held whole in memory, about (m + 6) * 8 bytes a class.
 CLASS_CAP = 1_000_000
@@ -84,9 +84,28 @@ def class_table(model, n):
     m = model.space.n_atoms
     class_count(n, m)
     counts = compositions(n, m)
-    log_multis = gammaln(n + 1.0) - gammaln(counts + 1.0).sum(axis=1)
+    log_factorials = np.array([math.lgamma(k + 1) for k in range(n + 1)])
+    log_multis = log_factorials[n] - log_factorials[counts].sum(axis=1)
     return ClassTable(counts, log_multis, model.class_energies(counts, n),
                       counts @ np.log(model.space.probs))
+
+
+def logsumexp(a):
+    """log(sum(exp(a))) of a 1-d array, summed as scipy.special.logsumexp
+    (1.17) sums it, so the two agree bit for bit: the terms equal to the
+    maximum are split off the shifted sum, and a result that is not finite
+    is recomputed directly (all -inf gives -inf, any +inf +inf, NaN NaN)."""
+    a = np.asarray(a, dtype=float)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        a_max = a.max()
+        top = a == a_max
+        terms = np.exp(a - a_max)
+        terms[top] = 0.0
+        count = top.sum()
+        out = np.log1p(terms.sum() / count) + np.log(count) + a_max
+        if not np.isfinite(out):
+            out = np.log(np.exp(a).sum())
+    return float(out)
 
 
 def _local_offsets(m, radius):

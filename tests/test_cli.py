@@ -1,10 +1,14 @@
 import hashlib
 import json
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
 
+import gibbslab
 from gibbslab.cli import main
 
 GREEN_TEXT = """
@@ -364,3 +368,23 @@ def test_ldp_commands_require_n_values(tmp_path, runner):
     result = runner.invoke(main, ["laplace-verify", "--config", config])
     assert result.exit_code == 1
     assert "n_values" in result.output
+
+
+NO_SCIPY_CHILD = """
+import importlib, pkgutil, sys
+import gibbslab, gibbslab.cli
+for module in pkgutil.iter_modules(gibbslab.__path__):
+    importlib.import_module("gibbslab." + module.name)
+print(sorted(name for name in sys.modules if name.split(".")[0] == "scipy"))
+"""
+
+
+def test_runtime_imports_no_scipy():
+    # scipy.special costs the CLI most of its cold start; only tests use it
+    src = str(Path(gibbslab.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src, *filter(None, [os.environ.get("PYTHONPATH")])]))
+    proc = subprocess.run([sys.executable, "-c", NO_SCIPY_CHILD], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"

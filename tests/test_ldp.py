@@ -392,6 +392,38 @@ def test_profile_multiplier_is_the_slope_in_the_level(three_atom_model):
     assert profile.to_json_dict()["multiplier"] == profile.multiplier
 
 
+def _tilted_fixed_point(model, g, lam):
+    """The damped fixed point tau = pi exp(-beta (G tau - lam g)) / Z."""
+    tau = model.space.probs.copy()
+    for _ in range(10_000):
+        field = model.pair_matrix @ tau - lam * g
+        log_tau = np.log(model.space.probs) - model.beta.limit * field
+        mapped = np.exp(log_tau - log_tau.max())
+        nxt = 0.5 * tau + 0.5 * mapped / mapped.sum()
+        if np.abs(nxt - tau).max() == 0.0:
+            break
+        tau = nxt
+    return nxt
+
+
+def test_profile_multiplier_near_the_face_is_the_fixed_point_multiplier(three_atom_model):
+    # near max g almost no mass lies off the face, and the tilted descents
+    # must still resolve the multiplier at which the exact minimizer is feasible
+    g = np.array([1.0, 0.0, 0.0])
+    level = 1.0 - 1e-9
+    profile = rate_function_profile(three_atom_model, HalfSpace(g, level))
+    assert profile.constraint_slack >= 0.0
+    assert profile.witness[0] >= level
+    lo, hi = 0.0, 64.0
+    while lo < 0.5 * (lo + hi) < hi:
+        mid = 0.5 * (lo + hi)
+        if _tilted_fixed_point(three_atom_model, g, mid)[0] >= level:
+            hi = mid
+        else:
+            lo = mid
+    assert abs(profile.multiplier - hi) <= 1e-6
+
+
 def test_profile_at_the_largest_level_is_the_face_minimizer(three_atom_model):
     profile = rate_function_profile(
         three_atom_model, HalfSpace(np.array([1.0, 0.0, 0.0]), 1.0))

@@ -5,16 +5,18 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose, assert_array_equal
+from scipy.special import gammaln
+from scipy.special import logsumexp as scipy_logsumexp
 
 from gibbslab.energy import BetaSchedule, FiniteEnergyModel
 from gibbslab.errors import EnergyError
 from gibbslab.ldp import _finite_free_energy, laplace_verify_finite
 from gibbslab.measures import FiniteSpace
 from gibbslab.sampler import enumerate_gibbs
-from gibbslab.simplex import _blocks, class_table, compositions, simplex_minimize
+from gibbslab.simplex import _blocks, class_table, compositions, logsumexp, simplex_minimize
 
 PROBS = np.array([0.4, 0.3, 0.2, 0.1])
 PAIR = np.array([[0.0, 1.0, 0.5, -0.3], [1.0, 0.2, 0.8, 0.1],
@@ -77,6 +79,68 @@ def test_log_multinomials_equal_exact_factorial_ratios(n, m):
     assert_allclose(table.log_multinomials, exact, rtol=1e-14, atol=1e-12)
     assert_allclose(table.log_reference, table.counts @ np.log(model.space.probs),
                     rtol=1e-15)
+
+
+def _same_float(got, want):
+    return got == want or (math.isnan(got) and math.isnan(want))
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.lists(st.floats(-4.0, 4.0) | st.floats(-750.0, 750.0)
+                | st.sampled_from([-np.inf, -1.5, 0.0, 2.5]), min_size=1, max_size=80),
+       st.integers(0, 3), st.sampled_from([None, -np.inf, np.inf, np.nan]))
+def test_logsumexp_equals_scipy_bit_for_bit(values, ties, special):
+    a = np.array(values)
+    a = np.concatenate([a, np.full(ties, a.max())])
+    if special is not None:
+        a[len(a) // 2] = special
+    assert _same_float(logsumexp(a), float(scipy_logsumexp(a)))
+
+
+def test_logsumexp_equals_scipy_on_seeded_ties():
+    # unit-scale terms with ties at the maximum: here the summation order
+    # decides the last bit, which the split-off maximum must keep
+    rng = np.random.default_rng(7)
+    for _ in range(2000):
+        a = rng.normal(size=int(rng.integers(2, 100)))
+        a[rng.integers(0, a.size, size=int(rng.integers(1, 4)))] = a.max()
+        a[rng.random(a.size) < 0.1] = -np.inf
+        assert logsumexp(a) == float(scipy_logsumexp(a))
+
+
+@pytest.mark.parametrize("a,want", [
+    ([-np.inf], -np.inf), ([-np.inf] * 9, -np.inf), ([np.inf, 1.0], np.inf),
+    ([np.inf, np.inf], np.inf), ([np.nan, 1.0], np.nan), ([-np.inf, np.nan], np.nan),
+    ([np.inf, -np.inf], np.inf), ([-np.inf, 0.0], 0.0)])
+def test_logsumexp_edge_cases_match_scipy(a, want):
+    got = logsumexp(np.array(a, dtype=float))
+    assert _same_float(got, want)
+    assert _same_float(got, float(scipy_logsumexp(np.array(a, dtype=float))))
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.integers(1, 1000))
+@example(1000)
+def test_log_multinomials_equal_the_gammaln_form(n):
+    # both forms subtract log-factorials of size up to log n! that each carry
+    # a few ulps, so they agree to 1e-15 of log n!, not of the difference
+    model = FiniteEnergyModel(FiniteSpace([0.5, 0.3, 0.2]), BetaSchedule.constant(1.0),
+                              pair_matrix=np.zeros((3, 3)))
+    table = class_table(model, n)
+    want = gammaln(n + 1.0) - gammaln(table.counts + 1.0).sum(axis=1)
+    scale = max(1.0, float(gammaln(n + 1.0)))
+    assert np.abs(table.log_multinomials - want).max() <= 1e-15 * scale
+
+
+@pytest.mark.parametrize("n", [1, 2, 7, 40, 150])
+def test_log_partition_equals_the_scipy_form(n):
+    model = FiniteEnergyModel(FiniteSpace(PROBS), BetaSchedule.constant(1.5),
+                              pair_matrix=PAIR)
+    gibbs = enumerate_gibbs(model, n)
+    counts = gibbs.counts
+    log_weights = (gammaln(n + 1.0) - gammaln(counts + 1.0).sum(axis=1)
+                   + counts @ np.log(PROBS) - gibbs.coupling * model.class_energies(counts, n))
+    assert_allclose(gibbs.log_partition, scipy_logsumexp(log_weights), rtol=1e-14, atol=1e-14)
 
 
 def _free_energy_rows(model, taus):

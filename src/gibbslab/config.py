@@ -301,9 +301,7 @@ def _distance_kernel(space, expr):
     fn = compile_expression(expr, ["d", "c"])
 
     def pair_fn(sp, a, b):
-        a, b = np.asarray(a, float), np.asarray(b, float)
-        return np.asarray(fn(sp.distance(a, b), sp.distance(a, b, chord=True)),
-                          dtype=float)
+        return fn(sp.distance(a, b), sp.distance(a, b, chord=True))
 
     return CallableKernel(pair_fn, singular=False)
 

@@ -4,9 +4,12 @@ The microscopic energy of a configuration x = (x_1..x_n) under an arity-k
 kernel G plus one-body potentials V is
 
     w_n(x) = n^{-k} * sum over k-subsets G(x_{i_1},...,x_{i_k})
-             + n^{-1} * sum_i V_n(x_i),
+             + n^{-1} * sum_i V_n(x_i).
 
-and the macroscopic energy of a density mu is
+Its pair sum reads the n(n-1)/2 pairs i < j only, evaluated elementwise by
+``Kernel.values`` (the Green kernel excepted) without an n x n table.
+
+The macroscopic energy of a density mu is
 
     w(mu) = (1/k!) * integral of G d(mu tensor k) + integral of V d(mu).
 
@@ -88,25 +91,25 @@ class BetaSchedule:
 
 
 class Kernel:
-    """Arity-k interaction kernel on a base space."""
+    """Arity-k interaction kernel on a base space.  ``values(space, *arrays)``
+    evaluates it elementwise on broadcastable point arrays whose last axis
+    holds the coordinates.  Singular kernels give +inf on coinciding points
+    and leave the divide warning to the caller's ``np.errstate``."""
 
     arity = 2
     singular = False
     differentiable = True  # smooth away from the diagonal
 
-    def pairwise(self, space, x, y):
-        raise NotImplementedError
+    def values(self, space, *arrays):
+        raise EnergyError(f"{type(self).__name__} has no elementwise values")
 
-    def tuple_values(self, space, arrays):
-        """Values on aligned k-tuples; arrays is a k-tuple of point arrays."""
+    def pairwise(self, space, x, y):
+        """Kernel table between two point arrays, from ``values``."""
         if self.arity != 2:
-            raise EnergyError(f"{type(self).__name__} does not evaluate arity {self.arity}")
-        a, b = arrays
-        n = a.shape[0]
-        out = np.empty(n)
-        for i in range(n):
-            out[i] = self.pairwise(space, a[i : i + 1], b[i : i + 1])[0, 0]
-        return out
+            raise EnergyError(f"arity-{self.arity} kernel has no pairwise table")
+        a, b = space._as_points(x)[:, None], space._as_points(y)[None]
+        with np.errstate(divide="ignore"):
+            return self.values(space, a, b)
 
     def diagonal_values(self, space):
         """Corrected self-pair values at the grid nodes (singular kernels)."""
@@ -123,13 +126,8 @@ class ConstantKernel(Kernel):
         self.value = float(value)
         self.arity = int(arity)
 
-    def pairwise(self, space, x, y):
-        a = space._as_points(x)
-        b = space._as_points(y)
-        return np.full((a.shape[0], b.shape[0]), self.value)
-
-    def tuple_values(self, space, arrays):
-        return np.full(arrays[0].shape[0], self.value)
+    def values(self, space, *arrays):
+        return np.full(np.broadcast_shapes(*(a.shape[:-1] for a in arrays)), self.value)
 
     def diagonal_values(self, space):
         return np.full(space.n_nodes, self.value)
@@ -155,10 +153,10 @@ class LogChordKernel(Kernel):
             raise EnergyError(f"log kernel scale must be positive, got {scale!r}")
         self.scale = float(scale)
 
-    def pairwise(self, space, x, y):
-        d = space.chord(x, y)
-        with np.errstate(divide="ignore"):
-            return -self.scale * np.log(d)
+    def values(self, space, a, b):
+        return -self.scale * np.log(space.distance(a, b, chord=True))
+
+    pairwise = Kernel.pairwise  # its own entry: wrapping it leaves other kernels alone
 
     def diagonal_values(self, space):
         radius = _ball_radius(space)
@@ -185,10 +183,8 @@ class RieszKernel(Kernel):
         self.s = float(s)
         self.scale = float(scale)
 
-    def pairwise(self, space, x, y):
-        d = space.chord(x, y)
-        with np.errstate(divide="ignore"):
-            return self.scale * d ** (-self.s)
+    def values(self, space, a, b):
+        return self.scale * space.distance(a, b, chord=True) ** (-self.s)
 
     def diagonal_values(self, space):
         d = space.dim
@@ -222,8 +218,8 @@ class GreenKernel(Kernel):
 
 
 class CallableKernel(Kernel):
-    """User-supplied kernel; ``fn(space, *arrays)`` maps aligned point arrays
-    to values (for arity 2 it receives broadcastable (n,1,d) and (1,m,d))."""
+    """User-supplied kernel; ``fn(space, *arrays)`` maps broadcastable point
+    arrays, coordinates on the last axis, to values elementwise."""
 
     def __init__(self, fn, arity=2, bound=None, singular=False, diagonal_fn=None,
                  differentiable=True):
@@ -236,25 +232,17 @@ class CallableKernel(Kernel):
         self.diagonal_fn = diagonal_fn
         self.differentiable = bool(differentiable)
 
-    def pairwise(self, space, x, y):
-        if self.arity != 2:
-            raise EnergyError(f"arity-{self.arity} kernel has no pairwise table")
-        a = space._as_points(x)
-        b = space._as_points(y)
-        return np.asarray(self.fn(space, a[:, None, :], b[None, :, :]), dtype=float)
-
-    def tuple_values(self, space, arrays):
-        return np.asarray(self.fn(space, *arrays), dtype=float)
+    def values(self, space, *arrays):
+        # a value constant along an axis, or a scalar, fills the whole shape
+        shape = np.broadcast_shapes(*(a.shape[:-1] for a in arrays))
+        return np.full(shape, self.fn(space, *arrays), dtype=float)
 
     def diagonal_values(self, space):
         if self.diagonal_fn is not None:
             return np.asarray(self.diagonal_fn(space), dtype=float)
         if self.singular:
             raise EnergyError("singular callable kernel needs an explicit diagonal_fn")
-        nodes = space.nodes
-        return np.asarray(
-            self.fn(space, nodes[:, None, :], nodes[:, None, :])[:, 0], dtype=float
-        )
+        return self.values(space, space.nodes[:, None], space.nodes[:, None])[:, 0]
 
     def lower_bound(self, space):
         return self.bound
@@ -271,11 +259,10 @@ class TiltedKernel(Kernel):
         self.coefficient = float(coefficient)
         self.singular = base.singular
 
-    def pairwise(self, space, x, y):
-        a = space._as_points(x)
-        b = space._as_points(y)
-        tilt = self.coefficient * (self.v_fn(a)[:, None] + self.v_fn(b)[None, :])
-        return self.base.pairwise(space, a, b) + tilt
+    def values(self, space, a, b):
+        # v_fn maps (r, d) point arrays to (r,)
+        v = lambda pts: self.v_fn(pts.reshape(-1, pts.shape[-1])).reshape(pts.shape[:-1])
+        return self.base.values(space, a, b) + self.coefficient * (v(a) + v(b))
 
     def diagonal_values(self, space):
         return self.base.diagonal_values(space) + 2.0 * self.coefficient * self.v_fn(space.nodes)
@@ -449,8 +436,14 @@ def _upper_triangle(n):
 
 
 def _internal_pair_values(model, config):
-    matrix = model.kernel.pairwise(model.space, config, config)
-    return matrix[_upper_triangle(config.shape[0])]
+    """Kernel values on the pairs i < j in row-major order: elementwise, or
+    for the Green kernel entries of its matrix-product table."""
+    kernel, space = model.kernel, model.space
+    rows, cols = _upper_triangle(config.shape[0])
+    if isinstance(kernel, GreenKernel):
+        return kernel.pairwise(space, config, config)[rows, cols]
+    with np.errstate(divide="ignore"):
+        return kernel.values(space, config[rows], config[cols])
 
 
 def _internal_tuple_sum(model, config):
@@ -467,8 +460,7 @@ def _internal_tuple_sum(model, config):
     keys = tuple(stacked[:, :, c] for c in range(stacked.shape[2] - 1, -1, -1))
     order = np.lexsort(keys, axis=1)
     stacked = np.take_along_axis(stacked, order[:, :, None], axis=1)
-    arrays = tuple(stacked[:, j, :] for j in range(k))
-    values = model.kernel.tuple_values(model.space, arrays)
+    values = model.kernel.values(model.space, *stacked.swapaxes(0, 1))
     return _sorted_sum(values), values
 
 
@@ -537,7 +529,7 @@ def _macro_internal_integral(model, mu, clip=None):
         total = 0.0
         for i in range(size):
             first = np.repeat(nodes[i : i + 1], size * size, axis=0)
-            block = model.kernel.tuple_values(space, (first, second, third))
+            block = model.kernel.values(space, first, second, third)
             total += masses[i] * float(masses @ block.reshape(size, size) @ masses)
         return total
     raise EnergyError(f"macroscopic energy supports arity <= 3, got {k}")

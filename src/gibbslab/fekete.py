@@ -11,8 +11,9 @@ Armijo backtracking (kernels differentiable off the diagonal) or refined by
 coordinate-wise pattern search (non-smooth kernels), then polished by
 single-particle relocation sweeps that may exchange a particle's position
 for the best of a batch of fresh draws, all scored by one collision table
-and one batched energy delta.  Finite atom spaces are solved exactly by
-enumerating occupation-count classes.  Results are best-found local minima,
+and one batched energy delta.  Collision tests and energies read only the
+n(n-1)/2 pairs i < j.  Finite atom spaces are solved exactly by enumerating
+occupation-count classes.  Results are best-found local minima,
 not certified global optima; the circle log-gas, whose global minimum is
 known in closed form, serves as the regression anchor for the optimizer.
 
@@ -34,6 +35,7 @@ from .energy import (
     FiniteEnergyModel,
     LogChordKernel,
     StaticPotential,
+    _upper_triangle,
     w_n,
 )
 from .equilibrium import minimize_free_energy
@@ -215,13 +217,16 @@ def _retract(space, config):
 
 
 def _closest_pair(space, config):
+    """Smallest geodesic distance over the pairs i < j, and its pair: the
+    full table's first row-major minimum, ties included, as the table is
+    exactly symmetric."""
     n = config.shape[0]
     if n < 2:
         return math.inf, None
-    dists = space.geodesic(config, config)
-    np.fill_diagonal(dists, np.inf)
-    i, j = np.unravel_index(int(np.argmin(dists)), dists.shape)
-    return float(dists[i, j]), (int(i), int(j))
+    rows, cols = _upper_triangle(n)
+    dists = space.distance(config[rows], config[cols])
+    k = int(np.argmin(dists))
+    return float(dists[k]), (int(rows[k]), int(cols[k]))
 
 
 def _canonical(config):
@@ -391,7 +396,7 @@ def _relocation_polish(model, config, f, rng, value, rounds, candidates):
         improved = False
         for i in range(n):
             draws = space.sample_points(rng, candidates)
-            gaps = space.geodesic(draws, config)
+            gaps = space.distance(draws[:, None], config[None])
             gaps[:, i] = np.inf
             clear = gaps.min(axis=1) >= _COLLISION_TOL
             if f is None or isinstance(f, IntegralFunctional):

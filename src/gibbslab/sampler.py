@@ -16,10 +16,10 @@ randomness flows through one generator derived from (seed, name), making
 equal-seed runs byte-identical.
 
 Pair kernels other than the Green kernel take a move's energy change from
-one (R + 1, n) kernel table, the rows of R candidate points and of the
-moving particle's own position, with the particle's own column zeroed: a
-chain step has R = 1, and the Fekete relocation polish scores a whole batch
-of candidate draws at once.
+one (R + 1, n) table of elementwise ``Kernel.values``, the rows of R
+candidate points and of the moving particle's own position, with the
+particle's own column zeroed: a chain step has R = 1, and the Fekete
+relocation polish scores a whole batch of candidate draws at once.
 
 Green-kernel chains instead cache, per particle, the scaled basis row
 b~(x_j) and phi(x_j) of G(x, y) = b~(x).b~(y) - phi(x) - phi(y) + c, and the
@@ -148,15 +148,19 @@ def _stage_value(model, n, point):
 def _continuous_deltas(model, positions, i, points):
     """Energy changes of moving particle i to each of the (R, d) ``points``.
 
-    Pair kernels take one (R + 1, n) kernel table: the R candidate rows and
-    particle i's own row, with column i zeroed.  A row that sums to NaN
-    gives +inf.  Higher arities difference w_n against one w_n(positions).
+    Pair kernels take one (R + 1, n) table of ``values`` (the Green kernel's
+    ``pairwise`` table): the R candidate rows and particle i's own row, with
+    column i zeroed.  A row that sums to NaN gives +inf.  Higher arities
+    difference w_n against one w_n(positions).
     """
-    n = positions.shape[0]
-    if model.kernel.arity == 2:
+    n, kernel = positions.shape[0], model.kernel
+    if kernel.arity == 2:
         rows = np.concatenate((points, positions[i : i + 1]))
-        with np.errstate(invalid="ignore"):
-            table = model.kernel.pairwise(model.space, rows, positions)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            if isinstance(kernel, GreenKernel):
+                table = kernel.pairwise(model.space, rows, positions)
+            else:
+                table = kernel.values(model.space, rows[:, None], positions[None])
             table[:, i] = 0.0
             internal = table.sum(axis=1)
             external = model.potential_stage_values(n, rows)

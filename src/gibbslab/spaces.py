@@ -126,13 +126,14 @@ class Space:
     def distance(self, a, b, chord=False):
         """Elementwise geodesic distance, or with ``chord`` the embedding
         distance, between broadcastable point arrays whose last axis holds
-        the coordinates; the two agree on the torus and in boxes."""
+        the coordinates; the two agree on the torus and in boxes.  ``fmod``
+        equals ``%`` on the non-negative |a - b| and is faster."""
         if self.kind == "circle":
-            d = np.abs(a[..., 0] - b[..., 0]) % (2.0 * np.pi)
+            d = np.fmod(np.abs(a[..., 0] - b[..., 0]), 2.0 * np.pi)
             d = np.minimum(d, 2.0 * np.pi - d)
             return 2.0 * np.sin(0.5 * d) if chord else d
         if self.kind == "torus":
-            d = np.abs(a - b) % 1.0
+            d = np.fmod(np.abs(a - b), 1.0)
             d = np.minimum(d, 1.0 - d)
             return np.sqrt((d ** 2).sum(axis=-1))
         if self.kind == "sphere" and not chord:

@@ -6,8 +6,11 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
+from gibbslab.config import RunConfig, build_kernel
 from gibbslab.energy import (
     BetaSchedule,
     CallableKernel,
@@ -31,7 +34,7 @@ from gibbslab.energy import (
 )
 from gibbslab.errors import EnergyError
 from gibbslab.measures import FiniteSpace, GridMeasure
-from gibbslab.spaces import build_space
+from gibbslab.spaces import BackgroundCharge, GreenModel, build_space
 
 BETA = BetaSchedule.constant(2.0)
 
@@ -219,7 +222,7 @@ def test_torus_clipped_energy_never_forms_the_node_table(torus_green):
 
 
 def _looped_three_body_integral(model, masses):
-    """The per-(i, j) loop that one tuple_values call per i replaced."""
+    """The per-(i, j) loop that one ``values`` call per i replaced."""
     space = model.space
     nodes = space.nodes
     size = space.n_nodes
@@ -229,7 +232,7 @@ def _looped_three_body_integral(model, masses):
         for j in range(size):
             arrays = (np.repeat(nodes[i : i + 1], size, axis=0),
                       np.repeat(nodes[j : j + 1], size, axis=0), nodes)
-            block[j] = model.kernel.tuple_values(space, arrays)
+            block[j] = model.kernel.values(space, *arrays)
         total += masses[i] * float(masses @ block @ masses)
     return total
 
@@ -513,3 +516,142 @@ def test_tilted_kernel_bounds(circle_space):
     assert bound == -math.log(2.0) + 2.0 * 0.5 * float(np.cos(circle_space.nodes[:, 0]).min())
     matrix = kernel_node_matrix(tilted, circle_space)
     assert matrix.min() >= bound - 1e-12
+
+
+# -- the elementwise kernel primitive ------------------------------------------
+
+
+def _same_bits(got, want):
+    got, want = np.asarray(got, dtype=float), np.asarray(want, dtype=float)
+    assert got.shape == want.shape
+    assert np.array_equal(np.ascontiguousarray(got).view(np.int64),
+                          np.ascontiguousarray(want).view(np.int64))
+
+
+_SPACES = {
+    "circle": build_space("circle", 16, 3),
+    "torus": build_space("torus", 8, 3),
+    "sphere": build_space("sphere", 1, 2),
+    "box": build_space("box", 8, bounds=[(-1.0, 2.0), (0.0, 1.0)]),
+}
+
+
+def _expression_kernel(space):
+    config = RunConfig.from_text(
+        "seed: 1\nkernel:\n  kind: expression\n  expr: cos(d) + c**2\n")
+    return build_kernel(config, space)
+
+
+_KERNELS = {
+    "log": lambda space: LogChordKernel(1.5),
+    "riesz": lambda space: RieszKernel(0.7, 2.0),
+    "constant": lambda space: ConstantKernel(-0.25),
+    "expression": _expression_kernel,
+    "tilted": lambda space: TiltedKernel(
+        RieszKernel(0.5), lambda pts: np.sin(3.0 * pts[:, 0]) + pts[:, -1] ** 2, 0.4),
+}
+
+
+def _table_reference(name, kernel, space, x, y):
+    """The kernel table as the per-kernel ``pairwise`` bodies formed it
+    before they were derived from ``values``."""
+    if name == "log":
+        return -kernel.scale * np.log(space.chord(x, y))
+    if name == "riesz":
+        return kernel.scale * space.chord(x, y) ** (-kernel.s)
+    if name == "constant":
+        return np.full((x.shape[0], y.shape[0]), kernel.value)
+    if name == "expression":
+        return np.cos(space.geodesic(x, y)) + space.chord(x, y) ** 2
+    tilt = kernel.coefficient * (kernel.v_fn(x)[:, None] + kernel.v_fn(y)[None, :])
+    return _table_reference("riesz", kernel.base, space, x, y) + tilt
+
+
+def _points(space, rng, count):
+    pts = space.sample_points(rng, count)
+    if space.kind in ("circle", "torus"):
+        # coordinates off the fundamental domain name the same points
+        pts = pts + rng.integers(-2, 3, size=pts.shape) * (
+            2.0 * np.pi if space.kind == "circle" else 1.0)
+    return pts
+
+
+@settings(max_examples=120, deadline=None)
+@given(kind=st.sampled_from(sorted(_SPACES)), name=st.sampled_from(sorted(_KERNELS)),
+       seed=st.integers(0, 2 ** 32 - 1), rows=st.integers(1, 9), cols=st.integers(1, 9))
+def test_values_on_aligned_pairs_are_the_pairwise_entries(kind, name, seed, rows, cols):
+    space = _SPACES[kind]
+    kernel = _KERNELS[name](space)
+    rng = np.random.default_rng(seed)
+    x = _points(space, rng, rows)
+    # y repeats x's first point, so singular kernels meet a coinciding pair
+    y = np.concatenate((x[:1], _points(space, rng, cols)))
+    table = kernel.pairwise(space, x, y)
+    i, j = np.divmod(np.arange(table.size), table.shape[1])
+    with np.errstate(divide="ignore"):
+        aligned = kernel.values(space, x[i], y[j])
+        _same_bits(table, _table_reference(name, kernel, space, x, y))
+    _same_bits(aligned, table.ravel())
+
+
+@settings(max_examples=80, deadline=None)
+@given(kind=st.sampled_from(sorted(_SPACES)),
+       name=st.sampled_from(sorted(_KERNELS) + ["green"]),
+       seed=st.integers(0, 2 ** 32 - 1), n=st.integers(2, 14))
+def test_w_n_pair_values_are_the_upper_triangle_of_the_table(kind, name, seed, n):
+    space = _SPACES[kind]
+    if name == "green":
+        if not space.has_basis:
+            return
+        kernel = GreenKernel(GreenModel(space, BackgroundCharge.uniform(space)))
+    else:
+        kernel = _KERNELS[name](space)
+    config = _points(space, np.random.default_rng(seed), n)
+    report = w_n_report(EnergyModel(space, kernel, BETA), config)
+    _same_bits(report.pair_values,
+               kernel.pairwise(space, config, config)[np.triu_indices(n, k=1)])
+
+
+def _modulo_distance(space, a, b, chord=False):
+    """``Space.distance`` on the circle and the torus with ``%`` in place of
+    ``np.fmod``."""
+    if space.kind == "circle":
+        d = np.abs(a[..., 0] - b[..., 0]) % (2.0 * np.pi)
+        d = np.minimum(d, 2.0 * np.pi - d)
+        return 2.0 * np.sin(0.5 * d) if chord else d
+    d = np.abs(a - b) % 1.0
+    d = np.minimum(d, 1.0 - d)
+    return np.sqrt((d ** 2).sum(axis=-1))
+
+
+_SPECIAL = [0.0, -0.0, 1.0, -1.0, np.pi, 2.0 * np.pi, -2.0 * np.pi, 4.0 * np.pi,
+            np.nextafter(2.0 * np.pi, 0.0), math.inf, -math.inf, math.nan]
+_COORDINATE = st.floats(-20.0, 20.0) | st.floats(-1e6, 1e6) | st.sampled_from(_SPECIAL)
+
+
+@settings(max_examples=300, deadline=None)
+@given(kind=st.sampled_from(["circle", "torus"]), chord=st.booleans(),
+       coords=st.lists(_COORDINATE, min_size=4, max_size=24))
+@example(kind="circle", chord=False, coords=[0.0, 2.0 * np.pi, math.inf, math.nan])
+@example(kind="torus", chord=False, coords=[0.0, 1.0, 2.0, -1.0, math.inf, 0.5, math.nan, 3.0])
+def test_fmod_distance_is_the_modulo_formula(kind, chord, coords):
+    space = _SPACES[kind]
+    width = space.point_dim
+    pts = np.array(coords[: len(coords) // (2 * width) * 2 * width]).reshape(2, -1, width)
+    with np.errstate(invalid="ignore"):
+        _same_bits(space.distance(pts[0], pts[1], chord=chord),
+                   _modulo_distance(space, pts[0], pts[1], chord=chord))
+        _same_bits(space.distance(pts[0][:, None], pts[1][None], chord=chord),
+                   _modulo_distance(space, pts[0][:, None], pts[1][None], chord=chord))
+
+
+@pytest.mark.parametrize("kind", sorted(_SPACES))
+def test_constant_expression_kernel_fills_every_pair(kind):
+    space = _SPACES[kind]
+    config = RunConfig.from_text("seed: 1\nkernel:\n  kind: expression\n  expr: '1.5'\n")
+    kernel = build_kernel(config, space)
+    pts = _points(space, np.random.default_rng(3), 6)
+    _same_bits(kernel.pairwise(space, pts, pts[:4]), np.full((6, 4), 1.5))
+    _same_bits(kernel_node_matrix(kernel, space), np.full((space.n_nodes,) * 2, 1.5))
+    assert w_n(EnergyModel(space, kernel, BETA), pts) == w_n(
+        EnergyModel(space, ConstantKernel(1.5), BETA), pts)

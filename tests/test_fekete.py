@@ -23,6 +23,7 @@ from gibbslab.fekete import (
     DensityFunctional,
     IntegralFunctional,
     _analytic_pair_gradient,
+    _closest_pair,
     _fd_pair_gradient,
     _gradient_descent,
     _objective,
@@ -363,3 +364,46 @@ def test_exports(circle_table, log_gas):
                           pair_matrix=np.eye(2)), 3)
     assert finite.to_csv_rows()[0] == ["index", "atom"]
     assert "points" in finite.to_json_dict()
+
+
+# -- closest pairs ---------------------------------------------------------------
+
+
+def _table_closest_pair(space, config):
+    """First row-major minimum of the full geodesic table, diagonal excluded."""
+    dists = space.geodesic(config, config)
+    np.fill_diagonal(dists, np.inf)
+    i, j = np.unravel_index(int(np.argmin(dists)), dists.shape)
+    return float(dists[i, j]), (int(i), int(j))
+
+
+def _closest_pair_cases():
+    rng = np.random.default_rng(5)
+    circle = build_space("circle", 16, 3)
+    torus = build_space("torus", 8, 3)
+    sphere = build_space("sphere", 1, 2)
+    box = build_space("box", 8, bounds=[(-1.0, 2.0), (0.0, 1.0)])
+    side = np.arange(5) / 5.0
+    lattice = np.column_stack([np.repeat(side, 5), np.tile(side, 5)])
+    cases = [
+        ("two points", circle, np.array([[0.3], [5.0]])),
+        ("equispaced circle", circle, 2.0 * np.pi * np.arange(12)[:, None] / 12),
+        ("shifted equispaced circle", circle, 0.1 + 2.0 * np.pi * np.arange(7)[:, None] / 7),
+        ("torus lattice", torus, lattice),
+        ("torus lattice, permuted", torus, lattice[rng.permutation(25)]),
+        ("icosahedron", sphere, sphere.nodes[:12]),
+        ("box grid", box, box.nodes),
+    ]
+    for name, space in (("circle", circle), ("torus", torus), ("sphere", sphere), ("box", box)):
+        config = space.sample_points(rng, 9)
+        cases.append((f"random {name}", space, config))
+        colliding = config.copy()
+        colliding[6] = colliding[2]
+        cases.append((f"colliding {name}", space, colliding))
+    return cases
+
+
+@pytest.mark.parametrize("name, space, config", _closest_pair_cases(),
+                         ids=[case[0] for case in _closest_pair_cases()])
+def test_closest_pair_is_the_full_table_argmin(name, space, config):
+    assert _closest_pair(space, config) == _table_closest_pair(space, config)

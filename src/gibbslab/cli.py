@@ -13,7 +13,6 @@ import hashlib
 import io
 import json
 import os
-from concurrent.futures import ThreadPoolExecutor
 from datetime import datetime, timezone
 
 import click
@@ -25,12 +24,13 @@ from .config import (
     build_constraint,
     build_finite_model,
     build_functional,
+    build_green_model,
     build_model,
     build_run_space,
 )
 from .equilibrium import minimize_free_energy
 from .errors import ConfigError, GibbsLabError
-from .expressions import compile_expression
+from .expressions import compile_point_function
 from .fekete import fekete_minimize, infima_convergence_table
 from .ldp import (
     conditional_gas_verify,
@@ -42,9 +42,21 @@ from .measures import FiniteSpace
 from .plotting import plot_emit
 from .rng import derive_rng
 from .sampler import mcmc_run
-from .spaces import BackgroundCharge, GreenModel, _coordinate_names, green_identity_residual
+from .spaces import _coordinate_names, green_identity_residual
 
 __all__ = ["main", "plot_emit"]
+
+
+# Config keys each command passes straight to its library call as keyword
+# arguments; the library signatures hold every default.
+EQUILIBRIUM_OPTIONS = ("max_iters", "tol", "step")
+SAMPLER_OPTIONS = ("n", "steps", "proposal_scale", "burn_in", "thin", "ladder",
+                   "swap_every")
+FEKETE_TABLE_OPTIONS = ("threshold", "restarts", "max_iters", "grid_steps")
+FEKETE_OPTIONS = ("restarts", "max_iters", "grad_tol", "polish_rounds")
+FINITE_LAPLACE_OPTIONS = ("threshold", "grid_steps")
+MC_LAPLACE_OPTIONS = ("chain_budget", "rungs", "threshold", "ess_floor")
+SINGLE_PARTICLE_OPTIONS = ("threshold",)
 
 
 def _csv_text(rows):
@@ -88,7 +100,6 @@ class _Run:
                 self.config.to_yaml().encode("utf-8")).hexdigest(),
             "version": __version__,
             "seed": self.config.seed,
-            "threads": self.config.threads,
             "started_at": self.started,
             "finished_at": datetime.now(timezone.utc).isoformat(
                 timespec="seconds"),
@@ -106,13 +117,12 @@ def _any_model(config):
     return build_model(config)
 
 
-def _ldp_block(config):
-    block = config.section("ldp", {})
-    n_values = block.get("n_values")
-    if not isinstance(n_values, list) or not n_values:
+def _n_values(config):
+    n_values = config.section("ldp").get("n_values")
+    if not n_values:
         raise ConfigError(f"{config.source}: ldp.n_values must be a nonempty "
                           "list")
-    return block, [int(n) for n in n_values]
+    return n_values
 
 
 def _execute(command, config_path, body):
@@ -142,26 +152,20 @@ def green_check_cmd(config_path):
 
     def body(config, run):
         space = build_run_space(config)
-        block = config.section("green_check", {})
-        trials = block.get("trials", 100)
-        tolerance = float(block.get("tolerance", 1e-6))
-        kernel_block = config.section("kernel", {})
-        charge_key = kernel_block.get("charge", "uniform")
-        if charge_key == "uniform":
-            charge = BackgroundCharge.uniform(space)
-        else:
-            charge = BackgroundCharge.from_expression(space, charge_key)
-        model = GreenModel(space, charge, order=block.get("order"))
+        options = config.options("green_check", "trials", "tolerance", "order")
+        trials = options.get("trials", 100)
+        tolerance = options.get("tolerance", 1e-6)
+        if trials < 1:
+            raise ConfigError(f"{config.source}: green_check.trials must be "
+                              f"at least 1, got {trials}")
+        model = build_green_model(space, config.section("kernel"),
+                                  options.get("order"))
         rng = derive_rng(config.seed, "green-check")
-        inputs = []
+        residuals = []
         for _ in range(trials):
             point = space.sample_points(rng, 1)
             coeffs = rng.standard_normal(model.order + 1)
-            inputs.append((coeffs, point))
-        with ThreadPoolExecutor(max_workers=config.threads) as pool:
-            residuals = list(pool.map(
-                lambda pair: green_identity_residual(model, pair[0], pair[1]),
-                inputs))
+            residuals.append(green_identity_residual(model, coeffs, point))
         rows = [["trial", "residual"]]
         for index, residual in enumerate(residuals):
             rows.append([str(index), f"{residual:.17g}"])
@@ -190,25 +194,16 @@ def equilibrium_cmd(config_path):
 
     def body(config, run):
         model = build_model(config)
-        block = config.section("equilibrium", {})
         result = minimize_free_energy(
-            model,
-            max_iters=block.get("max_iters", 5000),
-            tol=float(block.get("tol", 1e-10)),
-            step=float(block.get("step", 1.0)),
-        )
+            model, **config.options("equilibrium", *EQUILIBRIUM_OPTIONS))
         space = model.space
         names = _coordinate_names(space)
         header = names + ["density"]
-        columns = [space.nodes[:, i] for i in range(space.nodes.shape[1])]
-        columns.append(result.measure.density)
-        overlay = block.get("overlay")
+        columns = [*space.nodes.T, result.measure.density]
+        overlay = config.section("equilibrium").get("overlay")
         if overlay is not None:
-            fn = compile_expression(overlay, names)
             header.append("overlay")
-            columns.append(np.broadcast_to(
-                np.asarray(fn(*columns[:len(names)]), dtype=float),
-                (space.n_nodes,)))
+            columns.append(compile_point_function(overlay, names)(space.nodes))
         rows = [header]
         for i in range(space.n_nodes):
             rows.append([f"{column[i]:.17g}" for column in columns])
@@ -234,17 +229,11 @@ def sample_cmd(config_path):
 
     def body(config, run):
         model = _any_model(config)
-        block = config.section("sampler", {})
-        if "n" not in block or "steps" not in block:
+        options = config.options("sampler", *SAMPLER_OPTIONS)
+        if "n" not in options or "steps" not in options:
             raise ConfigError(f"{config.source}: sampler.n and sampler.steps "
                               "are required")
-        kwargs = {}
-        for key in ("proposal_scale", "burn_in", "thin", "ladder",
-                    "swap_every"):
-            if key in block:
-                kwargs[key] = block[key]
-        result = mcmc_run(model, int(block["n"]), int(block["steps"]),
-                          seed=config.seed, **kwargs)
+        result = mcmc_run(model, seed=config.seed, **options)
         if result.kind == "finite":
             n_atoms = model.space.n_atoms
             rows = [["sample"] + [f"count_{i}" for i in range(n_atoms)]]
@@ -280,17 +269,12 @@ def fekete_cmd(config_path, n_override):
 
     def body(config, run):
         model = _any_model(config)
-        block = config.section("fekete", {})
+        block = config.section("fekete")
         n_values = block.get("n_values")
         if n_values and n_override is None:
             table = infima_convergence_table(
-                model, [int(n) for n in n_values],
-                threshold=float(block.get("threshold", 0.05)),
-                restarts=block.get("restarts", 4),
-                seed=config.seed,
-                max_iters=block.get("max_iters", 2000),
-                grid_steps=block.get("grid_steps", 200),
-            )
+                model, n_values, seed=config.seed,
+                **config.options("fekete", *FEKETE_TABLE_OPTIONS))
             run.emit("fekete_table.csv", _csv_text(table.to_csv_rows()))
             run.emit("fekete_summary.json", _json_text(table.to_json_dict()))
             click.echo(f"final gap {table.final_gap:.6f} at n="
@@ -300,14 +284,8 @@ def fekete_cmd(config_path, n_override):
         n = n_override if n_override is not None else block.get("n")
         if n is None:
             raise ConfigError(f"{config.source}: fekete.n or --n is required")
-        result = fekete_minimize(
-            model, int(n),
-            restarts=block.get("restarts", 8),
-            seed=config.seed,
-            max_iters=block.get("max_iters", 2000),
-            grad_tol=float(block.get("grad_tol", 1e-9)),
-            polish_rounds=block.get("polish_rounds", 2),
-        )
+        result = fekete_minimize(model, n, seed=config.seed,
+                                 **config.options("fekete", *FEKETE_OPTIONS))
         run.emit("fekete_points.csv", _csv_text(result.to_csv_rows()))
         run.emit("fekete_summary.json", _json_text(result.to_json_dict()))
         click.echo(f"minimum {result.value:.7f} over {result.restarts} "
@@ -332,22 +310,18 @@ def laplace_verify_cmd(config_path):
     """Exponential-integral values L_n against the macroscopic limit."""
 
     def body(config, run):
-        block, n_values = _ldp_block(config)
-        threshold = float(block.get("threshold", 0.05))
+        n_values = _n_values(config)
         model = _any_model(config)
-        f = build_functional(config, block.get("f"), model.space)
+        f = build_functional(config, config.section("ldp").get("f"),
+                             model.space)
         if isinstance(model.space, FiniteSpace):
             verdict = laplace_verify_finite(
-                model.space, model, f, n_values, threshold=threshold,
-                grid_steps=block.get("grid_steps", 400))
+                model.space, model, f, n_values,
+                **config.options("ldp", *FINITE_LAPLACE_OPTIONS))
         else:
             verdict = laplace_estimate_mc(
-                model, f, n_values,
-                chain_budget=block.get("chain_budget", 20000),
-                seed=config.seed,
-                rungs=block.get("rungs", 8),
-                threshold=threshold,
-                ess_floor=float(block.get("ess_floor", 100.0)))
+                model, f, n_values, seed=config.seed,
+                **config.options("ldp", *MC_LAPLACE_OPTIONS))
         return _verdict_outputs(run, verdict, "laplace")
 
     _execute("laplace-verify", config_path, body)
@@ -389,19 +363,15 @@ def conditional_cmd(config_path):
     """Conditional-gas checks against a deterministic environment."""
 
     def body(config, run):
-        block, n_values = _ldp_block(config)
+        n_values = _n_values(config)
+        block = config.section("ldp")
         mode = block.get("mode", "environment")
-        threshold = float(block.get("threshold", 0.05))
         model = build_model(config, environment=True)
         if mode == "environment":
             f = build_functional(config, block.get("f"), model.space)
             verdict = conditional_gas_verify(
-                model, f, n_values, mode="environment",
-                chain_budget=block.get("chain_budget", 20000),
-                seed=config.seed,
-                rungs=block.get("rungs", 8),
-                threshold=threshold,
-                ess_floor=float(block.get("ess_floor", 100.0)))
+                model, f, n_values, mode="environment", seed=config.seed,
+                **config.options("ldp", *MC_LAPLACE_OPTIONS))
         elif mode == "single_particle":
             f_block = block.get("f")
             f_fn = None
@@ -413,7 +383,7 @@ def conditional_cmd(config_path):
                 f_fn = functional.g
             verdict = conditional_gas_verify(
                 model, f_fn, n_values, mode="single_particle",
-                threshold=threshold)
+                **config.options("ldp", *SINGLE_PARTICLE_OPTIONS))
         else:
             raise ConfigError(f"{config.source}: ldp.mode must be "
                               f"'environment' or 'single_particle', got "

@@ -1,13 +1,15 @@
-"""Run configuration: strict YAML parsing and model construction.
+"""Run configuration: strict, typed YAML parsing and model construction.
 
-A run config is a YAML mapping with nested sections.  Parsing is strict:
-unknown or duplicate keys fail with their line and column, and the seed is
-required (runs never fall back to wall-clock entropy).  ``RunConfig`` keeps
-the validated mapping verbatim, so parse -> serialize -> parse is the
-identity on values.
+A run config is a YAML mapping with nested sections.  ``_SCHEMA`` is the one
+source of truth for its keys and their types.  Parsing is strict: unknown or
+duplicate keys and values of the wrong type fail with their line and column,
+and the seed is required (runs never fall back to wall-clock entropy).  A
+null value counts as unset.  ``RunConfig`` keeps the validated mapping
+verbatim, so parse -> serialize -> parse is the identity on values;
+``RunConfig.options`` hands the keys a config sets, converted to their
+schema types, to the library, whose signatures hold every default.
 
-Only two environment overrides exist: ``GIBBSLAB_OUTPUT_DIR`` and
-``GIBBSLAB_THREADS``.
+The one environment override is ``GIBBSLAB_OUTPUT_DIR``.
 """
 
 import math
@@ -30,11 +32,11 @@ from .energy import (
     StaticPotential,
 )
 from .errors import ConfigError
-from .expressions import compile_expression
+from .expressions import compile_expression, compile_point_function
 from .fekete import IntegralFunctional
 from .ldp import HalfSpace
 from .measures import EmpiricalMeasure, FiniteSpace, GridMeasure
-from .spaces import BackgroundCharge, GreenModel, build_space
+from .spaces import BackgroundCharge, GreenModel, _coordinate_names, build_space
 
 __all__ = [
     "RunConfig",
@@ -43,61 +45,50 @@ __all__ = [
     "build_environment",
     "build_finite_model",
     "build_functional",
+    "build_green_model",
     "build_kernel",
     "build_model",
     "build_run_space",
 ]
 
-# nested key schema; None marks a leaf whose value the builders validate
+# A leaf names its type: int, float, str, bool, or [type] for a list.  A
+# dict is a section, and [section] a list of sections.
+_KERNEL = {"kind": str, "scale": float, "value": float, "expr": str,
+           "order": int, "charge": str}
+_FUNCTIONAL = {"vector": [float], "expr": str}
+
 _SCHEMA = {
-    "seed": None,
-    "output_dir": None,
-    "threads": None,
-    "space": {
-        "kind": None,
-        "resolution": None,
-        "basis_order": None,
-        "bounds": None,
-        "density": None,
-    },
-    "finite": {"probs": None, "pair_matrix": None},
-    "kernel": {
-        "kind": None,
-        "scale": None,
-        "value": None,
-        "expr": None,
-        "order": None,
-        "charge": None,
-    },
-    "beta": {"kind": None, "value": None, "coefficient": None, "expr": None,
-             "limit": None},
-    "potentials": [{"expr": None}],
-    "environment": {
-        "kernel": {
-            "kind": None,
-            "scale": None,
-            "value": None,
-            "expr": None,
-            "order": None,
-            "charge": None,
-        },
-        "points": None,
-        "equispaced": None,
-        "limit": None,
-    },
-    "sampler": {"n": None, "steps": None, "burn_in": None, "thin": None,
-                "proposal_scale": None, "ladder": None, "swap_every": None},
-    "equilibrium": {"max_iters": None, "tol": None, "step": None,
-                    "overlay": None},
-    "fekete": {"n": None, "n_values": None, "restarts": None,
-               "max_iters": None, "grad_tol": None, "grid_steps": None,
-               "threshold": None, "polish_rounds": None},
-    "ldp": {"n_values": None, "threshold": None, "chain_budget": None,
-            "rungs": None, "ess_floor": None, "grid_steps": None,
-            "mode": None, "f": {"vector": None, "expr": None},
-            "constraint": {"vector": None, "expr": None, "level": None}},
-    "green_check": {"trials": None, "tolerance": None, "order": None},
+    "seed": int,
+    "output_dir": str,
+    "space": {"kind": str, "resolution": int, "basis_order": int,
+              "bounds": [[float]], "density": str},
+    "finite": {"probs": [float], "pair_matrix": [[float]]},
+    "kernel": _KERNEL,
+    "beta": {"kind": str, "value": float, "coefficient": float, "expr": str,
+             "limit": float},
+    "potentials": [{"expr": str}],
+    "environment": {"kernel": _KERNEL, "points": [[float]],
+                    "equispaced": bool, "limit": str},
+    "sampler": {"n": int, "steps": int, "burn_in": float, "thin": int,
+                "proposal_scale": float, "ladder": [float],
+                "swap_every": int},
+    "equilibrium": {"max_iters": int, "tol": float, "step": float,
+                    "overlay": str},
+    "fekete": {"n": int, "n_values": [int], "restarts": int,
+               "max_iters": int, "grad_tol": float, "grid_steps": int,
+               "threshold": float, "polish_rounds": int},
+    "ldp": {"n_values": [int], "threshold": float, "chain_budget": int,
+            "rungs": int, "ess_floor": float, "grid_steps": int,
+            "mode": str, "f": _FUNCTIONAL,
+            "constraint": {**_FUNCTIONAL, "level": float}},
+    "green_check": {"trials": int, "tolerance": float, "order": int},
 }
+
+# YAML tags each leaf type accepts; a float leaf also takes a string that
+# float() reads, since YAML 1.1 loads 1e-10 (no dot) and inf as strings
+_TAGS = {int: {"int"}, float: {"int", "float"}, str: {"str"}, bool: {"bool"}}
+_TYPE_NAMES = {int: "an integer", float: "a number", str: "a string",
+               bool: "true or false"}
 
 _SPACE_DEFAULTS = {
     "circle": (256, 64),
@@ -107,43 +98,70 @@ _SPACE_DEFAULTS = {
 }
 
 
-def _mark(node):
+def _fail(node, message):
     mark = node.start_mark
-    return mark.line + 1, mark.column + 1
+    raise ConfigError(message, line=mark.line + 1, column=mark.column + 1)
+
+
+def _tag(node):
+    return node.tag.rsplit(":", 1)[-1]
+
+
+def _reads_as_float(text):
+    try:
+        float(text)
+    except ValueError:
+        return False
+    return True
 
 
 def _validate_node(node, schema, path):
+    """Check a composed YAML node against its schema entry: keys, nesting
+    and leaf types, failing at the offending node's line and column."""
     if isinstance(schema, dict):
+        section = path or "top-level"
         if not isinstance(node, yaml.MappingNode):
-            line, column = _mark(node)
-            raise ConfigError(f"section '{path}' must be a mapping",
-                              line=line, column=column)
+            _fail(node, f"section '{section}' must be a mapping")
         seen = set()
         for key_node, value_node in node.value:
             if not isinstance(key_node, yaml.ScalarNode):
-                line, column = _mark(key_node)
-                raise ConfigError(f"non-scalar key in section '{path}'",
-                                  line=line, column=column)
+                _fail(key_node, f"non-scalar key in section '{section}'")
             key = key_node.value
-            line, column = _mark(key_node)
             if key in seen:
-                raise ConfigError(f"duplicate key '{key}' in section '{path}'",
-                                  line=line, column=column)
+                _fail(key_node, f"duplicate key '{key}' in section '{section}'")
             seen.add(key)
             if key not in schema:
-                raise ConfigError(f"unknown key '{key}' in section '{path}'",
-                                  line=line, column=column)
+                _fail(key_node, f"unknown key '{key}' in section '{section}'")
             child = schema[key]
-            if child is not None:
-                _validate_node(value_node, child, f"{path}.{key}")
+            # a null leaf or list counts as unset; sections must be mappings
+            if isinstance(child, dict) or _tag(value_node) != "null":
+                _validate_node(value_node, child, f"{path}.{key}" if path else key)
         return
     if isinstance(schema, list):
         if not isinstance(node, yaml.SequenceNode):
-            line, column = _mark(node)
-            raise ConfigError(f"section '{path}' must be a list",
-                              line=line, column=column)
+            _fail(node, f"{path} must be a list")
         for index, item in enumerate(node.value):
             _validate_node(item, schema[0], f"{path}[{index}]")
+        return
+    if not isinstance(node, yaml.ScalarNode):
+        _fail(node, f"{path} must be {_TYPE_NAMES[schema]}")
+    tag = _tag(node)
+    if tag not in _TAGS[schema] and not (
+            schema is float and tag == "str" and _reads_as_float(node.value)):
+        _fail(node, f"{path} must be {_TYPE_NAMES[schema]}, got {node.value!r}")
+
+
+def _convert(value, kind):
+    if isinstance(kind, list):
+        return [_convert(item, kind[0]) for item in value]
+    return kind(value)
+
+
+def _typed(block, schema, keys):
+    """The ``keys`` that ``block`` sets (not null), converted to their
+    ``schema`` types."""
+    return {key: _convert(block[key], schema[key]) for key in keys
+            if block.get(key) is not None}
 
 
 @dataclass
@@ -152,7 +170,6 @@ class RunConfig:
 
     seed: int
     output_dir: str
-    threads: int
     data: dict
     source: str = field(default="<config>", repr=False)
 
@@ -160,44 +177,23 @@ class RunConfig:
     def from_text(cls, text, source="<config>"):
         try:
             root = yaml.compose(text, Loader=yaml.SafeLoader)
+            if root is None:
+                raise ConfigError(f"{source}: config file is empty")
+            _validate_node(root, _SCHEMA, "")
+            data = yaml.safe_load(text)
         except yaml.YAMLError as exc:
             mark = getattr(exc, "problem_mark", None)
             if mark is not None:
                 raise ConfigError(f"{source}: {getattr(exc, 'problem', exc)}",
                                   line=mark.line + 1, column=mark.column + 1)
             raise ConfigError(f"{source}: {exc}")
-        if root is None:
-            raise ConfigError(f"{source}: config file is empty")
-        _validate_node(root, _SCHEMA, "top-level")
-        data = yaml.safe_load(text)
-        if "seed" not in data:
+        if data.get("seed") is None:
             raise ConfigError(f"{source}: 'seed' is required (runs never use "
                               "wall-clock entropy)")
-        seed = data["seed"]
-        if isinstance(seed, bool) or not isinstance(seed, int):
-            raise ConfigError(f"{source}: seed must be an integer, got {seed!r}")
-        output_dir = data.get("output_dir", ".")
-        if not isinstance(output_dir, str):
-            raise ConfigError(f"{source}: output_dir must be a string")
-        threads = data.get("threads", 1)
-        if isinstance(threads, bool) or not isinstance(threads, int) or threads < 1:
-            raise ConfigError(f"{source}: threads must be a positive integer, "
-                              f"got {threads!r}")
-        env_dir = os.environ.get("GIBBSLAB_OUTPUT_DIR")
-        if env_dir:
-            output_dir = env_dir
-        env_threads = os.environ.get("GIBBSLAB_THREADS")
-        if env_threads:
-            try:
-                threads = int(env_threads)
-            except ValueError:
-                raise ConfigError(
-                    f"GIBBSLAB_THREADS must be an integer, got {env_threads!r}")
-            if threads < 1:
-                raise ConfigError(
-                    f"GIBBSLAB_THREADS must be positive, got {env_threads!r}")
-        return cls(seed=seed, output_dir=output_dir, threads=threads,
-                   data=data, source=source)
+        output_dir = (os.environ.get("GIBBSLAB_OUTPUT_DIR")
+                      or data.get("output_dir") or ".")
+        return cls(seed=data["seed"], output_dir=output_dir, data=data,
+                   source=source)
 
     @classmethod
     def from_file(cls, path):
@@ -212,9 +208,9 @@ class RunConfig:
         return yaml.safe_dump(self.data, sort_keys=True,
                               default_flow_style=False)
 
-    def section(self, name, default=None):
-        value = self.data.get(name, default)
-        return {} if value is None and default is None else value
+    def section(self, name):
+        """The mapping of section ``name``; empty when the config omits it."""
+        return self.data.get(name) or {}
 
     def require(self, name):
         if name not in self.data:
@@ -222,26 +218,14 @@ class RunConfig:
                               f"for this command")
         return self.data[name]
 
+    def options(self, section, *keys):
+        """The ``keys`` that ``section`` sets, converted to their schema
+        types, as keyword arguments: a key the config leaves unset takes the
+        default of the library signature it is passed to."""
+        return _typed(self.section(section), _SCHEMA[section], keys)
+
 
 # -- builders ----------------------------------------------------------------------
-
-
-def _as_float(block, key, default, source):
-    value = block.get(key, default)
-    if value is None:
-        return None
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ConfigError(f"{source}: '{key}' must be a number, got {value!r}")
-    return float(value)
-
-
-def _as_int(block, key, default, source):
-    value = block.get(key, default)
-    if value is None:
-        return None
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ConfigError(f"{source}: '{key}' must be an integer, got {value!r}")
-    return int(value)
 
 
 def build_run_space(config):
@@ -251,45 +235,37 @@ def build_run_space(config):
     if kind not in _SPACE_DEFAULTS:
         raise ConfigError(f"{config.source}: space.kind must be one of "
                           f"{sorted(_SPACE_DEFAULTS)}, got {kind!r}")
-    resolution_default, basis_default = _SPACE_DEFAULTS[kind]
-    resolution = _as_int(block, "resolution", resolution_default, config.source)
-    if "basis_order" not in block and kind in ("circle", "torus"):
+    resolution, basis_order = _SPACE_DEFAULTS[kind]
+    values = config.options("space", "resolution", "basis_order", "bounds")
+    resolution = values.get("resolution", resolution)
+    if "basis_order" not in values and kind in ("circle", "torus"):
         # keep the spectral truncation clear of the grid's aliasing limit
-        basis_default = min(basis_default, max(1, resolution // 4))
-    basis_order = _as_int(block, "basis_order", basis_default, config.source)
-    bounds = block.get("bounds")
-    if bounds is not None:
-        bounds = [tuple(pair) for pair in bounds]
-    return build_space(kind, resolution, basis_order, bounds=bounds,
-                       density=block.get("density"))
+        basis_order = min(basis_order, max(1, resolution // 4))
+    return build_space(kind, resolution, values.get("basis_order", basis_order),
+                       bounds=values.get("bounds"), density=block.get("density"))
 
 
 def build_finite_space(config):
-    block = config.require("finite")
-    probs = block.get("probs")
-    if not isinstance(probs, list) or not probs:
+    probs = config.options("finite", "probs").get("probs")
+    if not probs:
         raise ConfigError(f"{config.source}: finite.probs must be a nonempty "
                           "list of atom probabilities")
     return FiniteSpace(np.asarray(probs, dtype=float))
 
 
 def build_beta(config):
-    block = config.section("beta", {"kind": "constant", "value": 1.0})
-    kind = block.get("kind", "constant")
+    kind = config.section("beta").get("kind", "constant")
     if kind == "constant":
-        return BetaSchedule.constant(_as_float(block, "value", 1.0,
-                                               config.source))
+        return BetaSchedule.constant(
+            config.options("beta", "value").get("value", 1.0))
     if kind == "linear":
-        return BetaSchedule.linear(_as_float(block, "coefficient", 1.0,
-                                             config.source))
+        return BetaSchedule.linear(**config.options("beta", "coefficient"))
     if kind == "expression":
-        expr = block.get("expr")
-        fn = compile_expression(expr, ["n"])
-        limit = block.get("limit")
+        fn = compile_expression(config.section("beta").get("expr"), ["n"])
+        limit = config.options("beta", "limit").get("limit")
         if limit is None:
             raise ConfigError(f"{config.source}: beta.limit is required for "
                               "expression schedules")
-        limit = math.inf if limit in ("inf", ".inf") else float(limit)
         return BetaSchedule.from_callable(lambda n: float(fn(float(n))), limit)
     raise ConfigError(f"{config.source}: beta.kind must be constant, linear "
                       f"or expression, got {kind!r}")
@@ -306,22 +282,27 @@ def _distance_kernel(space, expr):
     return CallableKernel(pair_fn, singular=False)
 
 
+def build_green_model(space, block, order=None):
+    """Green model for the ``charge`` of a kernel block: ``uniform`` (the
+    default) or an expression over the space's coordinates."""
+    charge = block.get("charge", "uniform")
+    if charge == "uniform":
+        charge = BackgroundCharge.uniform(space)
+    else:
+        charge = BackgroundCharge.from_expression(space, charge)
+    return GreenModel(space, charge, order=order)
+
+
 def build_kernel(config, space, block=None):
     if block is None:
         block = config.require("kernel")
     kind = block.get("kind")
     if kind == "green":
-        charge = block.get("charge", "uniform")
-        if charge == "uniform":
-            charge = BackgroundCharge.uniform(space)
-        else:
-            charge = BackgroundCharge.from_expression(space, charge)
-        order = _as_int(block, "order", None, config.source)
-        return GreenKernel(GreenModel(space, charge, order=order))
+        return GreenKernel(build_green_model(space, block, block.get("order")))
     if kind == "log_chord":
-        return LogChordKernel(_as_float(block, "scale", 1.0, config.source))
+        return LogChordKernel(**_typed(block, _KERNEL, ["scale"]))
     if kind == "constant":
-        return ConstantKernel(_as_float(block, "value", 0.0, config.source))
+        return ConstantKernel(_typed(block, _KERNEL, ["value"]).get("value", 0.0))
     if kind == "expression":
         return _distance_kernel(space, block.get("expr"))
     raise ConfigError(f"{config.source}: kernel.kind must be green, "
@@ -329,10 +310,8 @@ def build_kernel(config, space, block=None):
 
 
 def build_potentials(config, space):
-    potentials = []
-    for item in config.section("potentials", []):
-        potentials.append(StaticPotential.from_expression(space, item.get("expr")))
-    return potentials
+    return [StaticPotential.from_expression(space, item.get("expr"))
+            for item in config.data.get("potentials") or []]
 
 
 def build_environment(config, space):
@@ -346,15 +325,15 @@ def build_environment(config, space):
     kernel = build_kernel(config, space, block=block.get("kernel"))
     limit_key = block.get("limit")
     equispaced = block.get("equispaced")
-    points = block.get("points")
+    points = config.options("environment", "points").get("points")
     if equispaced is not None and points is not None:
         raise ConfigError(f"{config.source}: give either environment.points "
                           "or environment.equispaced, not both")
     if equispaced is not None:
-        if equispaced is not True:
+        if not equispaced:
             raise ConfigError(f"{config.source}: environment.equispaced must "
                               "be true (stage n then holds n equally spaced "
-                              f"points), got {equispaced!r}")
+                              "points), got false")
         if space.kind != "circle":
             raise ConfigError(f"{config.source}: equispaced environment "
                               "streams are defined on the circle")
@@ -383,8 +362,7 @@ def build_environment(config, space):
 
 def build_finite_model(config):
     space = build_finite_space(config)
-    block = config.require("finite")
-    matrix = block.get("pair_matrix")
+    matrix = config.options("finite", "pair_matrix").get("pair_matrix")
     if matrix is None:
         raise ConfigError(f"{config.source}: finite.pair_matrix is required")
     return FiniteEnergyModel(space, build_beta(config),
@@ -402,53 +380,35 @@ def build_model(config, environment=False):
                        potentials=potentials)
 
 
+def _point_values(config, block, space, what):
+    """Per-point values from a ``{vector: [...]}`` or ``{expr: ...}`` block:
+    the vector, or the expression over the space's coordinates."""
+    vector = _typed(block, _FUNCTIONAL, ["vector"]).get("vector")
+    if vector is not None:
+        return np.asarray(vector, dtype=float)
+    expr = block.get("expr")
+    if expr is None:
+        raise ConfigError(f"{config.source}: {what} blocks need 'vector' or "
+                          "'expr'")
+    if isinstance(space, FiniteSpace):
+        raise ConfigError(f"{config.source}: finite-space {what}s need a "
+                          "'vector' block, not an expression")
+    return compile_point_function(expr, _coordinate_names(space))
+
+
 def build_functional(config, block, space):
     """Integral functional from a ``{vector: [...]}`` or ``{expr: ...}``
     block; None passes through."""
     if block is None:
         return None
-    vector = block.get("vector")
-    if vector is not None:
-        return IntegralFunctional(np.asarray(vector, dtype=float))
-    expr = block.get("expr")
-    if expr is None:
-        raise ConfigError(f"{config.source}: functional blocks need 'vector' "
-                          "or 'expr'")
-    if isinstance(space, FiniteSpace):
-        raise ConfigError(f"{config.source}: finite-space functionals need a "
-                          "'vector' block, not an expression")
-    from .spaces import _coordinate_names
-
-    fn = compile_expression(expr, _coordinate_names(space))
-
-    def point_values(points):
-        return fn(*[points[:, i] for i in range(points.shape[1])])
-
-    return IntegralFunctional(point_values)
+    return IntegralFunctional(_point_values(config, block, space, "functional"))
 
 
 def build_constraint(config, space):
-    block = config.section("ldp", {}).get("constraint")
+    block = config.section("ldp").get("constraint")
     if block is None:
         return None
-    level = block.get("level")
-    if level is None or isinstance(level, bool) or not isinstance(level, (int, float)):
-        raise ConfigError(f"{config.source}: constraint.level must be a number")
-    vector = block.get("vector")
-    if vector is not None:
-        return HalfSpace(np.asarray(vector, dtype=float), float(level))
-    expr = block.get("expr")
-    if expr is None:
-        raise ConfigError(f"{config.source}: constraint needs 'vector' or "
-                          "'expr'")
-    if isinstance(space, FiniteSpace):
-        raise ConfigError(f"{config.source}: finite-space constraints need a "
-                          "'vector' block, not an expression")
-    from .spaces import _coordinate_names
-
-    fn = compile_expression(expr, _coordinate_names(space))
-
-    def node_values(points):
-        return fn(*[points[:, i] for i in range(points.shape[1])])
-
-    return HalfSpace(node_values, float(level))
+    level = _typed(block, _SCHEMA["ldp"]["constraint"], ["level"]).get("level")
+    if level is None:
+        raise ConfigError(f"{config.source}: constraint.level is required")
+    return HalfSpace(_point_values(config, block, space, "constraint"), level)

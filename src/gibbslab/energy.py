@@ -29,7 +29,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import EnergyError
+from .expressions import compile_point_function
 from .measures import EmpiricalMeasure, FiniteSpace, GridMeasure
+from .spaces import _coordinate_names
 
 __all__ = [
     "BetaSchedule",
@@ -298,15 +300,8 @@ class StaticPotential:
 
     @classmethod
     def from_expression(cls, space, expr):
-        from .expressions import compile_expression
-        from .spaces import _coordinate_names
-
-        compiled = compile_expression(expr, _coordinate_names(space))
-
-        def fn(points):
-            return compiled(*[points[:, i] for i in range(points.shape[1])])
-
-        return cls(fn, description=expr)
+        return cls(compile_point_function(expr, _coordinate_names(space)),
+                   description=expr)
 
     def stage_values(self, n, points):
         return np.broadcast_to(

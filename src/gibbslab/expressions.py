@@ -13,7 +13,7 @@ import numpy as np
 
 from .errors import ConfigError
 
-__all__ = ["compile_expression"]
+__all__ = ["compile_expression", "compile_point_function"]
 
 _FUNCTIONS = {
     "exp": np.exp,
@@ -91,3 +91,15 @@ def compile_expression(text, names):
         return np.asarray(value, dtype=float)
 
     return fn
+
+
+def compile_point_function(text, names):
+    """Compile ``text`` into a function of an (m, d) point array whose
+    columns are the coordinates ``names``; it returns one value per point."""
+    fn = compile_expression(text, names)
+
+    def point_fn(points):
+        values = fn(*points.T)
+        return values if values.ndim else np.full(points.shape[0], values)
+
+    return point_fn

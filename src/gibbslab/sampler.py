@@ -410,6 +410,8 @@ def mcmc_run(model, n, steps, seed, initial=None, proposal_scale=0.5,
             raise EnergyError("ladder must be strictly increasing coupling fractions")
         if not 0.0 < scales[0] or scales[-1] != 1.0:
             raise EnergyError("ladder fractions must lie in (0, 1] and end at 1.0")
+        if swap_every < 1:
+            raise EnergyError(f"swap interval must be >= 1 step, got {swap_every}")
     else:
         scales = [1.0]
 

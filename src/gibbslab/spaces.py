@@ -22,6 +22,7 @@ import math
 import numpy as np
 
 from .errors import DiagonalSingularityError, SpaceError
+from .expressions import compile_point_function
 
 __all__ = [
     "Space",
@@ -396,19 +397,6 @@ def _build_sphere(level, basis_order):
                  eigenvalues=eigs, basis_values=basis)
 
 
-def _compile_density(expr, dim):
-    from .expressions import compile_expression
-
-    names = ["x"] if dim == 1 else ["x", "y"]
-    fn = compile_expression(expr, names)
-
-    def density(points):
-        cols = [points[:, i] for i in range(dim)]
-        return fn(*cols)
-
-    return density
-
-
 def _build_box(resolution, bounds, density):
     bounds = [tuple(map(float, b)) for b in bounds]
     dim = len(bounds)
@@ -427,7 +415,7 @@ def _build_box(resolution, bounds, density):
     cells = np.full(nodes.shape[0], cell)
     params = {"resolution": resolution, "bounds": bounds, "density": density}
     if density:
-        fn = _compile_density(density, dim)
+        fn = compile_point_function(density, ["x", "y"][:dim])
         raw = fn(nodes)
         if np.any(raw <= 0.0) or not np.all(np.isfinite(raw)):
             raise SpaceError("box reference density must be finite and positive on the grid")
@@ -510,11 +498,7 @@ class BackgroundCharge:
 
     @classmethod
     def from_expression(cls, space, expr):
-        from .expressions import compile_expression
-
-        fn = compile_expression(expr, _coordinate_names(space))
-        values = fn(*[space.nodes[:, i] for i in range(space.point_dim)])
-        values = np.broadcast_to(np.asarray(values, float), (space.n_nodes,)).copy()
+        values = compile_point_function(expr, _coordinate_names(space))(space.nodes)
         total = float((space.weights * values).sum())
         if abs(total) < 1e-12:
             raise SpaceError("charge expression integrates to 0; cannot normalize")

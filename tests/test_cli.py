@@ -1,6 +1,9 @@
+import filecmp
 import hashlib
+import inspect
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -9,7 +12,19 @@ import pytest
 from click.testing import CliRunner
 
 import gibbslab
+from gibbslab import cli
 from gibbslab.cli import main
+from gibbslab.config import _SCHEMA
+from gibbslab.equilibrium import minimize_free_energy
+from gibbslab.fekete import fekete_minimize, infima_convergence_table
+from gibbslab.ldp import (
+    laplace_estimate_mc,
+    laplace_verify_finite,
+    single_particle_limit,
+)
+from gibbslab.sampler import mcmc_run
+
+REPO = Path(__file__).resolve().parent.parent
 
 GREEN_TEXT = """
 seed: 7
@@ -388,3 +403,120 @@ def test_runtime_imports_no_scipy():
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
+
+
+SINGLE_PARTICLE_TEXT = """
+seed: 4
+output_dir: {out}
+space:
+  kind: circle
+  resolution: 128
+kernel:
+  kind: constant
+  value: 0.0
+beta:
+  kind: linear
+  coefficient: 0.5
+environment:
+  kernel:
+    kind: expression
+    expr: cos(d)
+  equispaced: true
+ldp:
+  mode: single_particle
+  n_values: [16, 64, 256]
+  threshold: 0.05
+  f:
+    expr: sin(theta)
+"""
+
+
+@pytest.mark.parametrize("command, template, old, new, message", [
+    ("green-check", GREEN_TEXT, "trials: 10", "trials: 0",
+     "green_check.trials must be at least 1"),
+    ("green-check", GREEN_TEXT, "tolerance: 1.0e-6", "tolerance: tiny",
+     "green_check.tolerance must be a number"),
+    ("equilibrium", EQUILIBRIUM_TEXT, "  overlay:", "  tol: abc\n  overlay:",
+     "equilibrium.tol must be a number"),
+    ("sample", SAMPLE_TEXT, "thin: 10", "thin: 10\n  ladder: [0.5, 1.0]\n"
+     "  swap_every: 0", "swap interval"),
+    ("sample", SAMPLE_TEXT, "steps: 4000", "steps: many",
+     "sampler.steps must be an integer"),
+    ("fekete", FEKETE_TEXT, "restarts: 4", "restarts: two",
+     "fekete.restarts must be an integer"),
+    ("laplace-verify", FINITE_TEXT, "n_values: [2, 4, 6, 8, 10, 12]",
+     "n_values: [4, x]", r"ldp.n_values\[1\] must be an integer"),
+    ("rate-profile", RATE_TEXT, "level: 0.7", "level: high",
+     "ldp.constraint.level must be a number"),
+    ("conditional", SINGLE_PARTICLE_TEXT, "mode: single_particle", "mode: 2",
+     "ldp.mode must be a string"),
+], ids=["green-trials", "green-tolerance", "equilibrium-tol", "sample-swap",
+        "sample-steps", "fekete-restarts", "laplace-n-values", "rate-level",
+        "conditional-mode"])
+def test_bad_values_exit_with_one_error_line(tmp_path, runner, command,
+                                              template, old, new, message):
+    assert old in template
+    config, _ = write_config(tmp_path, template.replace(old, new))
+    result = runner.invoke(main, [command, "--config", config])
+    assert result.exit_code == 1
+    assert isinstance(result.exception, SystemExit)
+    lines = result.output.strip().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: "), result.output
+    assert re.search(message, lines[0])
+    assert "Traceback" not in result.output
+
+
+@pytest.mark.parametrize("function, section, keys", [
+    (minimize_free_energy, "equilibrium", cli.EQUILIBRIUM_OPTIONS),
+    (mcmc_run, "sampler", cli.SAMPLER_OPTIONS),
+    (infima_convergence_table, "fekete", cli.FEKETE_TABLE_OPTIONS),
+    (fekete_minimize, "fekete", cli.FEKETE_OPTIONS),
+    (laplace_verify_finite, "ldp", cli.FINITE_LAPLACE_OPTIONS),
+    (laplace_estimate_mc, "ldp", cli.MC_LAPLACE_OPTIONS),
+    (single_particle_limit, "ldp", cli.SINGLE_PARTICLE_OPTIONS),
+], ids=["equilibrium", "sample", "fekete-table", "fekete", "laplace-finite",
+        "laplace-mc", "conditional-single-particle"])
+def test_option_keys_are_library_keywords(function, section, keys):
+    # every key a command passes through RunConfig.options is a schema key
+    # of its section and a keyword parameter of the library call it feeds
+    parameters = inspect.signature(function).parameters
+    keyword = (inspect.Parameter.POSITIONAL_OR_KEYWORD,
+               inspect.Parameter.KEYWORD_ONLY)
+    for key in keys:
+        assert key in _SCHEMA[section], key
+        assert key in parameters and parameters[key].kind in keyword, key
+
+
+# Shipped-config commands, in the order that left runs/ as committed:
+# the circle table's fekete_summary.json overwrites the single-n one.
+SHIPPED_RUNS = [
+    ("circle_log", ["fekete", "--n", "3"]),
+    ("circle_log", ["fekete"]),
+    ("circle_log", ["equilibrium"]),
+    ("finite2_laplace", ["laplace-verify"]),
+    ("torus_green", ["green-check"]),
+]
+SHIPPED_PLOTS = [("circle_log", "fekete_table.csv"),
+                 ("finite2_laplace", "laplace_verdict.json")]
+
+
+def test_shipped_configs_reproduce_runs(tmp_path, runner, monkeypatch):
+    for name, args in SHIPPED_RUNS:
+        monkeypatch.setenv("GIBBSLAB_OUTPUT_DIR", str(tmp_path / name))
+        config = str(REPO / "configs" / f"{name}.yaml")
+        result = runner.invoke(main, [args[0], "--config", config, *args[1:]])
+        assert result.exit_code == 0, result.output
+    for name, source in SHIPPED_PLOTS:
+        result = runner.invoke(main, ["plot", str(tmp_path / name / source),
+                                      "--kind", "gap-log"])
+        assert result.exit_code == 0, result.output
+    for name in sorted({name for name, _ in SHIPPED_RUNS}):
+        committed = REPO / "runs" / name
+        files = sorted(p.name for p in committed.iterdir()
+                       if p.name != "manifest.json")
+        produced = sorted(p.name for p in (tmp_path / name).iterdir()
+                          if p.name != "manifest.json")
+        assert produced == files
+        _, mismatch, errors = filecmp.cmpfiles(committed, tmp_path / name,
+                                               files, shallow=False)
+        assert mismatch == [] and errors == [], (name, mismatch, errors)

@@ -44,7 +44,6 @@ beta:
 CIRCLE_TEXT = """
 seed: 11
 output_dir: out
-threads: 2
 space:
   kind: circle
   resolution: 128
@@ -61,12 +60,13 @@ def test_minimal_config_defaults():
     config = RunConfig.from_text(MINIMAL)
     assert config.seed == 1
     assert config.output_dir == "."
-    assert config.threads == 1
 
 
 def test_seed_required():
     with pytest.raises(ConfigError, match="seed"):
-        RunConfig.from_text("threads: 2\n")
+        RunConfig.from_text("output_dir: out\n")
+    with pytest.raises(ConfigError, match="seed"):
+        RunConfig.from_text("seed: null\n")
 
 
 def test_seed_must_be_integer():
@@ -114,27 +114,58 @@ def test_yaml_syntax_error_reports_location():
 
 
 def test_threads_validation():
-    with pytest.raises(ConfigError, match="threads"):
-        RunConfig.from_text("seed: 1\nthreads: 0\n")
-    with pytest.raises(ConfigError, match="threads"):
-        RunConfig.from_text("seed: 1\nthreads: no\n")
+    # runs are single-process: the former worker-pool key is unknown
+    with pytest.raises(ConfigError, match="unknown key 'threads'"):
+        RunConfig.from_text("seed: 1\nthreads: 2\n")
 
 
 def test_environment_overrides(monkeypatch):
     monkeypatch.setenv("GIBBSLAB_OUTPUT_DIR", "/tmp/elsewhere")
-    monkeypatch.setenv("GIBBSLAB_THREADS", "7")
     config = RunConfig.from_text(CIRCLE_TEXT)
     assert config.output_dir == "/tmp/elsewhere"
-    assert config.threads == 7
 
 
-def test_environment_thread_override_must_be_integer(monkeypatch):
-    monkeypatch.setenv("GIBBSLAB_THREADS", "many")
-    with pytest.raises(ConfigError, match="GIBBSLAB_THREADS"):
-        RunConfig.from_text(MINIMAL)
-    monkeypatch.setenv("GIBBSLAB_THREADS", "-2")
-    with pytest.raises(ConfigError, match="GIBBSLAB_THREADS"):
-        RunConfig.from_text(MINIMAL)
+@pytest.mark.parametrize("text, message, line, column", [
+    ("seed: 1\nsampler:\n  n: 2.5\n", "sampler.n must be an integer", 3, 6),
+    ("seed: 1\nequilibrium:\n  tol: abc\n", "equilibrium.tol must be a number",
+     3, 8),
+    ("seed: 1\nspace:\n  kind: 3\n", "space.kind must be a string", 3, 9),
+    ("seed: 1\nenvironment:\n  equispaced: 16\n",
+     "environment.equispaced must be true or false", 3, 15),
+    ("seed: 1\nldp:\n  n_values: [4, x]\n", r"ldp.n_values\[1\] must be an integer",
+     3, 17),
+    ("seed: 1\nldp:\n  n_values: 4\n", "ldp.n_values must be a list", 3, 13),
+    ("seed: 1\nfinite:\n  pair_matrix: [[0, 1], [1, zero]]\n",
+     r"finite.pair_matrix\[1\]\[1\] must be a number", 3, 29),
+    ("seed: 1\nfekete:\n  restarts: [2]\n", "fekete.restarts must be an integer",
+     3, 13),
+])
+def test_leaf_types_are_checked_with_location(text, message, line, column):
+    with pytest.raises(ConfigError, match=message) as info:
+        RunConfig.from_text(text)
+    assert (info.value.line, info.value.column) == (line, column)
+
+
+def test_float_leaves_read_yaml_strings_and_ints():
+    config = RunConfig.from_text(
+        "seed: 1\nequilibrium:\n  tol: 1e-10\n  step: 2\n"
+        "beta:\n  kind: expression\n  expr: n\n  limit: inf\n")
+    # YAML 1.1 loads 1e-10 and inf as strings; the raw mapping keeps them
+    assert config.data["equilibrium"]["tol"] == "1e-10"
+    options = config.options("equilibrium", "max_iters", "tol", "step")
+    assert options == {"tol": 1e-10, "step": 2.0}
+    assert all(type(v) is float for v in options.values())
+    assert build_beta(config).limit == math.inf
+
+
+def test_null_leaves_count_as_unset():
+    config = RunConfig.from_text(
+        "seed: 1\noutput_dir: null\nequilibrium:\n  tol: null\n"
+        "ldp:\n  n_values: ~\n")
+    assert config.output_dir == "."
+    assert config.options("equilibrium", "tol") == {}
+    assert config.options("ldp", "n_values") == {}
+    assert config.options("fekete", "restarts") == {}
 
 
 def test_round_trip_preserves_values():

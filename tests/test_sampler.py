@@ -352,6 +352,14 @@ def test_coherence_checks_run_through_burn_in(circle_space, monkeypatch):
     assert len(checks) == 10
 
 
+def test_swap_interval_must_be_positive(circle_space):
+    model = EnergyModel(circle_space, ConstantKernel(0.0), BetaSchedule.constant(1.0))
+    for swap_every in (0, -5):
+        with pytest.raises(EnergyError, match="swap interval"):
+            mcmc_run(model, n=2, steps=100, seed=1, ladder=[0.5, 1.0],
+                     swap_every=swap_every)
+
+
 def test_run_guards(four_atom_model, circle_space):
     model = EnergyModel(circle_space, ConstantKernel(0.0), BetaSchedule.constant(1.0))
     with pytest.raises(EnergyError):

@@ -90,12 +90,8 @@ _TAGS = {int: {"int"}, float: {"int", "float"}, str: {"str"}, bool: {"bool"}}
 _TYPE_NAMES = {int: "an integer", float: "a number", str: "a string",
                bool: "true or false"}
 
-_SPACE_DEFAULTS = {
-    "circle": (256, 64),
-    "torus": (64, 16),
-    "sphere": (4, 12),
-    "box": (64, None),
-}
+# default resolutions; build_space picks the default basis order
+_SPACE_RESOLUTIONS = {"circle": 256, "torus": 64, "sphere": 4, "box": 64}
 
 
 def _fail(node, message):
@@ -232,17 +228,13 @@ def build_run_space(config):
     """Continuous base space from the ``space`` section."""
     block = config.require("space")
     kind = block.get("kind")
-    if kind not in _SPACE_DEFAULTS:
+    if kind not in _SPACE_RESOLUTIONS:
         raise ConfigError(f"{config.source}: space.kind must be one of "
-                          f"{sorted(_SPACE_DEFAULTS)}, got {kind!r}")
-    resolution, basis_order = _SPACE_DEFAULTS[kind]
+                          f"{sorted(_SPACE_RESOLUTIONS)}, got {kind!r}")
     values = config.options("space", "resolution", "basis_order", "bounds")
-    resolution = values.get("resolution", resolution)
-    if "basis_order" not in values and kind in ("circle", "torus"):
-        # keep the spectral truncation clear of the grid's aliasing limit
-        basis_order = min(basis_order, max(1, resolution // 4))
-    return build_space(kind, resolution, values.get("basis_order", basis_order),
-                       bounds=values.get("bounds"), density=block.get("density"))
+    return build_space(kind, values.get("resolution", _SPACE_RESOLUTIONS[kind]),
+                       values.get("basis_order"), bounds=values.get("bounds"),
+                       density=block.get("density"))
 
 
 def build_finite_space(config):

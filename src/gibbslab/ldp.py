@@ -60,6 +60,7 @@ __all__ = [
 
 PARTICLE_CAP = 64  # manifold Monte Carlo refuses beyond this particle count
 _DOUBLING_CAP = 60  # a rate profile's multiplier bracket grows to at most 2**60
+_TOL_FLOOR = 2.0 * np.finfo(float).eps  # the smallest tilted-descent tolerance
 
 
 # -- verdict record -----------------------------------------------------------------
@@ -452,12 +453,13 @@ def rate_function_profile(model, descriptor=None, max_iters=3000, tol=1e-10):
     # total-variation move of tol; the first loosens as lam grows, the second
     # as the mass off the face {argmax g}, at least (max g - c) / span g,
     # shrinks, and either leaves the multiplier low.  The tilted descents
-    # scale tol back by both.
+    # scale tol back by both, but not below _TOL_FLOOR: a move that flips the
+    # face mass by one ulp of 1 is round-off, and a tol under it is never met.
     off_face = min(1.0, (g_max - c) / (g_max - float(g.min())))
 
     def tilted(lam, init):
-        return descend(matrix, v - lam * g, ref, init,
-                       tol * off_face / (1.0 + lam * float(np.abs(g).max())))
+        scaled = tol * off_face / (1.0 + lam * float(np.abs(g).max()))
+        return descend(matrix, v - lam * g, ref, init, max(scaled, _TOL_FLOOR))
 
     lo, lam, masses = 0.0, 1.0, base
     for _ in range(_DOUBLING_CAP):

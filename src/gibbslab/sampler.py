@@ -31,6 +31,16 @@ one basis row per step instead of two kernel rows.  On accept the row is
 replaced and S is summed afresh from the rows, so no rounding error
 accumulates; the coherence check rebuilds the rows from the positions, and a
 tempering swap exchanges them with the positions.
+
+A finite-chain step does scalar work only, beyond reading and writing one
+entry of the live labels array.  The chain draws its variates _FINITE_BLOCK
+steps at a time: the moving particles, the proposed atoms (the stream of
+``rng.choice(m, size, p=probs)``) and one accept uniform per step, needed or
+not.  With a pair matrix G it keeps the counts c and row sums r = G.c as
+Python scalars; moving a particle from atom a to atom b changes the energy
+by (r_b - r_a - G_ba + G_aa) / n^2, and on accept r gains G_b - G_a.  The
+coherence check rebuilds r from the counts, and a tempering swap carries it
+with the labels and counts.
 """
 
 import math
@@ -56,6 +66,7 @@ __all__ = [
 _COHERENCE_EVERY = 1000
 _COHERENCE_TOL = 1e-9
 _TRAP_LIMIT = 100_000
+_FINITE_BLOCK = 1024
 
 
 @dataclass
@@ -177,17 +188,6 @@ def _continuous_deltas(model, positions, i, points):
     return deltas
 
 
-def _finite_delta(model, counts, n, a, b):
-    if model.pair_matrix is not None:
-        g = model.pair_matrix
-        change = float(counts @ (g[b] - g[a])) - (g[b, a] - g[a, a])
-        return change / n ** 2
-    moved = counts.copy()
-    moved[a] -= 1
-    moved[b] += 1
-    return model.w_counts(moved, n) - model.w_counts(counts, n)
-
-
 class _GreenCache:
     """Scaled basis rows, phi values and their row sum for one Green-kernel
     configuration (see the module docstring)."""
@@ -250,8 +250,22 @@ class _Chain:
             )
         state.energy = fresh
 
+    def exchange(self, other):
+        """Swap particle states with ``other``: positions, energy and the
+        caches kept from them (``carried``).  Tuned proposal scales and
+        bookkeeping stay with their rung."""
+        mine, theirs = self.state, other.state
+        mine.positions, theirs.positions = theirs.positions, mine.positions
+        mine.energy, theirs.energy = theirs.energy, mine.energy
+        for name in self.carried:
+            cache = getattr(self, name)
+            setattr(self, name, getattr(other, name))
+            setattr(other, name, cache)
+
 
 class _ContinuousChain(_Chain):
+    carried = ("green_cache",)
+
     def __init__(self, model, n, rng, initial, scale):
         self.model = model
         self.space = model.space
@@ -317,11 +331,10 @@ class _ContinuousChain(_Chain):
     def fresh_energy(self):
         return w_n(self.model, self.state.positions)
 
-    def snapshot(self):
-        return self.state.positions.copy()
-
 
 class _FiniteChain(_Chain):
+    carried = ("counts", "rowsums")
+
     def __init__(self, model, n, rng, initial, scale):
         self.model = model
         self.n = n
@@ -336,39 +349,71 @@ class _FiniteChain(_Chain):
             labels = np.asarray(initial, dtype=np.int64).copy()
             if labels.shape != (n,) or labels.min() < 0 or labels.max() >= self.m:
                 raise EnergyError("initial labels must be n atom indices")
-        self.labels = labels
-        self.counts = np.bincount(labels, minlength=self.m)
+        self.counts = np.bincount(labels, minlength=self.m).tolist()
         energy = model.w_counts(self.counts, n)
         if not math.isfinite(energy):
             raise EnergyError("initial configuration has infinite energy")
         self.state = ChainState(positions=labels, energy=energy, proposal_scale=scale)
+        self.pairs = None if model.pair_matrix is None else model.pair_matrix.tolist()
+        self.rowsums = self.fresh_rowsums()
+        self.draws = iter(())
+
+    def draw_block(self, rng, size=_FINITE_BLOCK):
+        """Variates of the next ``size`` steps: the moving particles, their
+        proposed atoms (the stream of ``rng.choice(m, size, p=probs)``) and
+        the uniforms of the accept tests."""
+        sites = rng.integers(self.n, size=size).tolist()
+        atoms = self._cdf.searchsorted(rng.random(size), side="right").tolist()
+        return zip(sites, atoms, rng.random(size).tolist())
+
+    def fresh_rowsums(self):
+        """r = G.c, the interaction of one particle at each atom with all n."""
+        if self.pairs is None:
+            return None
+        return (self.model.pair_matrix @ np.array(self.counts, dtype=float)).tolist()
+
+    def delta(self, a, b):
+        """Energy change of moving one particle from atom a to atom b."""
+        if self.pairs is None:
+            moved = self.counts.copy()
+            moved[a] -= 1
+            moved[b] += 1
+            return self.model.w_counts(moved, self.n) - self.model.w_counts(self.counts, self.n)
+        g_b, g_a = self.pairs[b], self.pairs[a]
+        return (self.rowsums[b] - self.rowsums[a] - g_b[a] + g_a[a]) / self.n ** 2
 
     def step(self, rng, coupling):
+        try:
+            i, b, u = next(self.draws)
+        except StopIteration:
+            self.draws = self.draw_block(rng)
+            i, b, u = next(self.draws)
         state = self.state
         state.steps += 1
-        i = int(rng.integers(self.n))
-        a = int(self.labels[i])
-        b = int(self._cdf.searchsorted(rng.random(), side="right"))
-        accept = False
-        if a == b:
-            accept = True
-        else:
-            delta = _finite_delta(self.model, self.counts, self.n, a, b)
-            if math.isfinite(delta):
-                log_alpha = -coupling * delta
-                if log_alpha >= 0.0 or rng.random() < math.exp(log_alpha):
-                    self.labels[i] = b
-                    self.counts[a] -= 1
-                    self.counts[b] += 1
-                    state.energy += delta
-                    accept = True
+        labels = state.positions
+        a = labels.item(i)
+        accept = a == b
+        if not accept:
+            delta = self.delta(a, b)
+            log_alpha = -coupling * delta
+            if math.isfinite(delta) and (log_alpha >= 0.0 or u < math.exp(log_alpha)):
+                labels[i] = b
+                counts = self.counts
+                counts[a] -= 1
+                counts[b] += 1
+                if self.pairs is not None:
+                    g_b, g_a = self.pairs[b], self.pairs[a]
+                    self.rowsums = [r + x - y for r, x, y in zip(self.rowsums, g_b, g_a)]
+                state.energy += delta
+                accept = True
         self._book(accept)
+
+    def check_coherence(self):
+        super().check_coherence()
+        self.rowsums = self.fresh_rowsums()
 
     def fresh_energy(self):
         return self.model.w_counts(self.counts, self.n)
-
-    def snapshot(self):
-        return self.labels.copy()
 
 
 def _make_chain(model, n, rng, initial, scale):
@@ -430,29 +475,35 @@ def mcmc_run(model, n, steps, seed, initial=None, proposal_scale=0.5,
         raise EnergyError(f"thinning stride must be >= 1, got {thin}")
     swap_attempts = [0] * (len(scales) - 1)
     swap_accepts = [0] * (len(scales) - 1)
-    samples, energies = [], []
-    ladder_energies = {s: [] for s in scales} if ladder is not None else None
     swap_round = 0
+    rungs = [(chain.step, coupling * fraction) for chain, fraction in zip(chains, scales)]
+    tempered, adapts, top = len(chains) > 1, kind == "continuous", chains[-1]
+    count = post // thin
+    first = top.state.positions
+    samples = np.empty((count,) + first.shape, dtype=first.dtype)
+    energies = np.empty(count)
+    rung_energies = np.empty((len(chains), count)) if ladder is not None else None
+    row, record_at = 0, burn_steps + thin
 
     for step_index in range(1, steps + 1):
-        in_burn = step_index <= burn_steps
-        for chain, fraction in zip(chains, scales):
-            chain.step(rng, coupling * fraction)
-        if kind == "continuous" and in_burn and step_index % 200 == 0:
-            for chain in chains:
-                state = chain.state
-                rate = state.accepts / max(1, state.steps)
-                if rate < 0.3:
-                    state.proposal_scale *= 0.8
-                elif rate > 0.5:
-                    state.proposal_scale *= 1.25
-                state.accepts = 0
-                state.steps = 0
-        if step_index == burn_steps:
-            for chain in chains:
-                chain.state.accepts = 0
-                chain.state.steps = 0
-        if len(chains) > 1 and step_index % swap_every == 0:
+        for step, rung_coupling in rungs:
+            step(rng, rung_coupling)
+        if step_index <= burn_steps:
+            if adapts and step_index % 200 == 0:
+                for chain in chains:
+                    state = chain.state
+                    rate = state.accepts / max(1, state.steps)
+                    if rate < 0.3:
+                        state.proposal_scale *= 0.8
+                    elif rate > 0.5:
+                        state.proposal_scale *= 1.25
+                    state.accepts = 0
+                    state.steps = 0
+            if step_index == burn_steps:
+                for chain in chains:
+                    chain.state.accepts = 0
+                    chain.state.steps = 0
+        if tempered and step_index % swap_every == 0:
             swap_round += 1
             for pair in range(swap_round % 2, len(chains) - 1, 2):
                 lo, hi = chains[pair], chains[pair + 1]
@@ -461,25 +512,15 @@ def mcmc_run(model, n, steps, seed, initial=None, proposal_scale=0.5,
                 swap_attempts[pair] += 1
                 if log_alpha >= 0.0 or rng.random() < math.exp(log_alpha):
                     swap_accepts[pair] += 1
-                    # exchange particle states; tuned proposal scales and
-                    # bookkeeping stay with their rung
-                    lo.state.positions, hi.state.positions = (
-                        hi.state.positions, lo.state.positions)
-                    lo.state.energy, hi.state.energy = hi.state.energy, lo.state.energy
-                    if kind == "finite":
-                        lo.labels, hi.labels = hi.labels, lo.labels
-                        lo.counts, hi.counts = hi.counts, lo.counts
-                    else:
-                        lo.green_cache, hi.green_cache = hi.green_cache, lo.green_cache
-        if not in_burn:
-            offset = step_index - burn_steps
-            if offset % thin == 0:
-                top = chains[-1]
-                samples.append(top.snapshot())
-                energies.append(top.state.energy)
-                if ladder_energies is not None:
-                    for chain, fraction in zip(chains, scales):
-                        ladder_energies[fraction].append(chain.state.energy)
+                    lo.exchange(hi)
+        if step_index == record_at:
+            samples[row] = top.state.positions
+            energies[row] = top.state.energy
+            if rung_energies is not None:
+                for chain, rung in zip(chains, rung_energies):
+                    rung[row] = chain.state.energy
+            row += 1
+            record_at += thin
 
     swap_rates = None
     if ladder is not None:
@@ -493,12 +534,11 @@ def mcmc_run(model, n, steps, seed, initial=None, proposal_scale=0.5,
                     f"{scales[pair]} and {scales[pair + 1]} is outside [0.1, 0.9]",
                     RuntimeWarning,
                 )
-    top = chains[-1]
     post_rate = top.state.accepts / max(1, top.state.steps)
     result = SampleResult(
         kind=kind,
-        samples=np.array(samples),
-        energies=np.array(energies),
+        samples=samples,
+        energies=energies,
         acceptance_rate=post_rate,
         proposal_scale=top.state.proposal_scale,
         steps=steps,
@@ -509,8 +549,7 @@ def mcmc_run(model, n, steps, seed, initial=None, proposal_scale=0.5,
         coupling=coupling,
         final_state=top.state,
         swap_rates=swap_rates,
-        ladder_energies={s: np.array(v) for s, v in ladder_energies.items()}
-        if ladder_energies is not None else None,
+        ladder_energies=dict(zip(scales, rung_energies)) if ladder is not None else None,
     )
     return result
 

@@ -17,7 +17,7 @@ from collections import namedtuple
 
 import numpy as np
 
-from .errors import EnumerationCapError
+from .errors import EnergyError, EnumerationCapError
 
 __all__ = ["CLASS_CAP", "class_count", "class_table", "compositions", "logsumexp",
            "simplex_minimize"]
@@ -124,6 +124,8 @@ def simplex_minimize(objective, m, steps=200, refine_rounds=4, shrink=5, radius=
     (+inf allowed); the grid reaches it block by block.  Returns
     ``(value, argmin)``; ties on the grid go to its first row.
     """
+    if steps < 1:
+        raise EnergyError(f"simplex grid needs at least 1 step, got {steps}")
     best_val, best_tau = math.inf, None
     for rows in _blocks(steps, m, _BLOCK_ROWS):
         taus = rows / steps

@@ -446,13 +446,15 @@ ldp:
      "fekete.restarts must be an integer"),
     ("laplace-verify", FINITE_TEXT, "n_values: [2, 4, 6, 8, 10, 12]",
      "n_values: [4, x]", r"ldp.n_values\[1\] must be an integer"),
+    ("laplace-verify", FINITE_TEXT, "threshold: 0.05", "threshold: 0.05\n  grid_steps: 0",
+     "simplex grid needs at least 1 step"),
     ("rate-profile", RATE_TEXT, "level: 0.7", "level: high",
      "ldp.constraint.level must be a number"),
     ("conditional", SINGLE_PARTICLE_TEXT, "mode: single_particle", "mode: 2",
      "ldp.mode must be a string"),
 ], ids=["green-trials", "green-tolerance", "equilibrium-tol", "sample-swap",
-        "sample-steps", "fekete-restarts", "laplace-n-values", "rate-level",
-        "conditional-mode"])
+        "sample-steps", "fekete-restarts", "laplace-n-values", "laplace-grid-steps",
+        "rate-level", "conditional-mode"])
 def test_bad_values_exit_with_one_error_line(tmp_path, runner, command,
                                               template, old, new, message):
     assert old in template

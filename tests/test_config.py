@@ -195,6 +195,22 @@ def test_build_run_space_scales_basis_with_resolution():
     assert space.n_basis <= 2 * 16 + 1
 
 
+@pytest.mark.parametrize("kind, lines, resolution, bounds", [
+    ("circle", "", 256, None),
+    ("circle", "  resolution: 512\n", 512, None),
+    ("torus", "", 64, None),
+    ("sphere", "  resolution: 3\n", 3, None),
+    ("box", "  bounds: [[-1.0, 2.0]]\n", 64, [(-1.0, 2.0)]),
+], ids=["circle", "circle-512", "torus", "sphere-3", "box"])
+def test_config_spaces_take_the_build_space_basis_order(kind, lines, resolution, bounds):
+    config = RunConfig.from_text(f"seed: 1\nspace:\n  kind: {kind}\n{lines}")
+    space = build_run_space(config)
+    want = build_space(kind, resolution, bounds=bounds)
+    assert space.basis_order == want.basis_order
+    assert space.n_basis == want.n_basis
+    assert_array_equal(space.nodes, want.nodes)
+
+
 def test_build_run_space_bad_kind():
     config = RunConfig.from_text("seed: 1\nspace:\n  kind: disk\n")
     with pytest.raises(ConfigError, match="space.kind"):

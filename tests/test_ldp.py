@@ -424,6 +424,24 @@ def test_profile_multiplier_near_the_face_is_the_fixed_point_multiplier(three_at
     assert abs(profile.multiplier - hi) <= 1e-6
 
 
+def test_profile_just_below_the_face_ends_every_descent(three_atom_model, monkeypatch):
+    # a tilted tol scaled below round-off is never met, so such descents would
+    # run to the iteration cap; the floor on it stops them
+    statuses = []
+    descent = ldp._mirror_descent
+
+    def recording(*args, **kwargs):
+        result = descent(*args, **kwargs)
+        statuses.append(result.status)
+        return result
+
+    monkeypatch.setattr(ldp, "_mirror_descent", recording)
+    level = 1.0 - 1e-11
+    profile = rate_function_profile(three_atom_model, HalfSpace(np.array([1.0, 0.0, 0.0]), level))
+    assert "max_iterations" not in statuses
+    assert profile.witness[0] >= level
+
+
 def test_profile_at_the_largest_level_is_the_face_minimizer(three_atom_model):
     profile = rate_function_profile(
         three_atom_model, HalfSpace(np.array([1.0, 0.0, 0.0]), 1.0))

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from scipy.integrate import quad
 from scipy.stats import chi2 as chi2_dist
 
+from gibbslab import sampler
 from gibbslab.energy import (
     BetaSchedule,
     CallableKernel,
@@ -25,6 +26,7 @@ from gibbslab.energy import (
 from gibbslab.errors import EnergyError, EnumerationCapError, TrappedChainError
 from gibbslab.measures import FiniteSpace
 from gibbslab.sampler import (
+    _FINITE_BLOCK,
     _ContinuousChain,
     _continuous_deltas,
     _FiniteChain,
@@ -103,11 +105,80 @@ def test_finite_proposal_draws_the_stream_of_rng_choice(probs):
                               pair_matrix=np.zeros((4, 4)))
     chain = _FiniteChain(model, 3, np.random.default_rng(0), None, 1.0)
     ours, reference = np.random.default_rng(11), np.random.default_rng(11)
-    drawn = [int(chain._cdf.searchsorted(ours.random(), side="right"))
-             for _ in range(100_000)]
-    chosen = [int(reference.choice(4, p=chain.probs)) for _ in range(100_000)]
-    assert drawn == chosen
+    sites, atoms, uniforms = zip(*chain.draw_block(ours, 100_000))
+    assert list(sites) == reference.integers(3, size=100_000).tolist()
+    assert list(atoms) == reference.choice(4, size=100_000, p=chain.probs).tolist()
+    assert list(uniforms) == reference.random(100_000).tolist()
     assert ours.bit_generator.state == reference.bit_generator.state
+
+
+def _random_finite_model(rng, m, pairs):
+    space = FiniteSpace(rng.dirichlet(np.ones(m)))
+    if not pairs:
+        # a w_fn that no pair matrix gives: cubic in the counts
+        return FiniteEnergyModel(space, BetaSchedule.constant(1.0),
+                                 w_fn=lambda c, n: float(c[0] ** 3 - c[-1] * c[0]) / n)
+    g = rng.normal(size=(m, m))
+    return FiniteEnergyModel(space, BetaSchedule.constant(1.0), pair_matrix=g + g.T)
+
+
+@settings(max_examples=80, deadline=None)
+@given(m=st.integers(2, 6), n=st.integers(1, 12), pairs=st.booleans(),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_row_sum_delta_equals_energy_difference(m, n, pairs, seed):
+    rng = np.random.default_rng(seed)
+    model = _random_finite_model(rng, m, pairs)
+    chain = _FiniteChain(model, n, rng, rng.integers(m, size=n), 1.0)
+    # accepted moves first (coupling 0 accepts all), so that later deltas run
+    # on updated row sums
+    for _ in range(int(rng.integers(0, 20))):
+        chain.step(rng, 0.0)
+    counts = np.array(chain.counts)
+    assert counts.tolist() == np.bincount(chain.state.positions, minlength=m).tolist()
+    for a in np.flatnonzero(counts):
+        for b in range(m):
+            if b == a:
+                continue
+            moved = counts.copy()
+            moved[a] -= 1
+            moved[b] += 1
+            want = model.w_counts(moved, n) - model.w_counts(counts, n)
+            assert abs(chain.delta(a, b) - want) < 1e-12
+
+
+def test_finite_tempering_swaps_carry_the_row_sums(four_atom_model, monkeypatch):
+    chains = []
+    make_chain = sampler._make_chain
+
+    def recording(*args):
+        chain, kind = make_chain(*args)
+        chains.append(chain)
+        return chain, kind
+
+    monkeypatch.setattr(sampler, "_make_chain", recording)
+    # fewer steps than the coherence check's period, so only the caches are judged
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        result = mcmc_run(four_atom_model, 6, steps=900, seed=5, ladder=[0.25, 0.5, 1.0],
+                          swap_every=5)
+    assert min(result.swap_rates) > 0.0
+    g = four_atom_model.pair_matrix
+    for chain in chains:
+        counts = np.bincount(chain.state.positions, minlength=4)
+        assert chain.counts == counts.tolist()
+        np.testing.assert_allclose(chain.rowsums, g @ counts, rtol=0.0, atol=1e-12)
+        assert abs(chain.state.energy - four_atom_model.w_counts(counts, 6)) < 1e-12
+
+
+def test_finite_chain_energy_across_block_refills(four_atom_model):
+    # several refills of the variate block and several coherence checks
+    steps = 3 * _FINITE_BLOCK + 500
+    result = mcmc_run(four_atom_model, 6, steps=steps, seed=8, burn_in=0.0, thin=1)
+    final = result.final_state
+    assert np.array_equal(result.samples[-1], final.positions)
+    counts = np.bincount(final.positions, minlength=4)
+    assert abs(final.energy - four_atom_model.w_counts(counts, 6)) < 1e-12
+    assert final.energy == result.energies[-1]
 
 
 def test_detailed_balance_flow_counts(four_atom_model):

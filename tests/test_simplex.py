@@ -185,3 +185,12 @@ def test_zero_particles_raise_before_dividing():
             laplace_verify_finite(model.space, model, None, [0, 2])
         with pytest.raises(EnergyError, match="n >= 1"):
             model.w_counts([0, 0])
+
+
+@pytest.mark.parametrize("steps", [0, -3])
+def test_grid_without_steps_is_an_error(steps):
+    model = FiniteEnergyModel(FiniteSpace(PROBS), BetaSchedule.constant(1.0), pair_matrix=PAIR)
+    with pytest.raises(EnergyError, match="at least 1 step"):
+        simplex_minimize(model.w_mean, 4, steps=steps)
+    with pytest.raises(EnergyError, match="at least 1 step"):
+        laplace_verify_finite(model.space, model, None, [2, 4], grid_steps=steps)

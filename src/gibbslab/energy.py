@@ -649,8 +649,7 @@ def _reweighted_box(space, v_fn, factor):
     if not math.isfinite(total) or total <= 0.0:
         raise EnergyError("tilted reference measure is not normalizable on the grid")
     weights = raw * space.cell_volumes / total
-    params = {k: v for k, v in space.params.items()}
-    params["tilt_factor"] = factor
+    params = dict(space.params)
     base_fn = space.params.get("_density_fn")
     base_norm = space.params.get("_density_norm", 1.0 / space.volume)
 

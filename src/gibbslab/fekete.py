@@ -40,7 +40,7 @@ from .energy import (
 )
 from .equilibrium import minimize_free_energy
 from .errors import CollisionError, EnergyError
-from .measures import EmpiricalMeasure, GridMeasure, _fmt, grid_projection
+from .measures import EmpiricalMeasure, FiniteSpace, GridMeasure, _fmt, grid_projection
 from .rng import derive_rng
 from .sampler import _continuous_deltas
 from .simplex import class_table, simplex_minimize
@@ -93,6 +93,10 @@ class IntegralFunctional(MeasureFunctional):
     def point_values(self, space, points):
         if callable(self.g):
             return np.asarray(self.g(points), dtype=float)
+        if not isinstance(space, FiniteSpace):
+            raise EnergyError(
+                "per-atom value vectors need a finite space; continuous spaces "
+                "take a function of the coordinates (an 'expr' block)")
         values = np.asarray(self.g, dtype=float)
         return values[np.asarray(points, dtype=np.int64)]
 
@@ -112,6 +116,19 @@ class IntegralFunctional(MeasureFunctional):
                 f"per-atom vector has shape {values.shape}, expected ({space.n_atoms},)"
             )
         return np.asarray(taus, dtype=float) @ values
+
+
+def _fold_functional(model, f, beta):
+    """Copy of ``model`` under the schedule ``beta`` with the integral
+    functional ``f`` (None for none) added as a one-body potential, so that
+    its energy is w_n + f(i_n)."""
+    potentials = list(model.potentials)
+    if f is not None:
+        if not isinstance(f, IntegralFunctional):
+            raise EnergyError("continuous spaces support integral functionals only")
+        potentials.append(StaticPotential(
+            lambda pts: f.point_values(model.space, pts), description="tilt"))
+    return EnergyModel(model.space, model.kernel, beta, potentials=potentials)
 
 
 class ComposedFunctional(MeasureFunctional):
@@ -555,17 +572,7 @@ def macro_infimum(model, f=None, grid_steps=200):
         raise EnergyError(f"cannot minimize a {type(model).__name__}")
     if model.kernel.arity != 2:
         raise EnergyError("macroscopic infimum on grids supports arity-2 kernels only")
-    if f is not None and not isinstance(f, IntegralFunctional):
-        raise EnergyError(
-            "continuous macroscopic infima support integral functionals only")
-    potentials = list(model.potentials)
-    if f is not None:
-        potentials.append(StaticPotential(
-            lambda pts, f=f: f.point_values(model.space, pts),
-            description="tilt"))
-    frozen = EnergyModel(model.space, model.kernel, BetaSchedule.linear(1.0),
-                         potentials=potentials)
-    result = minimize_free_energy(frozen)
+    result = minimize_free_energy(_fold_functional(model, f, BetaSchedule.linear(1.0)))
     return result.value, result.measure
 
 

@@ -40,7 +40,7 @@ from .energy import (
 )
 from .equilibrium import _mirror_descent, _objective, minimize_free_energy
 from .errors import EnergyError, InfeasibleConstraintError
-from .fekete import ComposedFunctional, IntegralFunctional, MeasureFunctional
+from .fekete import ComposedFunctional, IntegralFunctional, MeasureFunctional, _fold_functional
 from .measures import FiniteSpace, GridMeasure, _fmt, relative_entropy
 from .rng import derive_rng
 from .sampler import mcmc_run
@@ -249,19 +249,6 @@ def _batch_stats(values, batches=40):
     return mean, se, float(ess)
 
 
-def _fold_functional(model, f):
-    """Fold an integral functional into the one-body potential so that the
-    chain's energy is exactly w_n + f(i_n)."""
-    if f is None:
-        return model
-    if not isinstance(f, IntegralFunctional):
-        raise EnergyError("the Monte Carlo path supports integral functionals only")
-    tilt = StaticPotential(lambda pts, f=f: f.point_values(model.space, pts),
-                           description="tilt")
-    return EnergyModel(model.space, model.kernel, model.beta,
-                       potentials=list(model.potentials) + [tilt])
-
-
 def laplace_estimate_mc(model, f, n_values, chain_budget=20_000, seed=0, rungs=8,
                         threshold=0.05, ess_floor=100.0, name="laplace"):
     """Thermodynamic-integration estimate of L_n with error bars.
@@ -285,7 +272,7 @@ def laplace_estimate_mc(model, f, n_values, chain_budget=20_000, seed=0, rungs=8
             f"n={max(n_values)} exceeds the Monte Carlo cap {PARTICLE_CAP}")
     if rungs < 2:
         raise EnergyError(f"need at least 2 ladder rungs, got {rungs}")
-    target = _fold_functional(model, f)
+    target = model if f is None else _fold_functional(model, f, model.beta)
     ladder = [k / rungs for k in range(1, rungs + 1)]
     nodes = np.array([0.0] + ladder)
     h = 1.0 / rungs

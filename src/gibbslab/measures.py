@@ -43,10 +43,6 @@ class EmpiricalMeasure:
     def n_atoms(self):
         return self.points.shape[0]
 
-    def integrate(self, fn):
-        """Mean of a point function over the atoms."""
-        return float(np.mean(fn(self.points)))
-
     def to_csv_rows(self):
         header = ["index"] + [f"coord{i}" for i in range(self.points.shape[1])]
         rows = [[str(i)] + [_fmt(c) for c in p] for i, p in enumerate(self.points)]
@@ -92,10 +88,6 @@ class GridMeasure:
     @property
     def node_masses(self):
         return self.space.weights * self.density
-
-    def integrate(self, node_values):
-        """Integral of a function given by its values at the grid nodes."""
-        return float((self.node_masses * np.asarray(node_values, float)).sum())
 
     def to_csv_rows(self):
         pdim = self.space.point_dim
@@ -244,82 +236,43 @@ def legendre_check(space, g, grid_steps=200, refine_rounds=6):
 
 # -- bounded-Lipschitz surrogate distance -------------------------------------
 
-
-class _Dictionary:
-    def __init__(self, space, functions):
-        self.space = space
-        self.functions = functions
-        self.node_values = np.stack([fn(space.nodes) for fn in functions], axis=0)
+_BL_ANCHORS = 64  # capped distances to every (n_nodes // 64)-th node
 
 
-_DICT_CACHE = {}
-
-
-def _bl_dictionary(space, n_anchors=64):
-    key = id(space)
-    if key in _DICT_CACHE:
-        return _DICT_CACHE[key]
-    functions = []
+def _bl_integrals(measure):
+    """Integrals of every dictionary function against ``measure``, from one
+    table of the functions at its points (the nodes of a grid measure)."""
+    space = measure.space
+    grid = isinstance(measure, GridMeasure)
+    points = space.nodes if grid else measure.points
     if space.has_basis:
+        basis = space.basis_values if grid else space.evaluate_basis(points)
         sups = np.abs(space.basis_values).max(axis=0)
         scales = sups * np.maximum(1.0, np.sqrt(space.eigenvalues))
-        for k in range(1, space.n_basis):
-            functions.append(_scaled_basis(space, k, scales[k]))
+        smooth = basis[:, 1:] / scales[1:]
     else:
         bounds = np.asarray(space.params["bounds"], float)
-        for axis in range(space.dim):
-            functions.append(_scaled_coordinate(axis, bounds[axis]))
-    stride = max(1, space.n_nodes // n_anchors)
-    for anchor in space.nodes[::stride]:
-        functions.append(_capped_distance(space, anchor.copy()))
-    dictionary = _Dictionary(space, functions)
-    if len(_DICT_CACHE) > 4:
-        _DICT_CACHE.clear()
-    _DICT_CACHE[key] = dictionary
-    return dictionary
-
-
-def _scaled_basis(space, index, scale):
-    def fn(points):
-        return space.evaluate_basis(points)[:, index] / scale
-    return fn
-
-
-def _scaled_coordinate(axis, bounds):
-    center = 0.5 * (bounds[0] + bounds[1])
-    scale = max(1.0, 0.5 * (bounds[1] - bounds[0]))
-
-    def fn(points):
-        return (points[:, axis] - center) / scale
-    return fn
-
-
-def _capped_distance(space, anchor):
-    def fn(points):
-        return np.minimum(space.geodesic(anchor, points)[0], 1.0)
-    return fn
-
-
-def _dictionary_integrals(measure, dictionary):
-    if isinstance(measure, GridMeasure):
-        return dictionary.node_values @ measure.node_masses
-    return np.array([measure.integrate(fn) for fn in dictionary.functions])
+        center = 0.5 * (bounds[:, 0] + bounds[:, 1])
+        smooth = (points - center) / np.maximum(1.0, 0.5 * (bounds[:, 1] - bounds[:, 0]))
+    anchors = space.nodes[::max(1, space.n_nodes // _BL_ANCHORS)]
+    table = np.hstack([smooth, np.minimum(space.geodesic(points, anchors), 1.0)])
+    return measure.node_masses @ table if grid else table.mean(axis=0)
 
 
 def bounded_lipschitz_distance(mu, nu):
     """Max dictionary-function discrepancy; a surrogate for weak convergence.
 
-    The dictionary holds the space's truncated basis, rescaled to be
-    1-Lipschitz with sup-norm at most 1, plus capped distance functions to a
-    fixed grid of anchor nodes.
+    The dictionary holds the space's basis columns 1.. divided by
+    sup * max(1, sqrt(eigenvalue)), so each is bounded by 1 and about
+    1-Lipschitz (on boxes, the coordinates centered and divided by
+    max(1, half-width)), then the geodesic distances capped at 1 to every
+    (n_nodes // 64)-th node.  Each measure tabulates all of them at its
+    points in one pass: a grid measure integrates the node table against its
+    node masses, an empirical measure takes the column means.
     """
-    space = mu.space
-    if nu.space is not space:
+    if nu.space is not mu.space:
         raise MeasureError("measures live on different spaces")
-    dictionary = _bl_dictionary(space)
-    return float(np.abs(
-        _dictionary_integrals(mu, dictionary) - _dictionary_integrals(nu, dictionary)
-    ).max())
+    return float(np.abs(_bl_integrals(mu) - _bl_integrals(nu)).max())
 
 
 # -- smoothing -----------------------------------------------------------------

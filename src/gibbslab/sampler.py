@@ -444,6 +444,8 @@ def mcmc_run(model, n, steps, seed, initial=None, proposal_scale=0.5,
         raise EnergyError(f"need at least one particle, got {n}")
     if not 0.0 <= burn_in <= 0.9:
         raise EnergyError(f"burn-in fraction must lie in [0, 0.9], got {burn_in!r}")
+    if not (math.isfinite(proposal_scale) and proposal_scale > 0.0):
+        raise EnergyError(f"proposal scale must be finite and positive, got {proposal_scale!r}")
     beta_n = model.beta.beta_at(n)
     coupling = n * beta_n
     if not math.isfinite(coupling) or coupling <= 0.0:
@@ -471,8 +473,9 @@ def mcmc_run(model, n, steps, seed, initial=None, proposal_scale=0.5,
     post = steps - burn_steps
     if thin is None:
         thin = max(1, math.ceil(post / 2000))
-    elif thin < 1:
-        raise EnergyError(f"thinning stride must be >= 1, got {thin}")
+    elif not 1 <= thin <= post:
+        raise EnergyError(
+            f"thinning stride must lie in [1, {post}] (the post-burn-in steps), got {thin}")
     swap_attempts = [0] * (len(scales) - 1)
     swap_accepts = [0] * (len(scales) - 1)
     swap_round = 0

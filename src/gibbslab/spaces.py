@@ -424,7 +424,6 @@ def _build_box(resolution, bounds, density):
         raw = np.ones(nodes.shape[0])
     total = float((raw * cells).sum())
     weights = raw * cells / total
-    params["density_norm"] = 1.0 / total
     params["_density_norm"] = 1.0 / total
     return Space("box", dim, nodes, weights, cells, params,
                  density_values=raw / total)

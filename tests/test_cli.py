@@ -452,9 +452,17 @@ ldp:
      "ldp.constraint.level must be a number"),
     ("conditional", SINGLE_PARTICLE_TEXT, "mode: single_particle", "mode: 2",
      "ldp.mode must be a string"),
+    ("laplace-verify", FEKETE_TEXT, "fekete:\n  restarts: 4",
+     "ldp:\n  n_values: [4]\n  f:\n    vector: [1.0, 0.0, 5.0]",
+     "per-atom value vectors need a finite space"),
+    ("sample", SAMPLE_TEXT, "thin: 10", "thin: 10\n  proposal_scale: 0.0",
+     "proposal scale must be finite and positive"),
+    ("sample", SAMPLE_TEXT, "thin: 10", "thin: 5000",
+     r"thinning stride must lie in \[1, 3200\]"),
 ], ids=["green-trials", "green-tolerance", "equilibrium-tol", "sample-swap",
         "sample-steps", "fekete-restarts", "laplace-n-values", "laplace-grid-steps",
-        "rate-level", "conditional-mode"])
+        "rate-level", "conditional-mode", "laplace-circle-vector",
+        "sample-proposal-scale", "sample-thin"])
 def test_bad_values_exit_with_one_error_line(tmp_path, runner, command,
                                               template, old, new, message):
     assert old in template

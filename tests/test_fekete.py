@@ -32,7 +32,7 @@ from gibbslab.fekete import (
     infima_convergence_table,
     macro_infimum,
 )
-from gibbslab.measures import FiniteSpace
+from gibbslab.measures import FiniteSpace, GridMeasure
 from gibbslab.energy import w_macro
 from gibbslab.spaces import build_space
 
@@ -347,6 +347,24 @@ def test_guards(log_gas):
         f.simplex_values(FiniteSpace([0.5, 0.5]), np.array([[0.5, 0.5]]))
     with pytest.raises(EnergyError):
         ComposedFunctional(lambda: 0.0, [])
+
+
+def test_vector_functional_needs_a_finite_space(log_gas):
+    # a per-atom vector on a continuous space would be indexed by the
+    # integer part of each coordinate
+    f = IntegralFunctional(np.arange(64.0))
+    space = log_gas.space
+    with pytest.raises(EnergyError, match="finite space"):
+        f.configuration_value(space, np.array([[0.5], [3.2], [6.1]]))
+    with pytest.raises(EnergyError, match="finite space"):
+        f.grid_value(GridMeasure.uniform(space))
+    with pytest.raises(EnergyError, match="finite space"):
+        fekete_minimize(log_gas, 4, f=f, seed=0)
+    with pytest.raises(EnergyError, match="finite space"):
+        macro_infimum(log_gas, f)
+    atoms = FiniteSpace([0.5, 0.5])
+    value = IntegralFunctional([1.0, 3.0]).configuration_value(atoms, np.array([0, 1, 1]))
+    assert value == 7.0 / 3.0
 
 
 def test_exports(circle_table, log_gas):

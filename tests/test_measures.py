@@ -1,7 +1,11 @@
+import gc
 import math
+import weakref
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from gibbslab.errors import MeasureError
@@ -15,6 +19,7 @@ from gibbslab.measures import (
     legendre_check,
     relative_entropy,
 )
+from gibbslab.spaces import build_space
 
 
 def test_grid_measure_validation(circle_space):
@@ -161,6 +166,95 @@ def test_bl_distance_on_box(box_space):
     shifted = GridMeasure.from_unnormalized(box_space, np.exp(-box_space.nodes[:, 0]))
     uniform = GridMeasure.uniform(box_space)
     assert bounded_lipschitz_distance(shifted, uniform) > 0.01
+
+
+def _reference_bl_dictionary(space, n_anchors=64):
+    """The closure dictionary the one-pass table replaced: one function per
+    basis column, coordinate or anchor, with its values at the nodes."""
+    functions = []
+    if space.has_basis:
+        sups = np.abs(space.basis_values).max(axis=0)
+        scales = sups * np.maximum(1.0, np.sqrt(space.eigenvalues))
+        for k in range(1, space.n_basis):
+            functions.append(
+                lambda pts, k=k: space.evaluate_basis(pts)[:, k] / scales[k])
+    else:
+        for axis, (a, b) in enumerate(np.asarray(space.params["bounds"], float)):
+            center, scale = 0.5 * (a + b), max(1.0, 0.5 * (b - a))
+            functions.append(
+                lambda pts, axis=axis, c=center, s=scale: (pts[:, axis] - c) / s)
+    stride = max(1, space.n_nodes // n_anchors)
+    for anchor in space.nodes[::stride]:
+        functions.append(lambda pts, anchor=anchor.copy(): np.minimum(
+            space.geodesic(anchor, pts)[0], 1.0))
+    return functions, np.stack([fn(space.nodes) for fn in functions], axis=0)
+
+
+def _reference_bl_distance(dictionary, mu, nu):
+    functions, node_values = dictionary
+
+    def integrals(measure):
+        if isinstance(measure, GridMeasure):
+            return node_values @ measure.node_masses
+        return np.array([float(np.mean(fn(measure.points))) for fn in functions])
+
+    return float(np.abs(integrals(mu) - integrals(nu)).max())
+
+
+BL_SPACES = {
+    "circle": lambda: build_space("circle", 256, 64),
+    "torus": lambda: build_space("torus", 32, 8),
+    "sphere": lambda: build_space("sphere", 3, 8),
+    "box2": lambda: build_space("box", 16, bounds=[(-2.0, 1.0), (0.0, 4.0)]),
+    "box1": lambda: build_space("box", 64, bounds=[(-3.0, 3.0)]),
+    "box-density": lambda: build_space("box", 32, bounds=[(-1.0, 2.0)],
+                                       density="exp(-x*x)"),
+}
+
+
+def _bl_measures(space, seed):
+    rng = np.random.default_rng(seed)
+    grids = [GridMeasure.from_unnormalized(space, rng.uniform(0.2, 2.0, space.n_nodes))
+             for _ in range(2)]
+    empiricals = [EmpiricalMeasure(space, space.nodes[rng.integers(0, space.n_nodes, n)])
+                  for n in (7, 13)]
+    return grids, empiricals
+
+
+@pytest.mark.parametrize("name", sorted(BL_SPACES))
+def test_bl_table_matches_closure_dictionary(name):
+    space = BL_SPACES[name]()
+    dictionary = _reference_bl_dictionary(space)
+    (g1, g2), (e1, e2) = _bl_measures(space, 5)
+    for mu, nu in [(g1, e1), (g1, g2), (e1, e2), (g1, g1), (e1, e1)]:
+        value = bounded_lipschitz_distance(mu, nu)
+        assert abs(value - _reference_bl_distance(dictionary, mu, nu)) <= 1e-15
+    assert bounded_lipschitz_distance(g1, g1) == 0.0
+    assert bounded_lipschitz_distance(e1, e1) == 0.0
+
+
+BL_CIRCLE = build_space("circle", 64, 16)
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), grid_mu=st.booleans(), grid_nu=st.booleans())
+def test_bl_distance_symmetric_and_zero_on_the_diagonal(seed, grid_mu, grid_nu):
+    grids, empiricals = _bl_measures(BL_CIRCLE, seed)
+    mu = grids[0] if grid_mu else empiricals[0]
+    nu = grids[1] if grid_nu else empiricals[1]
+    assert bounded_lipschitz_distance(mu, nu) == bounded_lipschitz_distance(nu, mu)
+    assert bounded_lipschitz_distance(mu, mu) == 0.0
+    assert bounded_lipschitz_distance(nu, nu) == 0.0
+
+
+def test_bl_distance_keeps_no_space_alive():
+    space = build_space("sphere", 2, 4)
+    uniform = GridMeasure.uniform(space)
+    assert bounded_lipschitz_distance(uniform, EmpiricalMeasure(space, space.nodes[:3])) > 0.0
+    ref = weakref.ref(space)
+    del space, uniform
+    gc.collect()
+    assert ref() is None
 
 
 def test_grid_projection_single_atom(circle_space):

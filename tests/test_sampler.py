@@ -457,6 +457,19 @@ def test_run_guards(four_atom_model, circle_space):
         mcmc_run(frozen, n=2, steps=100, seed=1)
 
 
+def test_proposal_scale_and_thinning_guards(circle_space):
+    # a zero scale never moves a particle, a NaN one never accepts, and a
+    # stride past the post-burn-in steps keeps no sample
+    model = EnergyModel(circle_space, ConstantKernel(0.0), BetaSchedule.constant(1.0))
+    for scale in (0.0, -0.5, math.nan, math.inf):
+        with pytest.raises(EnergyError, match="proposal scale"):
+            mcmc_run(model, n=2, steps=2000, seed=1, proposal_scale=scale)
+    with pytest.raises(EnergyError, match=r"thinning stride must lie in \[1, 1600\]"):
+        mcmc_run(model, n=2, steps=2000, seed=1, thin=5000)
+    result = mcmc_run(model, n=2, steps=2000, seed=1, thin=1600)
+    assert result.samples.shape[0] == 1
+
+
 def test_enumeration_guards(four_atom_model, circle_space):
     with pytest.raises(EnumerationCapError):
         enumerate_gibbs(FiniteEnergyModel(FiniteSpace(np.full(6, 1 / 6)),

@@ -5,12 +5,14 @@ inverse temperature beta, the discrete free energy of node masses m is
 
     F(m) = (1/2) m^T M m + V^T m + (1/beta) sum_i m_i log(m_i / w_i),
 
-the grid transcription of  energy + (1/beta) * relative entropy.  One
-entropic mirror descent (multiplicative weights, ``_mirror_descent``)
-minimizes it here, for the finite limits of ``ldp`` and, with V replaced
-by V - lambda g, for its rate profiles; a step is accepted only if the
-directly computed objective change is not positive, and the certified
-optimality measure is the simplex duality gap  <g, m> - min_i g_i.
+the grid transcription of  energy + (1/beta) * relative entropy; finite
+models give (M, V, w) = (pair matrix, 0, pi).  One builder
+(``_limit_tables``) makes these tables and one entropic mirror descent
+(``_mirror_descent``) minimizes F on them: here, in the solver of
+inf {f + F} in ``fekete`` (beta = inf for Fekete tables) and, with V
+replaced by V - lambda g, in the rate profiles of ``ldp``.  A step is
+accepted only if the directly computed objective change is not positive,
+and the certified optimality measure is the simplex duality gap.
 """
 
 import math
@@ -19,7 +21,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .energy import GreenKernel, w_macro
+from .energy import EnergyModel, FiniteEnergyModel, GreenKernel, w_macro
 from .errors import EnergyError, MeasureError, StepSizeFailureError
 from .measures import GridMeasure, relative_entropy
 from .simplex import logsumexp
@@ -46,12 +48,21 @@ def free_energy(model, mu, clip=None):
     return energy + relative_entropy(mu) / beta
 
 
-def _model_tables(model):
+def _limit_tables(model, job="free-energy minimization"):
+    """(M, V, reference masses) of the limit free energy: an arity-2
+    model's cached node table, limit potential values and node weights, or
+    a finite model's pair matrix, zeros and atom probabilities.  ``job``
+    names the caller in the errors."""
+    if isinstance(model, FiniteEnergyModel):
+        if model.pair_matrix is None:
+            raise EnergyError(f"{job} needs an explicit pair matrix")
+        return model.pair_matrix, np.zeros(model.space.n_atoms), model.space.probs
+    if not isinstance(model, EnergyModel):
+        raise EnergyError(f"{job} cannot take a {type(model).__name__}")
     if model.kernel.arity != 2:
-        raise EnergyError("free-energy minimization requires an arity-2 kernel")
-    matrix = model.node_matrix()
-    v = model.potential_limit_values(model.space.nodes)
-    return matrix, v
+        raise EnergyError(f"{job} needs an arity-2 kernel")
+    return (model.node_matrix(), model.potential_limit_values(model.space.nodes),
+            model.space.weights)
 
 
 def _gradient(matrix, v, weights, masses, beta):
@@ -64,9 +75,8 @@ def _gradient(matrix, v, weights, masses, beta):
 
 def free_energy_gradient(model, mu):
     """Node values of the first variation dF/dm at mu (mass coordinates)."""
-    matrix, v = _model_tables(model)
-    return _gradient(matrix, v, model.space.weights, mu.node_masses,
-                     model.beta.limit)
+    matrix, v, weights = _limit_tables(model)
+    return _gradient(matrix, v, weights, mu.node_masses, model.beta.limit)
 
 
 def _objective(matrix, v, weights, masses, beta):
@@ -186,16 +196,19 @@ def minimize_free_energy(model, initial=None, max_iters=5000, tol=1e-10, step=1.
     finite, or when the descent stalls while the gap is still above
     ``max(1e3 * tol, 1e-6) * (1 + |F|)``.
     """
+    matrix, v, weights = _limit_tables(model)
     space = model.space
-    matrix, v = _model_tables(model)
-    beta = model.beta.limit
+    if initial is not None and initial.space is not space:
+        raise MeasureError("initial measure lives on a different space")
+    masses = weights.copy() if initial is None else initial.node_masses.copy()
+    return _equilibrium(space, matrix, v, model.beta.limit, masses,
+                        max_iters=max_iters, tol=tol, step=step)
+
+
+def _equilibrium(space, matrix, v, beta, masses, max_iters=5000, tol=1e-10, step=1.0):
+    """``minimize_free_energy`` on the tables (M, V) of a grid model at
+    limit inverse temperature ``beta``, from the node masses ``masses``."""
     weights = space.weights
-    if initial is None:
-        masses = weights.copy()
-    else:
-        if initial.space is not space:
-            raise MeasureError("initial measure lives on a different space")
-        masses = initial.node_masses.copy()
     if not math.isinf(beta) and masses.min() <= 0.0:
         raise MeasureError("finite-temperature minimization needs a strictly "
                            "positive initial density")
@@ -295,9 +308,8 @@ def directional_derivative_check(model, mu, nu, hs=(1e-3, 1e-4)):
     reported curvature constant."""
     if mu.space is not model.space or nu.space is not model.space:
         raise MeasureError("measures live on a different space")
-    matrix, v = _model_tables(model)
+    matrix, v, weights = _limit_tables(model)
     beta = model.beta.limit
-    weights = model.space.weights
     m = mu.node_masses
     target = nu.node_masses
     if not math.isinf(beta) and m.min() <= 0.0:

@@ -17,6 +17,10 @@ occupation-count classes.  Results are best-found local minima,
 not certified global optima; the circle log-gas, whose global minimum is
 known in closed form, serves as the regression anchor for the optimizer.
 
+One solver, ``_limit_infimum``, gives inf {f + F} for F = w + D/beta: the
+Fekete infimum at beta = inf, and the Laplace limits of ``ldp`` at the
+model's limit beta.
+
 Functionals of the empirical measure come in three representable classes:
 plain integrals ``f(mu) = integral of g dmu`` (evaluated directly on the
 atoms), scalar compositions of several such integrals, and functionals of a
@@ -30,7 +34,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .energy import (
-    BetaSchedule,
     EnergyModel,
     FiniteEnergyModel,
     LogChordKernel,
@@ -38,9 +41,9 @@ from .energy import (
     _upper_triangle,
     w_n,
 )
-from .equilibrium import minimize_free_energy
+from .equilibrium import _equilibrium, _limit_tables, _mirror_descent
 from .errors import CollisionError, EnergyError
-from .measures import EmpiricalMeasure, FiniteSpace, GridMeasure, _fmt, grid_projection
+from .measures import EmpiricalMeasure, FiniteSpace, _fmt, grid_projection, relative_entropy
 from .rng import derive_rng
 from .sampler import _continuous_deltas
 from .simplex import class_table, simplex_minimize
@@ -100,14 +103,10 @@ class IntegralFunctional(MeasureFunctional):
         values = np.asarray(self.g, dtype=float)
         return values[np.asarray(points, dtype=np.int64)]
 
-    def configuration_value(self, space, config):
-        return float(self.point_values(space, config).mean())
-
-    def grid_value(self, mu):
-        values = self.point_values(mu.space, mu.space.nodes)
-        return float((mu.node_masses * values).sum())
-
-    def simplex_values(self, space, taus):
+    def node_values(self, space):
+        """g at the atoms of a finite space or at the nodes of a grid."""
+        if not isinstance(space, FiniteSpace):
+            return self.point_values(space, space.nodes)
         if callable(self.g):
             raise EnergyError("finite-space functionals need a per-atom value vector")
         values = np.asarray(self.g, dtype=float)
@@ -115,20 +114,28 @@ class IntegralFunctional(MeasureFunctional):
             raise EnergyError(
                 f"per-atom vector has shape {values.shape}, expected ({space.n_atoms},)"
             )
-        return np.asarray(taus, dtype=float) @ values
+        return values
+
+    def configuration_value(self, space, config):
+        return float(self.point_values(space, config).mean())
+
+    def grid_value(self, mu):
+        return float((mu.node_masses * self.node_values(mu.space)).sum())
+
+    def simplex_values(self, space, taus):
+        return np.asarray(taus, dtype=float) @ self.node_values(space)
 
 
-def _fold_functional(model, f, beta):
-    """Copy of ``model`` under the schedule ``beta`` with the integral
-    functional ``f`` (None for none) added as a one-body potential, so that
-    its energy is w_n + f(i_n)."""
+def _fold_functional(model, f):
+    """Copy of ``model`` with the integral functional ``f`` (None for none)
+    added as a one-body potential, so that its energy is w_n + f(i_n)."""
     potentials = list(model.potentials)
     if f is not None:
         if not isinstance(f, IntegralFunctional):
             raise EnergyError("continuous spaces support integral functionals only")
         potentials.append(StaticPotential(
             lambda pts: f.point_values(model.space, pts), description="tilt"))
-    return EnergyModel(model.space, model.kernel, beta, potentials=potentials)
+    return EnergyModel(model.space, model.kernel, model.beta, potentials=potentials)
 
 
 class ComposedFunctional(MeasureFunctional):
@@ -550,30 +557,69 @@ def fekete_minimize(model, n, f=None, restarts=8, seed=0, max_iters=2000,
     )
 
 
-def macro_infimum(model, f=None, grid_steps=200):
-    """Macroscopic infimum inf {w + f} over probability measures.
+def _finite_free_energy(model, taus, beta):
+    """w(tau) + D(tau || pi) / beta for each row of an (r, m) array;
+    beta = inf drops the entropy term."""
+    energies = model.w_mean(taus)
+    if math.isinf(beta):
+        return energies
+    return energies + relative_entropy(taus, model.space.probs) / beta
 
-    Finite spaces use a refining simplex grid search; continuous arity-2
-    models run the entropy-free mirror descent on the node grid (exact for
-    convex kernels, best-found otherwise).  Returns (value, witness).
+
+def _limit_infimum(model, f, beta, grid_steps=200):
+    """inf {f + F} over probability measures for the limit free energy
+    F = w + D( . || ref) / beta; beta = inf drops the entropy term.
+
+    (M, V, ref) come from ``equilibrium._limit_tables``, and an integral f
+    adds its atom or node values to V.  Grid models run the mirror descent
+    of ``minimize_free_energy`` from the node weights; finite models a
+    refining simplex grid search, polished by mirror descent at finite beta
+    when f is an integral or None.  Returns (value, witness).
     """
-    if isinstance(model, FiniteEnergyModel):
-        m = model.space.n_atoms
+    matrix, v, ref = _limit_tables(model, "the limit infimum")
+    space = model.space
+    linear = f is None or isinstance(f, IntegralFunctional)
+    if isinstance(model, EnergyModel) and not linear:
+        raise EnergyError("continuous spaces support integral functionals only")
+    if not (f is None or isinstance(f, MeasureFunctional)):
+        raise EnergyError(f"f must be a MeasureFunctional or None, got {type(f).__name__}")
+    if f is not None and linear:
+        v = v + f.node_values(space)
+    if isinstance(model, EnergyModel):
+        result = _equilibrium(space, matrix, v, beta, ref.copy())
+        return result.value, result.measure
 
-        def objective(taus):
-            values = model.w_mean(taus)
-            if f is not None:
-                values = values + f.simplex_values(model.space, taus)
-            return values
+    def objective(taus):
+        values = _finite_free_energy(model, taus, beta)
+        if f is not None:
+            values = values + f.simplex_values(space, taus)
+        return values
 
-        value, tau = simplex_minimize(objective, m, steps=grid_steps)
-        return value, tau
-    if not isinstance(model, EnergyModel):
-        raise EnergyError(f"cannot minimize a {type(model).__name__}")
-    if model.kernel.arity != 2:
-        raise EnergyError("macroscopic infimum on grids supports arity-2 kernels only")
-    result = minimize_free_energy(_fold_functional(model, f, BetaSchedule.linear(1.0)))
-    return result.value, result.measure
+    value, tau = simplex_minimize(objective, space.n_atoms, steps=grid_steps)
+    if math.isfinite(beta) and linear:
+        init = np.maximum(tau, 1e-12)
+        masses = _mirror_descent(matrix, v, ref, beta, init / init.sum()).masses
+        total = float(objective(masses[None, :])[0])
+        if total < value:
+            value, tau = total, masses
+    return value, tau
+
+
+def macro_infimum(model, f=None, grid_steps=200):
+    """Macroscopic infimum inf {w + f} over probability measures: the limit
+    solver at beta = inf (exact for convex kernels, best-found otherwise).
+    Returns (value, witness)."""
+    return _limit_infimum(model, f, math.inf, grid_steps)
+
+
+def _particle_counts(n_values, least=1):
+    """``n_values`` as a list of ints; raises EnergyError unless it holds at
+    least ``least`` strictly increasing counts."""
+    n_values = [int(n) for n in n_values]
+    if len(n_values) < least or any(b <= a for a, b in zip(n_values, n_values[1:])):
+        raise EnergyError(
+            f"need at least {least} strictly increasing particle counts, got {n_values}")
+    return n_values
 
 
 @dataclass
@@ -615,9 +661,7 @@ def infima_convergence_table(model, n_values, f=None, threshold=0.05,
     """Tabulate the best-found discrete minima inf w_n (+ f) against the
     macroscopic infimum; the table passes when the gap trend slopes down
     (least-squares slope < 0) and the final gap beats ``threshold``."""
-    n_values = [int(n) for n in n_values]
-    if len(n_values) < 2 or any(b <= a for a, b in zip(n_values, n_values[1:])):
-        raise EnergyError("need at least two strictly increasing particle counts")
+    n_values = _particle_counts(n_values, least=2)
     macro_inf, witness = macro_infimum(model, f=f, grid_steps=grid_steps)
     results = [fekete_minimize(model, n, f=f, restarts=restarts, seed=seed,
                                max_iters=max_iters) for n in n_values]

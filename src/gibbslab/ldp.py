@@ -8,10 +8,12 @@ where gamma_n = exp(-n beta_n w_n) d(reference)^n and i_n is the empirical
 measure.  L_n is computed exactly on finite atom spaces (enumeration over
 occupation-count classes) and estimated on manifolds by thermodynamic
 integration over a tempering ladder.  Each verdict compares the L_n sequence
-against the candidate limit -inf {f + F} (free-energy minimization on the
-node grid or refined simplex search) and reports (final gap, trend slope)
-against explicit thresholds -- a limit is never declared from finitely many
-terms.
+against the candidate limit -inf {f + F}, which comes from the one limit
+solver ``fekete._limit_infimum`` at the model's limit beta (mirror descent
+on the node grid, or a refined simplex search polished by the same descent
+on finite spaces); Fekete tables call the same solver at beta = inf.  It
+reports (final gap, trend slope) against explicit thresholds -- a limit is
+never declared from finitely many terms.
 
 Also provided: constrained minimization of the rate function I = F - inf F
 over half-spaces {mu : integral of g dmu >= c} through the tilted family
@@ -31,20 +33,20 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .energy import (
-    BetaSchedule,
     EnergyModel,
     EnvironmentPotential,
     FiniteEnergyModel,
     StaticPotential,
     w_n,
 )
-from .equilibrium import _mirror_descent, _objective, minimize_free_energy
+from .equilibrium import _limit_tables, _mirror_descent, _objective
 from .errors import EnergyError, InfeasibleConstraintError
-from .fekete import ComposedFunctional, IntegralFunctional, MeasureFunctional, _fold_functional
-from .measures import FiniteSpace, GridMeasure, _fmt, relative_entropy
+from .fekete import _fold_functional, _limit_infimum, _particle_counts
+from .measures import FiniteSpace, GridMeasure, _fmt
 from .rng import derive_rng
 from .sampler import mcmc_run
-from .simplex import class_count, class_table, logsumexp, simplex_minimize
+# bench/check_bench.py checks that its span recorder rebinds ldp.simplex_minimize
+from .simplex import class_count, class_table, logsumexp, simplex_minimize  # noqa: F401
 
 __all__ = [
     "PARTICLE_CAP",
@@ -129,18 +131,7 @@ def _verdict(kind, n_values, values, errors, limit, threshold, witness=None):
     )
 
 
-# -- functional plumbing ---------------------------------------------------------------
-
-
-def _simplex_functional(f, space):
-    """Vectorized f on rows of atom-mass vectors; None means zero."""
-    if f is None:
-        return lambda taus: np.zeros(np.asarray(taus).shape[0])
-    if isinstance(f, MeasureFunctional):
-        return lambda taus: np.asarray(f.simplex_values(space, taus), dtype=float)
-    if callable(f):
-        return lambda taus: np.array([float(f(row)) for row in np.asarray(taus, float)])
-    raise EnergyError(f"cannot evaluate {type(f).__name__} on finite-support measures")
+# -- finite enumeration --------------------------------------------------------------
 
 
 def _log_class_sum(table, exponents, probs, n):
@@ -169,18 +160,18 @@ def laplace_verify_finite(space, model, f, n_values, threshold=0.05, grid_steps=
 
     The per-class weights multinomial(c) * prod(pi^c) * exp(-coupling * S(c))
     come from one type-class table per n (``simplex.class_table``) and are
-    accumulated by ``_log_class_sum``.  The limit -inf {f + F} comes from a
-    refining simplex grid search, polished by mirror descent.
+    accumulated by ``_log_class_sum``.  The limit -inf {f + F} comes from
+    ``fekete._limit_infimum`` at the model's limit beta: a refining simplex
+    grid search, polished by mirror descent.  ``f`` is None or a
+    MeasureFunctional.
     """
     if not isinstance(model, FiniteEnergyModel):
         raise EnergyError("finite-space verification needs a FiniteEnergyModel")
     if space is not model.space:
         raise EnergyError("space does not match the model's space")
-    n_values = [int(n) for n in n_values]
-    if not n_values or any(b <= a for a, b in zip(n_values, n_values[1:])):
-        raise EnergyError("particle counts must be strictly increasing")
+    n_values = _particle_counts(n_values)
     class_count(n_values[-1], space.n_atoms)
-    f_vals = _simplex_functional(f, space)
+    limit_value, tau = _limit_infimum(model, f, model.beta.limit, grid_steps)
     values = []
     for n in n_values:
         beta_n = model.beta.beta_at(n)
@@ -188,45 +179,12 @@ def laplace_verify_finite(space, model, f, n_values, threshold=0.05, grid_steps=
         if not math.isfinite(coupling):
             raise EnergyError(f"coupling n*beta_n is not finite at n={n}")
         table = class_table(model, n)
-        exponents = -coupling * (table.energies + f_vals(table.counts / n))
-        values.append(_log_class_sum(table, exponents, space.probs, n) / coupling)
-    limit_value, tau = _finite_limit(model, f, grid_steps)
+        energies = table.energies
+        if f is not None:
+            energies = energies + f.simplex_values(space, table.counts / n)
+        values.append(_log_class_sum(table, -coupling * energies, space.probs, n) / coupling)
     return _verdict("finite-enumeration", n_values, values, None,
                     -limit_value + 0.0, threshold, witness=tau)
-
-
-def _finite_free_energy(model, taus):
-    """w(tau) + D(tau || pi) / beta for each row of an (r, m) array."""
-    energies = model.w_mean(taus)
-    beta = model.beta.limit
-    if math.isinf(beta):
-        return energies
-    return energies + relative_entropy(taus, model.space.probs) / beta
-
-
-def _finite_limit(model, f, grid_steps):
-    """inf {f + F} over the simplex: refining grid search + descent polish."""
-    space = model.space
-    f_vals = _simplex_functional(f, space)
-
-    def objective(taus):
-        return _finite_free_energy(model, taus) + f_vals(taus)
-
-    value, tau = simplex_minimize(objective, space.n_atoms, steps=grid_steps)
-    beta = model.beta.limit
-    linear_tilt = f is None or (
-        isinstance(f, IntegralFunctional) and not callable(f.g))
-    if model.pair_matrix is not None and math.isfinite(beta) and linear_tilt:
-        g_vec = (np.zeros(space.n_atoms) if f is None
-                 else np.asarray(f.g, dtype=float))
-        init = np.maximum(tau, 1e-12)
-        masses = _mirror_descent(model.pair_matrix, g_vec, space.probs, beta,
-                                 init / init.sum()).masses
-        total = float(_finite_free_energy(model, masses[None, :])[0]
-                      + f_vals(masses[None, :])[0])
-        if total < value:
-            value, tau = total, masses
-    return value, tau
 
 
 # -- Monte Carlo estimator ---------------------------------------------------------------
@@ -264,15 +222,13 @@ def laplace_estimate_mc(model, f, n_values, chain_budget=20_000, seed=0, rungs=8
     """
     if not isinstance(model, EnergyModel):
         raise EnergyError("the Monte Carlo estimator needs a continuous-space model")
-    n_values = [int(n) for n in n_values]
-    if not n_values or any(b <= a for a, b in zip(n_values, n_values[1:])):
-        raise EnergyError("particle counts must be strictly increasing")
+    n_values = _particle_counts(n_values)
     if max(n_values) > PARTICLE_CAP:
         raise EnergyError(
             f"n={max(n_values)} exceeds the Monte Carlo cap {PARTICLE_CAP}")
     if rungs < 2:
         raise EnergyError(f"need at least 2 ladder rungs, got {rungs}")
-    target = model if f is None else _fold_functional(model, f, model.beta)
+    target = model if f is None else _fold_functional(model, f)
     ladder = [k / rungs for k in range(1, rungs + 1)]
     nodes = np.array([0.0] + ladder)
     h = 1.0 / rungs
@@ -309,9 +265,9 @@ def laplace_estimate_mc(model, f, n_values, chain_budget=20_000, seed=0, rungs=8
             ses.append(se_s)
         values.append(-float(weights @ np.asarray(means)))
         errors.append(float(np.sqrt((weights ** 2) @ (np.asarray(ses) ** 2))))
-    limit_result = minimize_free_energy(target)
-    return _verdict("mc", n_values, values, errors, -limit_result.value,
-                    threshold, witness=limit_result.measure)
+    limit_value, witness = _limit_infimum(model, f, model.beta.limit)
+    return _verdict("mc", n_values, values, errors, -limit_value,
+                    threshold, witness=witness)
 
 
 # -- rate-function profiles ----------------------------------------------------------------
@@ -365,20 +321,6 @@ class RateProfile:
         }
 
 
-def _model_tables_for_profile(model):
-    if isinstance(model, FiniteEnergyModel):
-        if model.pair_matrix is None:
-            raise EnergyError("rate profiles need an explicit pair matrix")
-        m = model.space.n_atoms
-        return model.pair_matrix, np.zeros(m), model.space.probs
-    if isinstance(model, EnergyModel):
-        if model.kernel.arity != 2:
-            raise EnergyError("rate profiles support arity-2 kernels only")
-        v = model.potential_limit_values(model.space.nodes)
-        return model.node_matrix(), v, model.space.weights
-    raise EnergyError(f"cannot profile a {type(model).__name__}")
-
-
 def rate_function_profile(model, descriptor=None, max_iters=3000, tol=1e-10):
     """Infimum of the rate function I = F - inf F over a half-space
     {mu : g.mu >= c}.
@@ -396,7 +338,7 @@ def rate_function_profile(model, descriptor=None, max_iters=3000, tol=1e-10):
 
     Returns a RateProfile whose ``witness`` is a GridMeasure (continuous
     models) or an atom-mass vector (finite models)."""
-    matrix, v, ref = _model_tables_for_profile(model)
+    matrix, v, ref = _limit_tables(model, "a rate profile")
     beta = model.beta.limit
     if not beta > 0.0:
         raise EnergyError(f"limit temperature must be positive, got {beta!r}")
@@ -483,9 +425,7 @@ def single_particle_limit(space, beta, f_fn, potential, n_values, interaction=No
     against -min over the grid of (f + V_limit).  ``potential`` supplies the
     stage fields V_n and their limit; ``interaction``/``decay`` optionally
     add a vanishing one-body term lambda_n * h."""
-    n_values = [int(n) for n in n_values]
-    if not n_values or any(b <= a for a, b in zip(n_values, n_values[1:])):
-        raise EnergyError("stage indices must be strictly increasing")
+    n_values = _particle_counts(n_values)
     nodes = space.nodes
     log_w = np.log(space.weights)
     f_nodes = np.zeros(space.n_nodes) if f_fn is None else np.asarray(

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from gibbslab import energy
 from gibbslab.energy import (
     BetaSchedule,
     CallableKernel,
@@ -315,6 +316,29 @@ def test_macro_infimum_with_tilt(log_gas):
     assert_allclose(value, recomputed, rtol=1e-10)
     uniform_value = w_macro(log_gas, type(witness).uniform(log_gas.space)) + 0.0
     assert value < uniform_value
+
+
+def test_grid_limit_reuses_the_cached_node_table(circle_space, monkeypatch):
+    # the limit reads the model's own node table: a second n_nodes**2 table
+    # would double the memory of a large grid
+    model = EnergyModel(circle_space, LogChordKernel(), BetaSchedule.linear(1.0),
+                        potentials=[StaticPotential(lambda pts: 0.2 * np.sin(pts[:, 0]))])
+    table = model.node_matrix()
+
+    def rebuild(*args, **kwargs):
+        raise AssertionError("the node table was built a second time")
+
+    monkeypatch.setattr(energy, "kernel_node_matrix", rebuild)
+    value, witness = macro_infimum(model, IntegralFunctional(lambda pts: np.cos(pts[:, 0])))
+    assert model.node_matrix() is table
+    assert math.isfinite(value) and witness.space is circle_space
+
+
+def test_finite_limit_refuses_a_plain_callable():
+    model = FiniteEnergyModel(FiniteSpace([0.5, 0.5]), BetaSchedule.constant(1.0),
+                              pair_matrix=np.eye(2))
+    with pytest.raises(EnergyError, match="MeasureFunctional"):
+        macro_infimum(model, lambda tau: float(tau[0]))
 
 
 # -- error paths ----------------------------------------------------------------------------

@@ -8,7 +8,7 @@ from numpy.testing import assert_allclose
 from scipy.optimize import brentq
 from scipy.special import iv
 
-from gibbslab import ldp
+from gibbslab import fekete, ldp
 from gibbslab.config import RunConfig, build_finite_model, build_functional
 from gibbslab.energy import (
     BetaSchedule,
@@ -28,7 +28,7 @@ from gibbslab.errors import (
     EnumerationCapError,
     InfeasibleConstraintError,
 )
-from gibbslab.fekete import ComposedFunctional, IntegralFunctional
+from gibbslab.fekete import ComposedFunctional, IntegralFunctional, macro_infimum
 from gibbslab.ldp import (
     HalfSpace,
     LaplaceVerdict,
@@ -38,7 +38,7 @@ from gibbslab.ldp import (
     rate_function_profile,
     single_particle_limit,
 )
-from gibbslab.measures import EmpiricalMeasure, FiniteSpace
+from gibbslab.measures import EmpiricalMeasure, FiniteSpace, relative_entropy
 from gibbslab.simplex import CLASS_CAP, class_table, simplex_minimize
 
 
@@ -189,14 +189,14 @@ def test_limit_witness_is_the_fixed_point(case, grid_steps, monkeypatch):
                                   pair_matrix=np.diag([1.0, 0.5, 2.0]))
         f = None
     iterations = []
-    descent = ldp._mirror_descent
+    descent = fekete._mirror_descent
 
     def recording(*args, **kwargs):
         result = descent(*args, **kwargs)
         iterations.append(result.iterations)
         return result
 
-    monkeypatch.setattr(ldp, "_mirror_descent", recording)
+    monkeypatch.setattr(fekete, "_mirror_descent", recording)
     verdict = laplace_verify_finite(model.space, model, f, [2], grid_steps=grid_steps)
     g = np.zeros(model.space.n_atoms) if f is None else np.asarray(f.g, dtype=float)
     assert _fixed_point_error(verdict.witness, model, g) <= 1e-9
@@ -671,6 +671,33 @@ def test_finite_limit_stable_under_grid_refinement():
               for steps in (25, 100, 200, 400)]
     assert abs(limits[-1] - limits[-2]) < 1e-9
     assert max(limits) - min(limits) < 1e-6
+
+
+def test_finite_limits_fall_to_the_fekete_infimum():
+    # Gamma-convergence on the benchmark's tilted 3-atom model: -limit(beta) =
+    # inf {f + w + D/beta} does not rise with beta, stays above the Fekete
+    # infimum inf {f + w}, and exceeds it by at most D(tau || pi) / beta at
+    # the Fekete witness tau
+    space = FiniteSpace([0.5, 0.3, 0.2])
+    pair = [[0.0, 1.0, 0.4], [1.0, 0.3, -0.2], [0.4, -0.2, 0.6]]
+    f = IntegralFunctional(np.array([0.5, 0.0, -0.3]))
+    betas = [1.0, 4.0, 16.0, 64.0]
+    infima = [-laplace_verify_finite(
+        space, FiniteEnergyModel(space, BetaSchedule.constant(beta), pair_matrix=pair),
+        f, [2]).limit for beta in betas]
+    fekete_value, tau = macro_infimum(
+        FiniteEnergyModel(space, BetaSchedule.constant(1.0), pair_matrix=pair), f)
+    assert all(b <= a for a, b in zip(infima, infima[1:]))
+    assert min(infima) >= fekete_value - 1e-12
+    entropy = relative_entropy(tau, space.probs)
+    for beta, value in zip(betas, infima):
+        assert value - fekete_value <= entropy / beta + 1e-12
+
+
+def test_finite_verification_refuses_a_plain_callable(three_atom_model):
+    space = three_atom_model.space
+    with pytest.raises(EnergyError, match="MeasureFunctional"):
+        laplace_verify_finite(space, three_atom_model, lambda tau: float(tau[0]), [2, 3])
 
 
 def test_environment_route_matches_static_potential_route(circle_space):

@@ -13,7 +13,8 @@ from scipy.special import logsumexp as scipy_logsumexp
 
 from gibbslab.energy import BetaSchedule, FiniteEnergyModel
 from gibbslab.errors import EnergyError
-from gibbslab.ldp import _finite_free_energy, laplace_verify_finite
+from gibbslab.fekete import _finite_free_energy
+from gibbslab.ldp import laplace_verify_finite
 from gibbslab.measures import FiniteSpace
 from gibbslab.sampler import enumerate_gibbs
 from gibbslab.simplex import _blocks, class_table, compositions, logsumexp, simplex_minimize
@@ -168,7 +169,7 @@ def test_batched_free_energy_equals_the_row_loop(rows, beta):
     taus /= taus.sum(axis=1, keepdims=True)
     model = FiniteEnergyModel(FiniteSpace(PROBS), BetaSchedule.constant(beta),
                               pair_matrix=PAIR)
-    assert_allclose(_finite_free_energy(model, taus), _free_energy_rows(model, taus),
+    assert_allclose(_finite_free_energy(model, taus, beta), _free_energy_rows(model, taus),
                     rtol=0.0, atol=1e-14)
 
 

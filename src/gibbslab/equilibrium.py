@@ -48,12 +48,14 @@ def free_energy(model, mu, clip=None):
     return energy + relative_entropy(mu) / beta
 
 
-def _limit_tables(model, job="free-energy minimization"):
+def _limit_tables(model, job, finite=True):
     """(M, V, reference masses) of the limit free energy: an arity-2
     model's cached node table, limit potential values and node weights, or
     a finite model's pair matrix, zeros and atom probabilities.  ``job``
-    names the caller in the errors."""
+    names the caller in the errors; a grid-only job passes finite=False."""
     if isinstance(model, FiniteEnergyModel):
+        if not finite:
+            raise EnergyError(f"{job} needs a grid model, not a FiniteEnergyModel")
         if model.pair_matrix is None:
             raise EnergyError(f"{job} needs an explicit pair matrix")
         return model.pair_matrix, np.zeros(model.space.n_atoms), model.space.probs
@@ -75,7 +77,7 @@ def _gradient(matrix, v, weights, masses, beta):
 
 def free_energy_gradient(model, mu):
     """Node values of the first variation dF/dm at mu (mass coordinates)."""
-    matrix, v, weights = _limit_tables(model)
+    matrix, v, weights = _limit_tables(model, "the free-energy gradient", finite=False)
     return _gradient(matrix, v, weights, mu.node_masses, model.beta.limit)
 
 
@@ -194,9 +196,14 @@ def minimize_free_energy(model, initial=None, max_iters=5000, tol=1e-10, step=1.
     Converged means the simplex duality gap <g, m> - min g fell to
     ``tol * (1 + |F|)``.  Raises StepSizeFailureError when the gradient is not
     finite, or when the descent stalls while the gap is still above
-    ``max(1e3 * tol, 1e-6) * (1 + |F|)``.
+    ``max(1e3 * tol, 1e-6) * (1 + |F|)``; EnergyError for a finite model,
+    a step not finite and positive or a tol not finite and >= 0.
     """
-    matrix, v, weights = _limit_tables(model)
+    matrix, v, weights = _limit_tables(model, "free-energy minimization", finite=False)
+    if not (math.isfinite(step) and step > 0.0):
+        raise EnergyError(f"descent step must be finite and positive, got {step!r}")
+    if not (math.isfinite(tol) and tol >= 0.0):
+        raise EnergyError(f"descent tolerance must be finite and >= 0, got {tol!r}")
     space = model.space
     if initial is not None and initial.space is not space:
         raise MeasureError("initial measure lives on a different space")
@@ -254,7 +261,7 @@ def mean_field_residual(model, mu):
     below it on this grid, so values near ``tail`` mean the discrete optimum
     was reached.
     """
-    if not isinstance(model.kernel, GreenKernel):
+    if not (isinstance(model, EnergyModel) and isinstance(model.kernel, GreenKernel)):
         raise EnergyError("mean-field residual needs a Green-kernel model")
     beta = model.beta.limit
     if not math.isfinite(beta) or beta <= 0.0:
@@ -306,9 +313,10 @@ def directional_derivative_check(model, mu, nu, hs=(1e-3, 1e-4)):
     """Compare <dF(mu), nu - mu> with one-sided difference quotients of F
     along the segment (1-h) mu + h nu; the error should be O(h) with the
     reported curvature constant."""
+    matrix, v, weights = _limit_tables(model, "the directional derivative check",
+                                       finite=False)
     if mu.space is not model.space or nu.space is not model.space:
         raise MeasureError("measures live on a different space")
-    matrix, v, weights = _limit_tables(model)
     beta = model.beta.limit
     m = mu.node_masses
     target = nu.node_masses

@@ -11,8 +11,10 @@ Armijo backtracking (kernels differentiable off the diagonal) or refined by
 coordinate-wise pattern search (non-smooth kernels), then polished by
 single-particle relocation sweeps that may exchange a particle's position
 for the best of a batch of fresh draws, all scored by one collision table
-and one batched energy delta.  Collision tests and energies read only the
-n(n-1)/2 pairs i < j.  Finite atom spaces are solved exactly by enumerating
+and the sampler's batched energy delta.  An integral tilt is folded into the
+model as a one-body potential first, so the local searches see only f =
+None or a composed or density functional.  Collision tests and energies
+read only the n(n-1)/2 pairs i < j.  Finite atom spaces are solved exactly by enumerating
 occupation-count classes.  Results are best-found local minima,
 not certified global optima; the circle log-gas, whose global minimum is
 known in closed form, serves as the regression anchor for the optimizer.
@@ -302,11 +304,11 @@ def _fd_pair_gradient(model, config, h):
     return grad
 
 
-def _gradient(model, config, f, h=1e-6):
+def _gradient(model, config, h=1e-6):
     grad = _analytic_pair_gradient(model, config)
     if grad is None:
         grad = _fd_pair_gradient(model, config, h)
-    if model.potentials or isinstance(f, IntegralFunctional):
+    if model.potentials:
         space = model.space
         n, dim = config.shape
         for c in range(dim):
@@ -314,12 +316,8 @@ def _gradient(model, config, f, h=1e-6):
             shift[0, c] = h
             plus = _retract(space, config + shift)
             minus = _retract(space, config - shift)
-            if model.potentials:
-                dv = model.potential_stage_values(n, plus) - model.potential_stage_values(n, minus)
-                grad[:, c] += dv / (2.0 * h) / n
-            if isinstance(f, IntegralFunctional):
-                dg = f.point_values(space, plus) - f.point_values(space, minus)
-                grad[:, c] += dg / (2.0 * h) / n
+            dv = model.potential_stage_values(n, plus) - model.potential_stage_values(n, minus)
+            grad[:, c] += dv / (2.0 * h) / n
     return grad
 
 
@@ -339,7 +337,7 @@ def _gradient_descent(model, config, f, max_iters, grad_tol):
     prev_config = prev_grad = None
     iterations = 0
     for iterations in range(1, max_iters + 1):
-        grad = _gradient(model, config, f)
+        grad = _gradient(model, config)
         if not np.isfinite(grad).all():
             raise CollisionError("gradient blew up near the diagonal",
                                  pair=_closest_pair(space, config)[1])
@@ -411,8 +409,10 @@ def _relocation_polish(model, config, f, rng, value, rounds, candidates):
     """Single-particle exchange sweeps: each particle may trade its position
     for the best of a batch of fresh reference draws when that strictly
     lowers the objective.  The batch costs one geodesic table for the
-    collision mask and, unless f is a density functional, one batched
-    energy delta."""
+    collision mask and, when f is None, one batched energy delta
+    (``sampler._continuous_deltas``); an integral tilt arrives folded into
+    the model, so only composed and density functionals score the draws
+    one objective at a time."""
     space = model.space
     n = config.shape[0]
     improved_any = False
@@ -423,11 +423,8 @@ def _relocation_polish(model, config, f, rng, value, rounds, candidates):
             gaps = space.distance(draws[:, None], config[None])
             gaps[:, i] = np.inf
             clear = gaps.min(axis=1) >= _COLLISION_TOL
-            if f is None or isinstance(f, IntegralFunctional):
+            if f is None:
                 deltas = _continuous_deltas(model, config, i, draws)
-                if isinstance(f, IntegralFunctional):
-                    old = f.point_values(space, config[i][None, :])[0]
-                    deltas += (f.point_values(space, draws) - old) / n
             else:
                 deltas = np.full(candidates, math.inf)
                 for r in np.flatnonzero(clear):
@@ -487,7 +484,8 @@ def fekete_minimize(model, n, f=None, restarts=8, seed=0, max_iters=2000,
     n-point configurations.
 
     Finite atom spaces are solved exactly by enumeration.  Continuous spaces
-    run ``restarts`` independent local searches (reproducible streams derived
+    fold an integral f into the model as a one-body potential, then run
+    ``restarts`` independent local searches (reproducible streams derived
     from ``seed``); restarts that collide are recorded as ``+inf`` and the
     best survivor wins, with ties broken by the canonical coordinate key.
     """
@@ -498,10 +496,14 @@ def fekete_minimize(model, n, f=None, restarts=8, seed=0, max_iters=2000,
     k = model.kernel.arity
     if n < k:
         raise EnergyError(f"need at least k={k} particles, got {n}")
-    if restarts < 1:
-        raise EnergyError(f"restarts must be >= 1, got {restarts}")
-    use_gradient = (model.kernel.differentiable and k == 2
-                    and (f is None or isinstance(f, IntegralFunctional)))
+    for name, count, least in (("restarts", restarts, 1), ("max_iters", max_iters, 1),
+                               ("polish_rounds", polish_rounds, 0),
+                               ("polish_candidates", polish_candidates, 1)):
+        if count < least:
+            raise EnergyError(f"{name} must be >= {least}, got {count}")
+    if isinstance(f, IntegralFunctional):
+        model, f = _fold_functional(model, f), None
+    use_gradient = model.kernel.differentiable and k == 2 and f is None
     values, configs, iter_counts, traces = [], [], [], []
     collisions = 0
     for r in range(restarts):
@@ -543,7 +545,7 @@ def fekete_minimize(model, n, f=None, restarts=8, seed=0, max_iters=2000,
     points = configs[best]
     gradient_norm = None
     if use_gradient:
-        gradient_norm = float(np.abs(_gradient(model, points, f)).max())
+        gradient_norm = float(np.abs(_gradient(model, points)).max())
     return FeketeResult(
         points=points,
         value=values[best],

@@ -15,22 +15,25 @@ burn-in included, the cache is recomputed from scratch and must agree to
 randomness flows through one generator derived from (seed, name), making
 equal-seed runs byte-identical.
 
-Pair kernels other than the Green kernel take a move's energy change from
-one (R + 1, n) table of elementwise ``Kernel.values``, the rows of R
-candidate points and of the moving particle's own position, with the
-particle's own column zeroed: a chain step has R = 1, and the Fekete
-relocation polish scores a whole batch of candidate draws at once.
+One function, ``_continuous_deltas``, scores every continuous
+single-particle move: R = 1 candidate in a chain step, a batch of R draws in
+the Fekete relocation polish.  Dense pair kernels take one (R + 1, n) table
+of elementwise ``Kernel.values`` (the candidates' rows and the moving
+particle's own, its own column zeroed).  The Green kernel
+G(x, y) = b~(x).b~(y) - phi(x) - phi(y) + c has phi = q.b~, with b~ the
+scaled basis row and q the charge coefficients over sqrt(lambda); a
+``_GreenCache`` keeps the rows b~(x_j) and S - (n-1) q, with S their sum,
+and moving particle i to the rows of P changes n^2 times the internal
+energy by
 
-Green-kernel chains instead cache, per particle, the scaled basis row
-b~(x_j) and phi(x_j) of G(x, y) = b~(x).b~(y) - phi(x) - phi(y) + c, and the
-row sum S.  Moving particle i to p then changes the internal energy by
+    (B~(P) - b~(x_i)).(S - (n-1) q - b~(x_i)).
 
-    [(b~(p) - b~(x_i)).(S - b~(x_i)) - (n-1)(phi(p) - phi(x_i))] / n^2,
-
-one basis row per step instead of two kernel rows.  On accept the row is
-replaced and S is summed afresh from the rows, so no rounding error
-accumulates; the coherence check rebuilds the rows from the positions, and a
-tempering swap exchanges them with the positions.
+The basis is evaluated elementwise, so a cached row equals a fresh one bit
+for bit and the change at p = x_i is exactly 0.  The polish builds a cache
+from its configuration; a chain keeps one live: on accept the row of the
+last call replaces row i and S is summed afresh, so no rounding error
+accumulates, the coherence check rebuilds the rows, and a tempering swap
+exchanges them with the positions.
 
 A finite-chain step does scalar work only, beyond reading and writing one
 entry of the live labels array.  The chain draws its variates _FINITE_BLOCK
@@ -45,7 +48,7 @@ with the labels and counts.
 
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -151,68 +154,66 @@ def _propose_point(space, rng, point, scale):
     return moved
 
 
-def _stage_value(model, n, point):
-    """One-body stage-n potential at a single point."""
-    return float(model.potential_stage_values(n, point[None, :])[0])
-
-
-def _continuous_deltas(model, positions, i, points):
+def _continuous_deltas(model, positions, i, points, cache=None):
     """Energy changes of moving particle i to each of the (R, d) ``points``.
 
-    Pair kernels take one (R + 1, n) table of ``values`` (the Green kernel's
-    ``pairwise`` table): the R candidate rows and particle i's own row, with
-    column i zeroed.  A row that sums to NaN gives +inf.  Higher arities
-    difference w_n against one w_n(positions).
+    A Green kernel reads the rows of ``cache``, a ``_GreenCache`` of
+    ``positions`` (built here when None); other pair kernels take one
+    (R + 1, n) table of ``values``, the R candidate rows and particle i's
+    own row, with column i zeroed.  A candidate whose pair sum is NaN gives
+    +inf.  Higher arities difference w_n against one w_n(positions).
     """
     n, kernel = positions.shape[0], model.kernel
-    if kernel.arity == 2:
-        rows = np.concatenate((points, positions[i : i + 1]))
-        with np.errstate(divide="ignore", invalid="ignore"):
-            if isinstance(kernel, GreenKernel):
-                table = kernel.pairwise(model.space, rows, positions)
-            else:
-                table = kernel.values(model.space, rows[:, None], positions[None])
+    if kernel.arity != 2:
+        base = w_n(model, positions)
+        moved = np.repeat(positions[None], points.shape[0], axis=0)
+        moved[:, i] = points
+        return np.array([w_n(model, config) - base for config in moved])
+    rows = np.concatenate((points, positions[i : i + 1]))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        if isinstance(kernel, GreenKernel):
+            if cache is None:
+                cache = _GreenCache(kernel.model, positions)
+            internal = cache.changes(i, points)
+        else:
+            table = kernel.values(model.space, rows[:, None], positions[None])
             table[:, i] = 0.0
-            internal = table.sum(axis=1)
-            external = model.potential_stage_values(n, rows)
-            deltas = ((internal[:-1] - internal[-1]) / n ** 2
-                      + (external[:-1] - external[-1]) / n)
-        deltas[np.isnan(internal[:-1])] = math.inf
-        return deltas
-    base = w_n(model, positions)
-    deltas = np.empty(points.shape[0])
-    for r, point in enumerate(points):
-        moved = positions.copy()
-        moved[i] = point
-        deltas[r] = w_n(model, moved) - base
+            sums = table.sum(axis=1)
+            internal = sums[:-1] - sums[-1]
+        external = model.potential_stage_values(n, rows)
+        deltas = internal / n ** 2 + (external[:-1] - external[-1]) / n
+    deltas[np.isnan(internal)] = math.inf
     return deltas
 
 
 class _GreenCache:
-    """Scaled basis rows, phi values and their row sum for one Green-kernel
-    configuration (see the module docstring)."""
+    """Scaled basis rows of one Green-kernel configuration and the field
+    S - (n-1) q (see the module docstring)."""
 
     def __init__(self, green, positions):
         self.green = green
+        self.shift = (positions.shape[0] - 1) * (green.charge_coeffs * green._inv_sqrt_eigs)
         self.rebuild(positions)
 
+    def scaled_rows(self, points):
+        green = self.green
+        return green.space.evaluate_basis(points)[:, 1 : green.order + 1] * green._inv_sqrt_eigs
+
     def rebuild(self, positions):
-        self.rows, self.phi = self.green.features(positions)
-        self.total = self.rows.sum(axis=0)
+        self.rows = self.scaled_rows(positions)
+        self.field = self.rows.sum(axis=0) - self.shift
 
-    def internal_change(self, i, point):
-        """n^2 times the internal energy change of moving particle i to
-        ``point``, with the features of ``point`` for ``accept``."""
-        n = self.rows.shape[0]
-        rows, phi = self.green.features(point[None, :])
-        row, new_phi = rows[0], float(phi[0])
+    def changes(self, i, points):
+        """n^2 times the internal energy change of moving particle i to each
+        of ``points``; keeps their rows for ``accept``."""
         old = self.rows[i]
-        change = (row - old) @ (self.total - old) - (n - 1) * (new_phi - self.phi[i])
-        return float(change), (row, new_phi)
+        self.drawn = self.scaled_rows(points)
+        return (self.drawn - old) @ (self.field - old)
 
-    def accept(self, i, features):
-        self.rows[i], self.phi[i] = features
-        self.total = self.rows.sum(axis=0)
+    def accept(self, i):
+        """Move particle i to the point of the last one-point ``changes``."""
+        self.rows[i] = self.drawn[0]
+        self.field = self.rows.sum(axis=0) - self.shift
 
 
 # -- single-chain kernels ----------------------------------------------------------
@@ -281,22 +282,8 @@ class _ContinuousChain(_Chain):
             raise EnergyError("initial configuration has infinite energy")
         self.state = ChainState(positions=positions, energy=energy, proposal_scale=scale)
         self.is_box = self.space.kind == "box"
-        self.green_cache = None
-        if isinstance(model.kernel, GreenKernel):
-            self.green_cache = _GreenCache(model.kernel.model, positions)
-
-    def delta(self, i, new_point):
-        """Energy change of moving particle i to ``new_point``, with what
-        ``accept`` needs to keep the Green cache (None for other kernels)."""
-        positions = self.state.positions
-        if self.green_cache is None:
-            delta = _continuous_deltas(self.model, positions, i, new_point[None, :])[0]
-            return float(delta), None
-        n = self.n
-        internal, features = self.green_cache.internal_change(i, new_point)
-        external = (_stage_value(self.model, n, new_point)
-                    - _stage_value(self.model, n, positions[i]))
-        return internal / n ** 2 + external / n, features
+        self.green_cache = (_GreenCache(model.kernel.model, positions)
+                            if isinstance(model.kernel, GreenKernel) else None)
 
     def step(self, rng, coupling):
         state = self.state
@@ -305,7 +292,8 @@ class _ContinuousChain(_Chain):
         new_point = _propose_point(self.space, rng, state.positions[i], state.proposal_scale)
         accept = False
         if new_point is not None:
-            delta, features = self.delta(i, new_point)
+            delta = float(_continuous_deltas(self.model, state.positions, i,
+                                             new_point[None, :], self.green_cache)[0])
             if math.isfinite(delta):
                 log_alpha = -coupling * delta
                 if self.is_box:
@@ -319,7 +307,7 @@ class _ContinuousChain(_Chain):
                     state.positions[i] = new_point
                     state.energy += delta
                     if self.green_cache is not None:
-                        self.green_cache.accept(i, features)
+                        self.green_cache.accept(i)
                     accept = True
         self._book(accept)
 

@@ -459,10 +459,15 @@ ldp:
      "proposal scale must be finite and positive"),
     ("sample", SAMPLE_TEXT, "thin: 10", "thin: 5000",
      r"thinning stride must lie in \[1, 3200\]"),
+    ("equilibrium", EQUILIBRIUM_TEXT, "  overlay:", "  step: .nan\n  overlay:",
+     "descent step must be finite and positive, got nan"),
+    ("fekete", FEKETE_TEXT, "restarts: 4", "restarts: 4\n  n: 3\n  polish_rounds: -1",
+     "polish_rounds must be >= 0, got -1"),
 ], ids=["green-trials", "green-tolerance", "equilibrium-tol", "sample-swap",
         "sample-steps", "fekete-restarts", "laplace-n-values", "laplace-grid-steps",
         "rate-level", "conditional-mode", "laplace-circle-vector",
-        "sample-proposal-scale", "sample-thin"])
+        "sample-proposal-scale", "sample-thin", "equilibrium-step",
+        "fekete-polish-rounds"])
 def test_bad_values_exit_with_one_error_line(tmp_path, runner, command,
                                               template, old, new, message):
     assert old in template

@@ -13,6 +13,7 @@ from gibbslab.energy import (
     BetaSchedule,
     CallableKernel,
     EnergyModel,
+    FiniteEnergyModel,
     GreenKernel,
     LogChordKernel,
     StaticPotential,
@@ -28,7 +29,7 @@ from gibbslab.equilibrium import (
     minimize_free_energy,
 )
 from gibbslab.errors import EnergyError, MeasureError, StepSizeFailureError
-from gibbslab.measures import GridMeasure, relative_entropy
+from gibbslab.measures import FiniteSpace, GridMeasure, relative_entropy
 from gibbslab.spaces import BackgroundCharge, GreenModel, GreenOperator, build_space
 
 
@@ -239,6 +240,37 @@ def test_minimize_guards(torus_model, torus_space, circle_space):
     k3 = CallableKernel(lambda sp, *arrays: np.zeros(arrays[0].shape[0]), arity=3)
     with pytest.raises(EnergyError):
         minimize_free_energy(EnergyModel(torus_space, k3, BetaSchedule.constant(1.0)))
+
+
+@pytest.mark.parametrize("keyword, value, message", [
+    ("step", math.nan, "descent step must be finite and positive, got nan"),
+    ("step", 0.0, "descent step must be finite and positive, got 0.0"),
+    ("step", math.inf, "descent step must be finite and positive, got inf"),
+    ("tol", -1.0, r"descent tolerance must be finite and >= 0, got -1.0"),
+    ("tol", math.nan, r"descent tolerance must be finite and >= 0, got nan"),
+])
+def test_minimize_refuses_bad_step_and_tol(circle_space, keyword, value, message):
+    # a NaN step used to halve forever in the line search; tol -1 ran to "stalled"
+    model = EnergyModel(circle_space, LogChordKernel(), BetaSchedule.constant(1.0),
+                        potentials=[StaticPotential(lambda p: np.cos(p[:, 0]))])
+    with pytest.raises(EnergyError, match=message):
+        minimize_free_energy(model, **{keyword: value})
+
+
+def test_grid_only_jobs_refuse_a_finite_model(torus_space):
+    model = FiniteEnergyModel(FiniteSpace([0.5, 0.5]), BetaSchedule.constant(1.0),
+                              pair_matrix=np.array([[0.0, 1.0], [1.0, 0.0]]))
+    mu = GridMeasure.uniform(torus_space)
+    for job, call in [
+        ("free-energy minimization", lambda: minimize_free_energy(model)),
+        ("the free-energy gradient", lambda: free_energy_gradient(model, mu)),
+        ("the directional derivative check",
+         lambda: directional_derivative_check(model, mu, mu)),
+    ]:
+        with pytest.raises(EnergyError, match=f"^{job} needs a grid model"):
+            call()
+    with pytest.raises(EnergyError, match="mean-field residual needs a Green-kernel model"):
+        mean_field_residual(model, mu)
 
 
 def test_nonfinite_gradient_raises(torus_space):

@@ -26,6 +26,7 @@ from gibbslab.fekete import (
     _analytic_pair_gradient,
     _closest_pair,
     _fd_pair_gradient,
+    _fold_functional,
     _gradient_descent,
     _objective,
     _relocation_polish,
@@ -141,12 +142,8 @@ def _looped_relocation_polish(model, config, f, rng, value, rounds, candidates):
                 gaps[i] = np.inf
                 if float(gaps.min()) < 1e-12:
                     continue
-                if f is None or isinstance(f, IntegralFunctional):
+                if f is None:
                     delta = _row_delta(model, config, i, cand)
-                    if isinstance(f, IntegralFunctional):
-                        old = f.point_values(space, config[i][None, :])[0]
-                        new = f.point_values(space, cand[None, :])[0]
-                        delta += (new - old) / n
                 else:
                     moved = config.copy()
                     moved[i] = cand
@@ -171,9 +168,12 @@ def test_batched_polish_matches_looped_scan(case, circle_space, sphere_space):
         model = EnergyModel(sphere_space, RieszKernel(1.0), BetaSchedule.constant(1.0))
     else:
         model = EnergyModel(circle_space, LogChordKernel(), BetaSchedule.linear(1.0))
-    f = {"circle tilt": IntegralFunctional(lambda pts: np.cos(3.0 * pts[:, 0])),
-         "circle density": DensityFunctional(lambda mu: float((mu.node_masses ** 2).sum()))
-         }.get(case)
+    f = None
+    if case == "circle tilt":
+        # fekete_minimize folds an integral tilt into the model
+        model = _fold_functional(model, IntegralFunctional(lambda pts: np.cos(3.0 * pts[:, 0])))
+    elif case == "circle density":
+        f = DensityFunctional(lambda mu: float((mu.node_masses ** 2).sum()))
     n, rounds = (4, 1) if case == "circle density" else (12, 3)
     start_rng = np.random.default_rng(31)
     config = model.space.sample_points(start_rng, n)
@@ -188,6 +188,34 @@ def test_batched_polish_matches_looped_scan(case, circle_space, sphere_space):
     assert np.array_equal(batched[0], looped[0])
     assert batched[1] == looped[1]
     assert state == looped_state
+
+
+@pytest.mark.parametrize("kind", ["circle", "sphere"])
+def test_integral_tilt_is_folded_into_the_model(kind, circle_space, sphere_space):
+    if kind == "circle":
+        model = EnergyModel(circle_space, LogChordKernel(), BetaSchedule.linear(1.0))
+        f = IntegralFunctional(lambda pts: np.cos(3.0 * pts[:, 0]))
+    else:
+        model = EnergyModel(sphere_space, RieszKernel(1.0), BetaSchedule.constant(1.0),
+                            potentials=[StaticPotential(lambda p: 0.3 * p[:, 2])])
+        f = IntegralFunctional(lambda pts: pts[:, 0] * pts[:, 1])
+    tilted = fekete_minimize(model, 6, f=f, restarts=2, seed=5)
+    folded = fekete_minimize(_fold_functional(model, f), 6, restarts=2, seed=5)
+    assert tilted.value == folded.value
+    assert np.array_equal(tilted.points, folded.points)
+    assert np.array_equal(tilted.restart_values, folded.restart_values)
+    assert tilted.gradient_norm == folded.gradient_norm
+
+
+@pytest.mark.parametrize("keyword, value, message", [
+    ("restarts", 0, "restarts must be >= 1, got 0"),
+    ("max_iters", -5, "max_iters must be >= 1, got -5"),
+    ("polish_rounds", -1, "polish_rounds must be >= 0, got -1"),
+    ("polish_candidates", 0, "polish_candidates must be >= 1, got 0"),
+])
+def test_fekete_refuses_counts_below_their_minimum(log_gas, keyword, value, message):
+    with pytest.raises(EnergyError, match=message):
+        fekete_minimize(log_gas, 4, **{keyword: value})
 
 
 # -- explicit coefficient identities ----------------------------------------------------

@@ -272,31 +272,39 @@ def green_chain_models(torus_green, sphere_charged_green):
 
 @settings(max_examples=60, deadline=None)
 @given(kind=st.sampled_from(["torus", "sphere"]), n=st.integers(2, 9),
-       seed=st.integers(0, 2 ** 32 - 1))
-def test_green_cached_delta_equals_energy_difference(green_chain_models, kind, n, seed):
+       r=st.integers(1, 6), seed=st.integers(0, 2 ** 32 - 1))
+def test_green_cached_delta_equals_energy_difference(green_chain_models, kind, n, r, seed):
+    # one Green formula: the chain's live cache, after several accepted
+    # moves, scores a batch exactly as a cache built from the positions, and
+    # each value is the w_n difference
     model = green_chain_models[kind]
     space = model.space
     rng = np.random.default_rng(seed)
     chain = _ContinuousChain(model, n, rng, space.sample_points(rng, n), 0.5)
-    positions = chain.state.positions
-    # several moves, each accepted, so later deltas run on an updated cache
+    positions, cache = chain.state.positions, chain.green_cache
     for _ in range(4):
         i = int(rng.integers(n))
         point = space.sample_points(rng, 1)[0]
-        delta, features = chain.delta(i, point)
-        moved = positions.copy()
-        moved[i] = point
-        assert abs(delta - (w_n(model, moved) - w_n(model, positions))) < 1e-12
+        delta = _continuous_deltas(model, positions, i, point[None, :], cache)[0]
+        assert abs(delta - _energy_difference(model, positions, i, point)[0]) < 1e-12
         positions[i] = point
-        chain.green_cache.accept(i, features)
+        cache.accept(i)
+    i = int(rng.integers(n))
+    points = space.sample_points(rng, r)
+    live = _continuous_deltas(model, positions, i, points, cache)
+    fresh = _continuous_deltas(model, positions, i, points)
+    assert np.array_equal(live, fresh)
+    for point, delta in zip(points, live):
+        want, scale = _energy_difference(model, positions, i, point)
+        assert abs(delta - want) < 1e-12 * scale
 
 
 @pytest.fixture(scope="module")
 def dense_delta_models(circle_space, sphere_space, box_space, torus_green):
-    """Pair models whose deltas come from one (R + 1, n) kernel table: the
-    circle log gas, a sphere Riesz gas, a box log gas in a confining
-    potential, and the torus Green gas (the Fekete polish reaches it through
-    its pairwise table)."""
+    """Pair models scored by ``_continuous_deltas`` without a live cache:
+    the circle log gas, a sphere Riesz gas and a box log gas in a confining
+    potential through one (R + 1, n) kernel table, and the torus Green gas
+    through a cache built from the positions, as in the Fekete polish."""
     return {
         "circle": EnergyModel(circle_space, LogChordKernel(), BetaSchedule.constant(2.0)),
         "sphere": EnergyModel(sphere_space, RieszKernel(1.0), BetaSchedule.constant(1.0)),

@@ -1,9 +1,9 @@
-"""Many-body interaction energies, microscopic and macroscopic.
+"""Pair interaction energies, microscopic and macroscopic.
 
-The microscopic energy of a configuration x = (x_1..x_n) under an arity-k
+The microscopic energy of a configuration x = (x_1..x_n) under a pair
 kernel G plus one-body potentials V is
 
-    w_n(x) = n^{-k} * sum over k-subsets G(x_{i_1},...,x_{i_k})
+    w_n(x) = n^{-2} * sum over pairs i < j G(x_i, x_j)
              + n^{-1} * sum_i V_n(x_i).
 
 Its pair sum reads the n(n-1)/2 pairs i < j only, evaluated elementwise by
@@ -11,7 +11,7 @@ Its pair sum reads the n(n-1)/2 pairs i < j only, evaluated elementwise by
 
 The macroscopic energy of a density mu is
 
-    w(mu) = (1/k!) * integral of G d(mu tensor k) + integral of V d(mu).
+    w(mu) = (1/2) * double integral of G d(mu tensor mu) + integral of V d(mu).
 
 Singular pair kernels (log, Riesz) are integrated on the grid by excluding
 the self-pair and replacing the diagonal with the kernel's cell average: a
@@ -93,22 +93,20 @@ class BetaSchedule:
 
 
 class Kernel:
-    """Arity-k interaction kernel on a base space.  ``values(space, *arrays)``
-    evaluates it elementwise on broadcastable point arrays whose last axis
-    holds the coordinates.  Singular kernels give +inf on coinciding points
-    and leave the divide warning to the caller's ``np.errstate``."""
+    """Symmetric pair interaction kernel G(x, y) on a base space.
+    ``values(space, a, b)`` evaluates it elementwise on broadcastable point
+    arrays whose last axis holds the coordinates.  Singular kernels give
+    +inf on coinciding points and leave the divide warning to the caller's
+    ``np.errstate``."""
 
-    arity = 2
     singular = False
     differentiable = True  # smooth away from the diagonal
 
-    def values(self, space, *arrays):
+    def values(self, space, a, b):
         raise EnergyError(f"{type(self).__name__} has no elementwise values")
 
     def pairwise(self, space, x, y):
         """Kernel table between two point arrays, from ``values``."""
-        if self.arity != 2:
-            raise EnergyError(f"arity-{self.arity} kernel has no pairwise table")
         a, b = space._as_points(x)[:, None], space._as_points(y)[None]
         with np.errstate(divide="ignore"):
             return self.values(space, a, b)
@@ -122,14 +120,11 @@ class Kernel:
 
 
 class ConstantKernel(Kernel):
-    def __init__(self, value, arity=2):
-        if arity < 2:
-            raise EnergyError(f"kernel arity must be >= 2, got {arity}")
+    def __init__(self, value):
         self.value = float(value)
-        self.arity = int(arity)
 
-    def values(self, space, *arrays):
-        return np.full(np.broadcast_shapes(*(a.shape[:-1] for a in arrays)), self.value)
+    def values(self, space, a, b):
+        return np.full(np.broadcast_shapes(a.shape[:-1], b.shape[:-1]), self.value)
 
     def diagonal_values(self, space):
         return np.full(space.n_nodes, self.value)
@@ -220,24 +215,21 @@ class GreenKernel(Kernel):
 
 
 class CallableKernel(Kernel):
-    """User-supplied kernel; ``fn(space, *arrays)`` maps broadcastable point
-    arrays, coordinates on the last axis, to values elementwise."""
+    """User-supplied pair kernel; ``fn(space, a, b)`` maps two broadcastable
+    point arrays, coordinates on the last axis, to values elementwise."""
 
-    def __init__(self, fn, arity=2, bound=None, singular=False, diagonal_fn=None,
+    def __init__(self, fn, bound=None, singular=False, diagonal_fn=None,
                  differentiable=True):
-        if arity < 2:
-            raise EnergyError(f"kernel arity must be >= 2, got {arity}")
         self.fn = fn
-        self.arity = int(arity)
         self.bound = bound
         self.singular = singular
         self.diagonal_fn = diagonal_fn
         self.differentiable = bool(differentiable)
 
-    def values(self, space, *arrays):
+    def values(self, space, a, b):
         # a value constant along an axis, or a scalar, fills the whole shape
-        shape = np.broadcast_shapes(*(a.shape[:-1] for a in arrays))
-        return np.full(shape, self.fn(space, *arrays), dtype=float)
+        shape = np.broadcast_shapes(a.shape[:-1], b.shape[:-1])
+        return np.full(shape, self.fn(space, a, b), dtype=float)
 
     def diagonal_values(self, space):
         if self.diagonal_fn is not None:
@@ -254,8 +246,6 @@ class TiltedKernel(Kernel):
     """G(x, y) + coefficient * (V(x) + V(y)) for a one-body tilt V."""
 
     def __init__(self, base, v_fn, coefficient=1.0):
-        if base.arity != 2:
-            raise EnergyError("tilted kernels require an arity-2 base")
         self.base = base
         self.v_fn = v_fn
         self.coefficient = float(coefficient)
@@ -278,13 +268,10 @@ class TiltedKernel(Kernel):
         return base + 2.0 * self.coefficient * float(extreme)
 
 
-def kernel_node_matrix(kernel, space, correct_diagonal=True):
+def kernel_node_matrix(kernel, space):
     """Node-by-node kernel table; singular diagonals replaced by cell averages."""
-    if kernel.arity != 2:
-        raise EnergyError("node matrices exist for arity-2 kernels only")
     matrix = kernel.pairwise(space, space.nodes, space.nodes)
-    if correct_diagonal:
-        np.fill_diagonal(matrix, kernel.diagonal_values(space))
+    np.fill_diagonal(matrix, kernel.diagonal_values(space))
     return matrix
 
 
@@ -344,8 +331,6 @@ class EnvironmentPotential:
     """V_n(x) = integral of an external pair kernel against nu_n."""
 
     def __init__(self, kernel, environment):
-        if kernel.arity != 2:
-            raise EnergyError("environment coupling requires an arity-2 external kernel")
         self.kernel = kernel
         self.environment = environment
 
@@ -383,8 +368,6 @@ class EnergyModel:
     """Base space + interaction kernel + beta schedule + one-body potentials."""
 
     def __init__(self, space, kernel, beta, potentials=()):
-        if kernel.arity < 2:
-            raise EnergyError(f"kernel arity must be >= 2, got {kernel.arity}")
         self.space = space
         self.kernel = kernel
         self.beta = beta
@@ -441,39 +424,14 @@ def _internal_pair_values(model, config):
         return kernel.values(space, config[rows], config[cols])
 
 
-def _internal_tuple_sum(model, config):
-    from itertools import combinations
-
-    n = config.shape[0]
-    k = model.kernel.arity
-    idx = np.array(list(combinations(range(n), k)), dtype=np.intp)
-    if idx.size == 0:
-        return 0.0, np.empty(0)
-    # Kernels are symmetric in their arguments; evaluating each tuple with its
-    # points in lexicographic order keeps w_n bitwise permutation invariant.
-    stacked = config[idx]  # (tuples, k, point_dim)
-    keys = tuple(stacked[:, :, c] for c in range(stacked.shape[2] - 1, -1, -1))
-    order = np.lexsort(keys, axis=1)
-    stacked = np.take_along_axis(stacked, order[:, :, None], axis=1)
-    values = model.kernel.values(model.space, *stacked.swapaxes(0, 1))
-    return _sorted_sum(values), values
-
-
 def w_n_report(model, config):
     """Microscopic energy with its internal/external decomposition."""
     config = model.space._as_points(config)
     n = config.shape[0]
     if n < 1:
         raise EnergyError("configuration must hold at least one point")
-    k = model.kernel.arity
-    if n < k:
-        internal, pair_values = 0.0, np.empty(0)
-    elif k == 2:
-        pair_values = _internal_pair_values(model, config)
-        internal = _sorted_sum(pair_values)
-    else:
-        internal, pair_values = _internal_tuple_sum(model, config)
-    internal /= float(n) ** k
+    pair_values = _internal_pair_values(model, config)
+    internal = _sorted_sum(pair_values) / float(n) ** 2
     external = _sorted_sum(model.potential_stage_values(n, config)) / n
     value = internal + external
     return EnergyReport(
@@ -492,66 +450,44 @@ def w_n(model, config):
 
 
 def _macro_internal_integral(model, mu, clip=None):
-    """integral of G d(mu tensor k) with the corrected diagonal, times 1."""
+    """Double integral of G d(mu tensor mu) with the corrected diagonal."""
     masses = mu.node_masses
-    k = model.kernel.arity
-    if k == 2:
-        if clip is not None and isinstance(model.kernel, GreenKernel):
-            # clipped block by block: the Green table is never held whole
-            green = model.kernel.model
-            diagonal = green.node_diagonal()
-            total = 0.0
-            for part, block in green.table_blocks():
-                np.fill_diagonal(block[:, part.start :], diagonal[part])
-                total += float(masses[part] @ np.minimum(block, clip) @ masses)
-            return total
-        matrix = model.node_matrix()
-        if clip is not None:
-            matrix = np.minimum(matrix, clip)
-        return float(masses @ matrix @ masses)
-    if k == 3:
-        if model.kernel.singular:
-            raise EnergyError("arity-3 macroscopic energy needs a bounded kernel")
-        if clip is not None:
-            raise EnergyError("clipping is implemented for arity-2 kernels only")
-        space = model.space
-        nodes = space.nodes
-        size = space.n_nodes
-        # for each first point i, all (j, k) pairs in one call: row j of the
-        # block holds G(x_i, x_j, x_k) over k
-        second = np.repeat(nodes, size, axis=0)
-        third = np.tile(nodes, (size, 1))
+    if clip is not None and isinstance(model.kernel, GreenKernel):
+        # clipped block by block: the Green table is never held whole
+        green = model.kernel.model
+        diagonal = green.node_diagonal()
         total = 0.0
-        for i in range(size):
-            first = np.repeat(nodes[i : i + 1], size * size, axis=0)
-            block = model.kernel.values(space, first, second, third)
-            total += masses[i] * float(masses @ block.reshape(size, size) @ masses)
+        for part, block in green.table_blocks():
+            np.fill_diagonal(block[:, part.start :], diagonal[part])
+            total += float(masses[part] @ np.minimum(block, clip) @ masses)
         return total
-    raise EnergyError(f"macroscopic energy supports arity <= 3, got {k}")
+    matrix = model.node_matrix()
+    if clip is not None:
+        matrix = np.minimum(matrix, clip)
+    return float(masses @ matrix @ masses)
 
 
 def w_macro(model, mu, clip=None):
-    """Macroscopic energy of a grid density: (1/k!) k-fold integral + potentials.
+    """Macroscopic energy of a grid density: half the pair double integral
+    plus the potentials.
 
     ``clip`` truncates the pair kernel at G ∧ clip (monotone approximation)."""
     if not isinstance(mu, GridMeasure):
         raise EnergyError("macroscopic energy expects a GridMeasure")
     if mu.space is not model.space:
         raise EnergyError("measure lives on a different space")
-    k = model.kernel.arity
-    internal = _macro_internal_integral(model, mu, clip=clip) / math.factorial(k)
+    internal = _macro_internal_integral(model, mu, clip=clip) / 2.0
     external = float((mu.node_masses * model.potential_limit_values(model.space.nodes)).sum())
     return internal + external
 
 
 def expected_energy(model, mu, n):
-    """E[w_n] under mu^(tensor n):  n^{-k} C(n,k) integral G d(mu tensor k)
+    """E[w_n] under mu^(tensor n):  n^{-2} C(n,2) integral G d(mu tensor mu)
     plus the stage-n one-body terms."""
     if n < 1:
         raise EnergyError(f"need n >= 1, got {n}")
-    k = model.kernel.arity
     integral = _macro_internal_integral(model, mu)
-    coefficient = math.comb(n, k) / float(n) ** k
+    coefficient = math.comb(n, 2) / float(n) ** 2
     external = float(
         (mu.node_masses * model.potential_stage_values(n, model.space.nodes)).sum()
     )
@@ -562,14 +498,13 @@ def confining_bound_check(model, config, inside_fn, kernel_floor, energy_bound=N
     """Outside-mass bound for confining kernels.
 
     Hypotheses checked: the kernel is nonnegative, ``kernel_floor`` is a
-    positive lower bound for G on tuples outside the compact set, and the
+    positive lower bound for G on pairs outside the compact set, and the
     configuration's energy is at most ``energy_bound`` (defaults to the
     realized energy).  Returns ``(mass_outside, bound)`` with
 
-        bound = (energy_bound * k! / kernel_floor)^(1/k) + k/n.
+        bound = (2 * energy_bound / kernel_floor)^(1/2) + 2/n.
     """
     config = model.space._as_points(config)
-    k = model.kernel.arity
     floor = model.kernel_floor()
     if floor is None or floor < 0.0:
         raise EnergyError("confining bound requires a nonnegative kernel")
@@ -577,14 +512,10 @@ def confining_bound_check(model, config, inside_fn, kernel_floor, energy_bound=N
         raise EnergyError(f"kernel floor must be positive, got {kernel_floor!r}")
     inside = np.asarray(inside_fn(config), dtype=bool)
     outside = ~inside
-    if outside.sum() >= k:
-        pts = config[outside]
+    if outside.sum() >= 2:
         probe = EnergyModel(model.space, model.kernel, model.beta)
-        if k == 2:
-            values = _internal_pair_values(probe, pts)
-        else:
-            _, values = _internal_tuple_sum(probe, pts)
-        if values.size and values.min() < kernel_floor - 1e-12:
+        values = _internal_pair_values(probe, config[outside])
+        if values.min() < kernel_floor - 1e-12:
             raise EnergyError(
                 f"kernel drops to {values.min()!r} < floor {kernel_floor!r} outside the set"
             )
@@ -597,7 +528,7 @@ def confining_bound_check(model, config, inside_fn, kernel_floor, energy_bound=N
         )
     n = config.shape[0]
     mass_outside = float(outside.sum()) / n
-    bound = (energy_bound * math.factorial(k) / kernel_floor) ** (1.0 / k) + k / n
+    bound = (2.0 * energy_bound / kernel_floor) ** 0.5 + 2 / n
     return mass_outside, bound
 
 
@@ -674,8 +605,6 @@ def euclidean_transform(model, mode, xi=None, eps=None, potential=None):
     space = model.space
     if space.kind != "box":
         raise EnergyError("euclidean transforms apply to box spaces")
-    if model.kernel.arity != 2:
-        raise EnergyError("euclidean transforms require an arity-2 kernel")
     pots = [p for p in model.potentials if isinstance(p, StaticPotential)]
     if potential is None:
         if len(pots) != 1:
@@ -716,28 +645,22 @@ def euclidean_transform(model, mode, xi=None, eps=None, potential=None):
 
 
 class FiniteEnergyModel:
-    """Energy model on a finite atom space.
-
-    Either an explicit symmetric pair matrix (arity 2) or a direct
-    ``w_fn(counts, n)`` override defines the microscopic energy of the
-    type class with the given atom counts.
+    """Energy model on a finite atom space: a symmetric m x m pair matrix G
+    defines the microscopic energy of the type class with atom counts c,
+    the pair sum over within-atom and cross-atom pairs divided by n^2.
     """
 
-    def __init__(self, space, beta, pair_matrix=None, w_fn=None):
+    def __init__(self, space, beta, pair_matrix):
         if not isinstance(space, FiniteSpace):
             raise EnergyError("FiniteEnergyModel needs a FiniteSpace")
-        if (pair_matrix is None) == (w_fn is None):
-            raise EnergyError("give exactly one of pair_matrix or w_fn")
         self.space = space
         self.beta = beta
-        self.w_fn = w_fn
-        if pair_matrix is not None:
-            pair_matrix = np.asarray(pair_matrix, dtype=float)
-            m = space.n_atoms
-            if pair_matrix.shape != (m, m):
-                raise EnergyError(f"pair matrix must be {m}x{m}")
-            if not np.array_equal(pair_matrix, pair_matrix.T):
-                raise EnergyError("pair matrix must be symmetric")
+        pair_matrix = np.asarray(pair_matrix, dtype=float)
+        m = space.n_atoms
+        if pair_matrix.shape != (m, m):
+            raise EnergyError(f"pair matrix must be {m}x{m}")
+        if not np.array_equal(pair_matrix, pair_matrix.T):
+            raise EnergyError("pair matrix must be symmetric")
         self.pair_matrix = pair_matrix
 
     def w_counts(self, counts, n=None):
@@ -751,8 +674,6 @@ class FiniteEnergyModel:
         """Microscopic energies of the rows of an (r, m) array of atom counts."""
         if n < 1:
             raise EnergyError(f"need n >= 1 particles, got {n}")
-        if self.w_fn is not None:
-            return np.array([float(self.w_fn(row, n)) for row in counts])
         c = np.asarray(counts, dtype=float)
         g = self.pair_matrix
         # cross pairs c_a c_b G_ab (a < b) plus within-atom pairs C(c_a, 2) G_aa,
@@ -767,8 +688,6 @@ class FiniteEnergyModel:
     def w_mean(self, mu):
         """Macroscopic energy (1/2) mu^T G mu of a distribution vector, or of
         each row of an (r, m) array of them."""
-        if self.pair_matrix is None:
-            raise EnergyError("macroscopic energy needs an explicit pair matrix")
         rows = np.asarray(mu, dtype=float).T
         values = 0.5 * ((self.pair_matrix @ rows) * rows).sum(axis=0)
         return values if rows.ndim == 2 else float(values)

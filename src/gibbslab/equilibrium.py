@@ -1,6 +1,6 @@
 """Free-energy functionals on grid densities and their minimizers.
 
-For an arity-2 model with kernel table M, one-body values V and limiting
+For a model with pair-kernel table M, one-body values V and limiting
 inverse temperature beta, the discrete free energy of node masses m is
 
     F(m) = (1/2) m^T M m + V^T m + (1/beta) sum_i m_i log(m_i / w_i),
@@ -49,20 +49,16 @@ def free_energy(model, mu, clip=None):
 
 
 def _limit_tables(model, job, finite=True):
-    """(M, V, reference masses) of the limit free energy: an arity-2
-    model's cached node table, limit potential values and node weights, or
-    a finite model's pair matrix, zeros and atom probabilities.  ``job``
-    names the caller in the errors; a grid-only job passes finite=False."""
+    """(M, V, reference masses) of the limit free energy: a grid model's
+    cached node table, limit potential values and node weights, or a finite
+    model's pair matrix, zeros and atom probabilities.  ``job`` names the
+    caller in the errors; a grid-only job passes finite=False."""
     if isinstance(model, FiniteEnergyModel):
         if not finite:
             raise EnergyError(f"{job} needs a grid model, not a FiniteEnergyModel")
-        if model.pair_matrix is None:
-            raise EnergyError(f"{job} needs an explicit pair matrix")
         return model.pair_matrix, np.zeros(model.space.n_atoms), model.space.probs
     if not isinstance(model, EnergyModel):
         raise EnergyError(f"{job} cannot take a {type(model).__name__}")
-    if model.kernel.arity != 2:
-        raise EnergyError(f"{job} needs an arity-2 kernel")
     return (model.node_matrix(), model.potential_limit_values(model.space.nodes),
             model.space.weights)
 
@@ -122,6 +118,8 @@ def _mirror_descent(matrix, v, ref, beta, init, max_iters=3000, tol=1e-10, step=
     ``max_iters`` gap evaluations (``max_iterations``).  The trace starts at
     the initial objective and adds each accepted change, so it never rises.
     """
+    if max_iters < 1:
+        raise EnergyError(f"max_iters must be >= 1, got {max_iters}")
     finite_beta = math.isfinite(beta)
 
     def duality_gap(m, grad):

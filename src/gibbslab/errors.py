@@ -32,7 +32,8 @@ class MeasureError(GibbsLabError):
 
 
 class EnergyError(GibbsLabError):
-    """Invalid energy-model request (arity, hypotheses, incompatible space)."""
+    """Invalid energy-model request (bad parameter, unmet hypothesis,
+    incompatible space or model)."""
 
 
 class StepSizeFailureError(GibbsLabError):

@@ -52,7 +52,6 @@ from .simplex import class_table, simplex_minimize
 from .spaces import _coordinate_names
 
 __all__ = [
-    "SMOOTHING_BANDWIDTH",
     "MeasureFunctional",
     "IntegralFunctional",
     "ComposedFunctional",
@@ -65,7 +64,7 @@ __all__ = [
 ]
 
 _COLLISION_TOL = 1e-12
-SMOOTHING_BANDWIDTH = 0.25
+_SMOOTHING_BANDWIDTH = 0.25
 
 
 # -- functionals of the empirical measure --------------------------------------------
@@ -164,12 +163,11 @@ class DensityFunctional(MeasureFunctional):
     """f(mu) = fn(mu) for fn defined on grid densities; configurations are
     smoothed onto the grid with a fixed bandwidth first."""
 
-    def __init__(self, fn, bandwidth=SMOOTHING_BANDWIDTH):
+    def __init__(self, fn):
         self.fn = fn
-        self.bandwidth = float(bandwidth)
 
     def configuration_value(self, space, config):
-        smoothed = grid_projection(EmpiricalMeasure(space, config), self.bandwidth)
+        smoothed = grid_projection(EmpiricalMeasure(space, config), _SMOOTHING_BANDWIDTH)
         return float(self.fn(smoothed))
 
     def grid_value(self, mu):
@@ -493,9 +491,8 @@ def fekete_minimize(model, n, f=None, restarts=8, seed=0, max_iters=2000,
         return _finite_fekete(model, n, f)
     if not isinstance(model, EnergyModel):
         raise EnergyError(f"cannot optimize a {type(model).__name__}")
-    k = model.kernel.arity
-    if n < k:
-        raise EnergyError(f"need at least k={k} particles, got {n}")
+    if n < 2:
+        raise EnergyError(f"need at least 2 particles, got {n}")
     for name, count, least in (("restarts", restarts, 1), ("max_iters", max_iters, 1),
                                ("polish_rounds", polish_rounds, 0),
                                ("polish_candidates", polish_candidates, 1)):
@@ -503,7 +500,7 @@ def fekete_minimize(model, n, f=None, restarts=8, seed=0, max_iters=2000,
             raise EnergyError(f"{name} must be >= {least}, got {count}")
     if isinstance(f, IntegralFunctional):
         model, f = _fold_functional(model, f), None
-    use_gradient = model.kernel.differentiable and k == 2 and f is None
+    use_gradient = model.kernel.differentiable and f is None
     values, configs, iter_counts, traces = [], [], [], []
     collisions = 0
     for r in range(restarts):

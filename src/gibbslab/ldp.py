@@ -208,7 +208,7 @@ def _batch_stats(values, batches=40):
 
 
 def laplace_estimate_mc(model, f, n_values, chain_budget=20_000, seed=0, rungs=8,
-                        threshold=0.05, ess_floor=100.0, name="laplace"):
+                        threshold=0.05, ess_floor=100.0):
     """Thermodynamic-integration estimate of L_n with error bars.
 
     Writing Z(s) for the partition function tempered by s in [0, 1],
@@ -246,14 +246,14 @@ def laplace_estimate_mc(model, f, n_values, chain_budget=20_000, seed=0, rungs=8
         beta_n = target.beta.beta_at(n)
         if not math.isfinite(n * beta_n):
             raise EnergyError(f"coupling n*beta_n is not finite at n={n}")
-        free_rng = derive_rng(seed, name, f"n{n}", "free")
+        free_rng = derive_rng(seed, "laplace", f"n{n}", "free")
         free_draws = max(500, chain_budget // 10)
         e0 = np.array([w_n(target, target.space.sample_points(free_rng, n))
                        for _ in range(free_draws)])
         mean0 = float(e0.mean())
         se0 = float(e0.std(ddof=1) / math.sqrt(e0.size)) if e0.size > 1 else 0.0
         result = mcmc_run(target, n, steps=chain_budget, seed=seed,
-                          ladder=ladder, name=f"{name}-n{n}")
+                          ladder=ladder, name=f"laplace-n{n}")
         means, ses = [mean0], [se0]
         for s in ladder:
             mean_s, se_s, ess = _batch_stats(result.ladder_energies[s])

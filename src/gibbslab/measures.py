@@ -199,7 +199,7 @@ def _finite_objective(pi, g):
     return objective
 
 
-def legendre_check(space, g, grid_steps=200, refine_rounds=6):
+def legendre_check(space, g):
     """Check  log E_pi[exp(-g)] = -inf_tau { E_tau[g] + D(tau || pi) }.
 
     Returns the log-mean-exp left side together with the right side computed
@@ -227,10 +227,8 @@ def legendre_check(space, g, grid_steps=200, refine_rounds=6):
 
     if space.n_atoms > 5:
         raise MeasureError("simplex grid oracle supports at most 5 atoms")
-    value, _ = simplex_minimize(
-        _finite_objective(pi, g), space.n_atoms, steps=grid_steps,
-        refine_rounds=refine_rounds,
-    )
+    value, _ = simplex_minimize(_finite_objective(pi, g), space.n_atoms, steps=200,
+                                refine_rounds=6)
     return LegendreReport(lhs=lhs, rhs_closed=rhs_closed, rhs_grid=-value, tilt=tilt)
 
 

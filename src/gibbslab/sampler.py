@@ -39,8 +39,8 @@ A finite-chain step does scalar work only, beyond reading and writing one
 entry of the live labels array.  The chain draws its variates _FINITE_BLOCK
 steps at a time: the moving particles, the proposed atoms (the stream of
 ``rng.choice(m, size, p=probs)``) and one accept uniform per step, needed or
-not.  With a pair matrix G it keeps the counts c and row sums r = G.c as
-Python scalars; moving a particle from atom a to atom b changes the energy
+not.  It keeps the counts c and the row sums r = G.c of the pair matrix G
+as Python scalars; moving a particle from atom a to atom b changes the energy
 by (r_b - r_a - G_ba + G_aa) / n^2, and on accept r gains G_b - G_a.  The
 coherence check rebuilds r from the counts, and a tempering swap carries it
 with the labels and counts.
@@ -158,17 +158,12 @@ def _continuous_deltas(model, positions, i, points, cache=None):
     """Energy changes of moving particle i to each of the (R, d) ``points``.
 
     A Green kernel reads the rows of ``cache``, a ``_GreenCache`` of
-    ``positions`` (built here when None); other pair kernels take one
+    ``positions`` (built here when None); every other kernel takes one
     (R + 1, n) table of ``values``, the R candidate rows and particle i's
     own row, with column i zeroed.  A candidate whose pair sum is NaN gives
-    +inf.  Higher arities difference w_n against one w_n(positions).
+    +inf.
     """
     n, kernel = positions.shape[0], model.kernel
-    if kernel.arity != 2:
-        base = w_n(model, positions)
-        moved = np.repeat(positions[None], points.shape[0], axis=0)
-        moved[:, i] = points
-        return np.array([w_n(model, config) - base for config in moved])
     rows = np.concatenate((points, positions[i : i + 1]))
     with np.errstate(divide="ignore", invalid="ignore"):
         if isinstance(kernel, GreenKernel):
@@ -342,7 +337,7 @@ class _FiniteChain(_Chain):
         if not math.isfinite(energy):
             raise EnergyError("initial configuration has infinite energy")
         self.state = ChainState(positions=labels, energy=energy, proposal_scale=scale)
-        self.pairs = None if model.pair_matrix is None else model.pair_matrix.tolist()
+        self.pairs = model.pair_matrix.tolist()
         self.rowsums = self.fresh_rowsums()
         self.draws = iter(())
 
@@ -356,17 +351,10 @@ class _FiniteChain(_Chain):
 
     def fresh_rowsums(self):
         """r = G.c, the interaction of one particle at each atom with all n."""
-        if self.pairs is None:
-            return None
         return (self.model.pair_matrix @ np.array(self.counts, dtype=float)).tolist()
 
     def delta(self, a, b):
         """Energy change of moving one particle from atom a to atom b."""
-        if self.pairs is None:
-            moved = self.counts.copy()
-            moved[a] -= 1
-            moved[b] += 1
-            return self.model.w_counts(moved, self.n) - self.model.w_counts(self.counts, self.n)
         g_b, g_a = self.pairs[b], self.pairs[a]
         return (self.rowsums[b] - self.rowsums[a] - g_b[a] + g_a[a]) / self.n ** 2
 
@@ -389,9 +377,8 @@ class _FiniteChain(_Chain):
                 counts = self.counts
                 counts[a] -= 1
                 counts[b] += 1
-                if self.pairs is not None:
-                    g_b, g_a = self.pairs[b], self.pairs[a]
-                    self.rowsums = [r + x - y for r, x, y in zip(self.rowsums, g_b, g_a)]
+                g_b, g_a = self.pairs[b], self.pairs[a]
+                self.rowsums = [r + x - y for r, x, y in zip(self.rowsums, g_b, g_a)]
                 state.energy += delta
                 accept = True
         self._book(accept)
@@ -572,7 +559,7 @@ class GibbsEnumeration:
         return (self.probs @ self.counts) / self.n
 
 
-def enumerate_gibbs(model, n, coupling=None):
+def enumerate_gibbs(model, n):
     """Exact n-particle Gibbs distribution on a finite atom space.
 
     Sums the tilted multinomial weights over all C(n+m-1, m-1) type classes;
@@ -581,8 +568,7 @@ def enumerate_gibbs(model, n, coupling=None):
     if not isinstance(model, FiniteEnergyModel):
         raise EnergyError("exact enumeration needs a FiniteEnergyModel")
     table = class_table(model, n)
-    if coupling is None:
-        coupling = n * model.beta.beta_at(n)
+    coupling = n * model.beta.beta_at(n)
     if not math.isfinite(coupling):
         raise EnergyError(f"enumeration needs a finite coupling, got {coupling!r}")
     log_weights = table.log_multinomials + table.log_reference - coupling * table.energies

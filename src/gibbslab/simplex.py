@@ -25,6 +25,10 @@ __all__ = ["CLASS_CAP", "class_count", "class_table", "compositions", "logsumexp
 # Type-class tables are held whole in memory, about (m + 6) * 8 bytes a class.
 CLASS_CAP = 1_000_000
 _BLOCK_ROWS = 1 << 17
+# the local search: each refine round divides the step by _SHRINK and tries
+# every lattice offset within _RADIUS steps of the incumbent
+_SHRINK = 5
+_RADIUS = 3
 
 
 def _blocks(total, parts, block_rows):
@@ -117,7 +121,7 @@ def _local_offsets(m, radius):
     return offsets[np.abs(tail[:, 0]) <= radius]
 
 
-def simplex_minimize(objective, m, steps=200, refine_rounds=4, shrink=5, radius=3):
+def simplex_minimize(objective, m, steps=200, refine_rounds=4):
     """Minimize a vectorized objective over the m-simplex.
 
     ``objective`` maps an (r, m) array of probability vectors to r values
@@ -134,9 +138,9 @@ def simplex_minimize(objective, m, steps=200, refine_rounds=4, shrink=5, radius=
         if best_tau is None or values[i] < best_val:
             best_val, best_tau = float(values[i]), taus[i].copy()
     h = 1.0 / steps
-    offsets = _local_offsets(m, radius)
+    offsets = _local_offsets(m, _RADIUS)
     for _ in range(refine_rounds):
-        h /= shrink
+        h /= _SHRINK
         cand = best_tau[None, :] + h * offsets
         ok = (cand >= 0.0).all(axis=1)
         cand = cand[ok]

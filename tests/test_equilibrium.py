@@ -29,6 +29,7 @@ from gibbslab.equilibrium import (
     minimize_free_energy,
 )
 from gibbslab.errors import EnergyError, MeasureError, StepSizeFailureError
+from gibbslab.ldp import rate_function_profile
 from gibbslab.measures import FiniteSpace, GridMeasure, relative_entropy
 from gibbslab.spaces import BackgroundCharge, GreenModel, GreenOperator, build_space
 
@@ -237,9 +238,6 @@ def test_minimize_guards(torus_model, torus_space, circle_space):
     flat = GridMeasure.from_unnormalized(torus_space, zeros)
     with pytest.raises(MeasureError):
         minimize_free_energy(torus_model, initial=flat)
-    k3 = CallableKernel(lambda sp, *arrays: np.zeros(arrays[0].shape[0]), arity=3)
-    with pytest.raises(EnergyError):
-        minimize_free_energy(EnergyModel(torus_space, k3, BetaSchedule.constant(1.0)))
 
 
 @pytest.mark.parametrize("keyword, value, message", [
@@ -255,6 +253,18 @@ def test_minimize_refuses_bad_step_and_tol(circle_space, keyword, value, message
                         potentials=[StaticPotential(lambda p: np.cos(p[:, 0]))])
     with pytest.raises(EnergyError, match=message):
         minimize_free_energy(model, **{keyword: value})
+
+
+@pytest.mark.parametrize("max_iters", [0, -5])
+def test_descent_refuses_max_iters_below_one(circle_space, max_iters):
+    # both callers of the one descent engine: 0 and -5 used to return
+    # "max_iterations" after no iteration at all
+    model = EnergyModel(circle_space, LogChordKernel(), BetaSchedule.constant(1.0))
+    message = f"max_iters must be >= 1, got {max_iters}"
+    with pytest.raises(EnergyError, match=message):
+        minimize_free_energy(model, max_iters=max_iters)
+    with pytest.raises(EnergyError, match=message):
+        rate_function_profile(model, max_iters=max_iters)
 
 
 def test_grid_only_jobs_refuse_a_finite_model(torus_space):

@@ -381,7 +381,7 @@ def test_collision_error_on_coincident_start(log_gas):
 
 def test_guards(log_gas):
     with pytest.raises(EnergyError):
-        fekete_minimize(log_gas, 1)  # n < k
+        fekete_minimize(log_gas, 1)  # n < 2
     with pytest.raises(EnergyError):
         fekete_minimize(log_gas, 4, restarts=0)
     with pytest.raises(EnergyError):
@@ -390,10 +390,6 @@ def test_guards(log_gas):
         infima_convergence_table(log_gas, [4])
     with pytest.raises(EnergyError):
         infima_convergence_table(log_gas, [4, 4])
-    space = build_space("circle", 64, 16)
-    tri = EnergyModel(space, ConstantKernel(1.0, arity=3), BetaSchedule.constant(1.0))
-    with pytest.raises(EnergyError):
-        macro_infimum(tri)
     f = IntegralFunctional(lambda pts: pts[:, 0])
     with pytest.raises(EnergyError):
         f.simplex_values(FiniteSpace([0.5, 0.5]), np.array([[0.5, 0.5]]))

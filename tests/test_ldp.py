@@ -532,11 +532,6 @@ def test_profile_guards(three_atom_model, circle_space):
     with pytest.raises(EnergyError, match="shape"):
         rate_function_profile(three_atom_model,
                               HalfSpace(np.ones(4), 0.5))
-    fn_model = FiniteEnergyModel(three_atom_model.space,
-                                 BetaSchedule.constant(2.0),
-                                 w_fn=lambda counts, n: 0.0)
-    with pytest.raises(EnergyError, match="pair matrix"):
-        rate_function_profile(fn_model)
     negative = BetaSchedule.from_callable(lambda n: 1.0, -1.0)
     bad = FiniteEnergyModel(three_atom_model.space, negative,
                             pair_matrix=THREE_ATOM_G)

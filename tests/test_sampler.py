@@ -112,22 +112,17 @@ def test_finite_proposal_draws_the_stream_of_rng_choice(probs):
     assert ours.bit_generator.state == reference.bit_generator.state
 
 
-def _random_finite_model(rng, m, pairs):
+def _random_finite_model(rng, m):
     space = FiniteSpace(rng.dirichlet(np.ones(m)))
-    if not pairs:
-        # a w_fn that no pair matrix gives: cubic in the counts
-        return FiniteEnergyModel(space, BetaSchedule.constant(1.0),
-                                 w_fn=lambda c, n: float(c[0] ** 3 - c[-1] * c[0]) / n)
     g = rng.normal(size=(m, m))
     return FiniteEnergyModel(space, BetaSchedule.constant(1.0), pair_matrix=g + g.T)
 
 
 @settings(max_examples=80, deadline=None)
-@given(m=st.integers(2, 6), n=st.integers(1, 12), pairs=st.booleans(),
-       seed=st.integers(0, 2 ** 32 - 1))
-def test_row_sum_delta_equals_energy_difference(m, n, pairs, seed):
+@given(m=st.integers(2, 6), n=st.integers(1, 12), seed=st.integers(0, 2 ** 32 - 1))
+def test_row_sum_delta_equals_energy_difference(m, n, seed):
     rng = np.random.default_rng(seed)
-    model = _random_finite_model(rng, m, pairs)
+    model = _random_finite_model(rng, m)
     chain = _FiniteChain(model, n, rng, rng.integers(m, size=n), 1.0)
     # accepted moves first (coupling 0 accepts all), so that later deltas run
     # on updated row sums
@@ -365,19 +360,6 @@ def test_dense_delta_nan_row_is_infinite(circle_space):
     assert deltas[0] == math.inf
     want, scale = _energy_difference(model, positions, 1, np.array([4.5]))
     assert abs(deltas[1] - want) < 1e-12 * scale
-
-
-def test_three_body_deltas_difference_w_n(circle_space, rng):
-    def fn(space, a, b, c):
-        return np.cos(a[:, 0] - b[:, 0]) * np.cos(b[:, 0] - c[:, 0]) * np.cos(c[:, 0] - a[:, 0])
-
-    model = EnergyModel(circle_space, CallableKernel(fn, arity=3), BetaSchedule.constant(1.0),
-                        potentials=[StaticPotential(lambda p: np.sin(p[:, 0]))])
-    positions = circle_space.sample_points(rng, 5)
-    points = circle_space.sample_points(rng, 3)
-    deltas = _continuous_deltas(model, positions, 3, points)
-    for point, delta in zip(points, deltas):
-        assert delta == _energy_difference(model, positions, 3, point)[0]
 
 
 def test_green_tempering_swaps_carry_the_cache(green_chain_models):

@@ -64,10 +64,6 @@ def test_class_energies_equal_w_counts_row_by_row(n):
     counts = compositions(n, 4)
     want = np.array([model.w_counts(row, n) for row in counts])
     assert_array_equal(model.class_energies(counts, n), want)
-    override = FiniteEnergyModel(FiniteSpace(PROBS), BetaSchedule.constant(1.0),
-                                 w_fn=lambda c, n: float(c[0] * c[3]) / n)
-    assert_array_equal(override.class_energies(counts, n),
-                       [override.w_counts(row, n) for row in counts])
 
 
 @pytest.mark.parametrize("n,m", [(1, 2), (9, 4), (60, 3), (300, 2)])

@@ -272,7 +272,7 @@ def fekete_cmd(config_path, n_override):
         block = config.section("fekete")
         n_values = block.get("n_values")
         if n_values and n_override is None:
-            for key in FEKETE_OPTIONS:
+            for key in ("n",) + FEKETE_OPTIONS:
                 if key in block and key not in FEKETE_TABLE_OPTIONS:
                     raise ConfigError(f"{config.source}: fekete.{key} configures "
                                       "a single-n search, not the n_values table")

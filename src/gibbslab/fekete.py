@@ -403,14 +403,15 @@ def _pattern_search(model, config, f, max_iters):
     return config, value, iterations, trace
 
 
+@np.errstate(divide="ignore", invalid="ignore")  # a draw on a particle divides by zero
 def _relocation_polish(model, config, f, rng, value, rounds, candidates):
     """Single-particle exchange sweeps: each particle may trade its position
     for the best of a batch of fresh reference draws when that strictly
     lowers the objective.  The batch costs one geodesic table for the
     collision mask and, when f is None, one batched energy delta
-    (``sampler._continuous_deltas``); an integral tilt arrives folded into
-    the model, so only composed and density functionals score the draws
-    one objective at a time."""
+    (``sampler._continuous_deltas``, under this function's one errstate); an
+    integral tilt arrives folded into the model, so only composed and
+    density functionals score the draws one objective at a time."""
     space = model.space
     n = config.shape[0]
     improved_any = False

@@ -27,7 +27,6 @@ Desk-scale caps: ``simplex.CLASS_CAP`` bounds the type classes enumerated,
 """
 
 import math
-import warnings
 from dataclasses import dataclass, field
 
 import numpy as np

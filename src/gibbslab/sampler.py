@@ -15,6 +15,28 @@ burn-in included, the cache is recomputed from scratch and must agree to
 randomness flows through one generator derived from (seed, name), making
 equal-seed runs byte-identical.
 
+A continuous chain draws its variates step by step: the moving particle,
+the proposal's standard normals (1 on the circle, 2 on the torus, 3 on the
+sphere, d in a box), and an accept uniform only when the move would raise
+the density.  ``_propose_point`` moves the point on those normals in
+scalar math that rounds as the array formulas do (the sphere move keeps
+numpy's dot products), so a seed's samples do not depend on how the step
+is computed.  A finite chain draws blocks of min(_FINITE_BLOCK, steps)
+steps (``_FiniteChain.draw_block``): the moving particles, the proposed
+atoms (the stream of ``rng.choice(m, size, p=probs)``) and one accept
+uniform per step, needed or not; so a 10-step segment draws 10 steps'
+worth, and a chain of at least _FINITE_BLOCK steps draws full blocks.
+
+During burn-in the proposal scale adapts every 200 steps toward 30-50%
+acceptance: x0.8 below, x1.25 above, but never past ``Space.diameter``, the
+largest useful step; a free gas accepts every move and would otherwise
+push the scale to inf.
+
+Singular kernels divide by zero where points coincide.  ``mcmc_run`` and
+the Fekete polish each enter ``np.errstate(divide="ignore",
+invalid="ignore")`` once, and ``_continuous_deltas`` runs under it without
+entering one per call.
+
 One function, ``_continuous_deltas``, scores every continuous
 single-particle move: R = 1 candidate in a chain step, a batch of R draws in
 the Fekete relocation polish.  Dense pair kernels take one (R + 1, n) table
@@ -36,14 +58,15 @@ accumulates, the coherence check rebuilds the rows, and a tempering swap
 exchanges them with the positions.
 
 A finite-chain step does scalar work only, beyond reading and writing one
-entry of the live labels array.  The chain draws its variates _FINITE_BLOCK
-steps at a time: the moving particles, the proposed atoms (the stream of
-``rng.choice(m, size, p=probs)``) and one accept uniform per step, needed or
-not.  It keeps the counts c and the row sums r = G.c of the pair matrix G
-as Python scalars; moving a particle from atom a to atom b changes the energy
-by (r_b - r_a - G_ba + G_aa) / n^2, and on accept r gains G_b - G_a.  The
-coherence check rebuilds r from the counts, and a tempering swap carries it
-with the labels and counts.
+entry of the live labels array.  It keeps the counts c and the row sums
+r = G.c of the pair matrix G as Python scalars; moving a particle from atom
+a to atom b changes the energy by (r_b - r_a - G_ba + G_aa) / n^2, and on
+accept r gains G_b - G_a.  The coherence check rebuilds r from the counts,
+and a tempering swap carries it with the labels and counts.  A
+continuous-chain step writes the candidate and the moving particle's
+position into one preallocated 2-row buffer and scores it with
+``_continuous_deltas``, which evaluates potentials only when the model has
+some; a box chain reads the reference density only when it is not uniform.
 """
 
 import math
@@ -130,53 +153,65 @@ class SampleResult:
 
 # -- proposals -----------------------------------------------------------------
 
+_TAU = 2.0 * math.pi
 
-def _propose_point(space, rng, point, scale):
-    """Symmetric geodesic random-walk proposal; returns the new point or None
-    when the move leaves the chart (box spaces)."""
+
+def _propose_point(space, point, normals, scale):
+    """Symmetric geodesic random-walk proposal from ``point`` (a list of
+    coordinates) driven by the standard ``normals``; returns the new point
+    as a list, or None when the move leaves the chart (box spaces)."""
     kind = space.kind
     if kind == "circle":
-        return np.array([(point[0] + scale * rng.standard_normal()) % (2.0 * np.pi)])
+        theta = (point[0] + scale * normals[0]) % _TAU
+        return [theta if theta < _TAU else 0.0]  # a tiny negative angle rounds to 2 pi
     if kind == "torus":
-        return (point + scale * rng.standard_normal(2)) % 1.0
+        moved = [(x + scale * z) % 1.0 for x, z in zip(point, normals)]
+        return [x if x < 1.0 else 0.0 for x in moved]
     if kind == "sphere":
-        raw = rng.standard_normal(3)
+        point, raw = np.array(point), np.array(normals)
         tangent = raw - (raw @ point) * point
         norm = float(np.linalg.norm(tangent))
         if norm < 1e-12:
-            return point.copy()
+            return point.tolist()
         angle = scale * norm
         moved = math.cos(angle) * point + math.sin(angle) * (tangent / norm)
-        return moved / np.linalg.norm(moved)
-    moved = point + scale * rng.standard_normal(point.shape[0])
-    if not bool(space.contains(moved[None, :])[0]):
-        return None
+        return (moved / np.linalg.norm(moved)).tolist()
+    moved = [x + scale * z for x, z in zip(point, normals)]
+    for x, (lo, hi) in zip(moved, space.params["bounds"]):
+        if not lo <= x <= hi:
+            return None
     return moved
 
 
-def _continuous_deltas(model, positions, i, points, cache=None):
+def _continuous_deltas(model, positions, i, points, cache=None, rows=None):
     """Energy changes of moving particle i to each of the (R, d) ``points``.
 
     A Green kernel reads the rows of ``cache``, a ``_GreenCache`` of
     ``positions`` (built here when None); every other kernel takes one
     (R + 1, n) table of ``values``, the R candidate rows and particle i's
-    own row, with column i zeroed.  A candidate whose pair sum is NaN gives
-    +inf.
+    own row, with column i zeroed.  ``rows``, when given, already holds the
+    candidates followed by particle i's position.  A candidate whose pair
+    sum is NaN gives +inf.  Coinciding points divide by zero: the caller
+    holds ``np.errstate(divide="ignore", invalid="ignore")``.
     """
     n, kernel = positions.shape[0], model.kernel
-    rows = np.concatenate((points, positions[i : i + 1]))
-    with np.errstate(divide="ignore", invalid="ignore"):
-        if isinstance(kernel, GreenKernel):
-            if cache is None:
-                cache = _GreenCache(kernel.model, positions)
-            internal = cache.changes(i, points)
-        else:
-            table = kernel.values(model.space, rows[:, None], positions[None])
-            table[:, i] = 0.0
-            sums = table.sum(axis=1)
-            internal = sums[:-1] - sums[-1]
+    if rows is None:
+        rows = np.concatenate((points, positions[i : i + 1]))
+    if isinstance(kernel, GreenKernel):
+        if cache is None:
+            cache = _GreenCache(kernel.model, positions)
+        internal = cache.changes(i, points)
+    else:
+        table = kernel.values(model.space, rows[:, None], positions[None])
+        table[:, i] = 0.0
+        # np.add.reduce, a 1-element slice and a float divisor skip numpy's
+        # slower paths for .sum, numpy scalars and int operands (the same bits)
+        sums = np.add.reduce(table, 1)
+        internal = sums[:-1] - sums[-1:]
+    deltas = internal / float(n * n)
+    if model.potentials:
         external = model.potential_stage_values(n, rows)
-        deltas = internal / n ** 2 + (external[:-1] - external[-1]) / n
+        deltas += (external[:-1] - external[-1]) / n
     deltas[np.isnan(internal)] = math.inf
     return deltas
 
@@ -264,19 +299,24 @@ class _ContinuousChain(_Chain):
 
     def __init__(self, model, n, rng, initial, scale):
         self.model = model
-        self.space = model.space
+        self.space = space = model.space
         self.n = n
         if initial is None:
-            positions = self.space.sample_points(rng, n)
+            positions = space.sample_points(rng, n)
         else:
-            positions = self.space._as_points(initial).copy()
+            positions = space._as_points(initial).copy()
             if positions.shape[0] != n:
                 raise EnergyError(f"initial configuration has {positions.shape[0]} points, expected {n}")
         energy = w_n(model, positions)
         if not math.isfinite(energy):
             raise EnergyError("initial configuration has infinite energy")
         self.state = ChainState(positions=positions, energy=energy, proposal_scale=scale)
-        self.is_box = self.space.kind == "box"
+        self.width = space.point_dim  # standard normals per proposal
+        # the candidate, then the moving particle's position
+        self.rows = np.empty((2, space.point_dim))
+        self.candidate = self.rows[:1]
+        self.density = (space.reference_density if space.kind == "box"
+                        and space.params.get("_density_fn") is not None else None)
         self.green_cache = (_GreenCache(model.kernel.model, positions)
                             if isinstance(model.kernel, GreenKernel) else None)
 
@@ -284,22 +324,29 @@ class _ContinuousChain(_Chain):
         state = self.state
         state.steps += 1
         i = int(rng.integers(self.n))
-        new_point = _propose_point(self.space, rng, state.positions[i], state.proposal_scale)
+        # one scalar draw on the circle: the stream of standard_normal(1)
+        normals = ((rng.standard_normal(),) if self.width == 1
+                   else rng.standard_normal(self.width).tolist())
+        positions = state.positions
+        own = positions[i]
+        point = _propose_point(self.space, own.tolist(), normals, state.proposal_scale)
         accept = False
-        if new_point is not None:
-            delta = float(_continuous_deltas(self.model, state.positions, i,
-                                             new_point[None, :], self.green_cache)[0])
+        if point is not None:
+            rows = self.rows
+            rows[0] = point
+            rows[1] = own
+            delta = _continuous_deltas(self.model, positions, i, self.candidate,
+                                       self.green_cache, rows).item()
             if math.isfinite(delta):
                 log_alpha = -coupling * delta
-                if self.is_box:
-                    old_d = float(self.space.reference_density(state.positions[i][None, :])[0])
-                    new_d = float(self.space.reference_density(new_point[None, :])[0])
+                if self.density is not None:
+                    new_d, old_d = self.density(rows).tolist()
                     if new_d <= 0.0:
                         log_alpha = -math.inf
                     else:
                         log_alpha += math.log(new_d) - math.log(old_d)
                 if log_alpha >= 0.0 or rng.random() < math.exp(log_alpha):
-                    state.positions[i] = new_point
+                    positions[i] = rows[0]
                     state.energy += delta
                     if self.green_cache is not None:
                         self.green_cache.accept(i)
@@ -318,9 +365,10 @@ class _ContinuousChain(_Chain):
 class _FiniteChain(_Chain):
     carried = ("counts", "rowsums")
 
-    def __init__(self, model, n, rng, initial, scale):
+    def __init__(self, model, n, rng, initial, scale, block=_FINITE_BLOCK):
         self.model = model
         self.n = n
+        self.block = block
         self.m = model.space.n_atoms
         self.probs = model.space.probs
         # the cumulative table rng.choice(m, p=probs) builds on every call
@@ -341,7 +389,7 @@ class _FiniteChain(_Chain):
         self.rowsums = self.fresh_rowsums()
         self.draws = iter(())
 
-    def draw_block(self, rng, size=_FINITE_BLOCK):
+    def draw_block(self, rng, size):
         """Variates of the next ``size`` steps: the moving particles, their
         proposed atoms (the stream of ``rng.choice(m, size, p=probs)``) and
         the uniforms of the accept tests."""
@@ -362,7 +410,7 @@ class _FiniteChain(_Chain):
         try:
             i, b, u = next(self.draws)
         except StopIteration:
-            self.draws = self.draw_block(rng)
+            self.draws = self.draw_block(rng, self.block)
             i, b, u = next(self.draws)
         state = self.state
         state.steps += 1
@@ -391,9 +439,9 @@ class _FiniteChain(_Chain):
         return self.model.w_counts(self.counts, self.n)
 
 
-def _make_chain(model, n, rng, initial, scale):
+def _make_chain(model, n, rng, initial, scale, block):
     if isinstance(model, FiniteEnergyModel):
-        return _FiniteChain(model, n, rng, initial, scale), "finite"
+        return _FiniteChain(model, n, rng, initial, scale, block), "finite"
     if isinstance(model, EnergyModel):
         return _ContinuousChain(model, n, rng, initial, scale), "continuous"
     raise EnergyError(f"cannot sample from {type(model).__name__}")
@@ -402,16 +450,18 @@ def _make_chain(model, n, rng, initial, scale):
 # -- driver --------------------------------------------------------------------
 
 
+@np.errstate(divide="ignore", invalid="ignore")  # one for every step: see the module docstring
 def mcmc_run(model, n, steps, seed, initial=None, proposal_scale=0.5,
              burn_in=0.2, thin=None, ladder=None, swap_every=50, name="chain"):
     """Run a Metropolis chain for the n-particle Gibbs measure of ``model``.
 
     The first ``burn_in`` fraction of steps adapts the proposal scale toward
-    30-50% acceptance (continuous chains) and is discarded; afterwards the
-    scale is frozen and every ``thin``-th configuration is stored.  With a
-    ``ladder`` of coupling fractions (ascending, ending at 1.0), parallel
-    tempering chains run side by side with state swaps every ``swap_every``
-    steps; samples come from the full-coupling rung.
+    30-50% acceptance, never past the space's diameter (continuous chains),
+    and is discarded; afterwards the scale is frozen and every ``thin``-th
+    configuration is stored.  With a ``ladder`` of coupling fractions
+    (ascending, ending at 1.0), parallel tempering chains run side by side
+    with state swaps every ``swap_every`` steps; samples come from the
+    full-coupling rung.
     """
     if steps < 10:
         raise EnergyError(f"need at least 10 steps, got {steps}")
@@ -441,7 +491,8 @@ def mcmc_run(model, n, steps, seed, initial=None, proposal_scale=0.5,
     chains = []
     kind = None
     for _ in scales:
-        chain, kind = _make_chain(model, n, rng, initial, proposal_scale)
+        chain, kind = _make_chain(model, n, rng, initial, proposal_scale,
+                                  min(_FINITE_BLOCK, steps))
         chains.append(chain)
 
     burn_steps = int(round(steps * burn_in))
@@ -456,6 +507,7 @@ def mcmc_run(model, n, steps, seed, initial=None, proposal_scale=0.5,
     swap_round = 0
     rungs = [(chain.step, coupling * fraction) for chain, fraction in zip(chains, scales)]
     tempered, adapts, top = len(chains) > 1, kind == "continuous", chains[-1]
+    cap = model.space.diameter if adapts else None  # the adaptation's largest scale
     count = post // thin
     first = top.state.positions
     samples = np.empty((count,) + first.shape, dtype=first.dtype)
@@ -473,8 +525,8 @@ def mcmc_run(model, n, steps, seed, initial=None, proposal_scale=0.5,
                     rate = state.accepts / max(1, state.steps)
                     if rate < 0.3:
                         state.proposal_scale *= 0.8
-                    elif rate > 0.5:
-                        state.proposal_scale *= 1.25
+                    elif rate > 0.5 and state.proposal_scale < cap:
+                        state.proposal_scale = min(1.25 * state.proposal_scale, cap)
                     state.accepts = 0
                     state.steps = 0
             if step_index == burn_steps:

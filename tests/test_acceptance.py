@@ -5,12 +5,11 @@ per criterion.  Every tolerance is pinned in the test body, and criteria
 that carry a time budget assert the measured runtime.
 """
 
+import hashlib
 import math
 import time
 
 import numpy as np
-import pytest
-from numpy.testing import assert_allclose
 
 from gibbslab.energy import (
     BetaSchedule,
@@ -30,7 +29,6 @@ from gibbslab.equilibrium import (
 )
 from gibbslab.fekete import (
     IntegralFunctional,
-    fekete_minimize,
     infima_convergence_table,
 )
 from gibbslab.ldp import laplace_verify_finite
@@ -269,6 +267,11 @@ def test_criterion_08_sampler_against_enumeration():
     again = mcmc_run(model, n, steps=1_000_000, seed=77, thin=1)
     assert result.samples.tobytes() == again.samples.tobytes()
     assert result.energies.tobytes() == again.energies.tobytes()
+    # the stream of a finite chain of at least one full variate block, pinned
+    assert hashlib.sha256(result.samples.tobytes()).hexdigest() == (
+        "48fc9d58bb1de5c7ae5eb48c769c3f4285caf307c3599c88d8f26d436c426fb5")
+    assert hashlib.sha256(result.energies.tobytes()).hexdigest() == (
+        "cb0066db5adc448748f154e79f2902966a916f0b58a50795b1826eec7257b5c3")
     print(f"criterion 8 PASS: z_occ {z_occ:.2f}, z_energy {z_energy:.2f}, "
           "rerun byte-exact")
 

@@ -465,13 +465,16 @@ ldp:
      "polish_rounds must be >= 0, got -1"),
     ("fekete", FEKETE_TEXT, "restarts: 4", "restarts: 4\n  n_values: [4, 8]\n  polish_rounds: -1",
      "fekete.polish_rounds configures a single-n search"),
+    ("fekete", FEKETE_TEXT, "restarts: 4", "restarts: 4\n  n_values: [4, 8]\n  n: 3",
+     "fekete.n configures a single-n search"),
     ("equilibrium", EQUILIBRIUM_TEXT, "  overlay:", "  max_iters: 0\n  overlay:",
      "max_iters must be >= 1, got 0"),
 ], ids=["green-trials", "green-tolerance", "equilibrium-tol", "sample-swap",
         "sample-steps", "fekete-restarts", "laplace-n-values", "laplace-grid-steps",
         "rate-level", "conditional-mode", "laplace-circle-vector",
         "sample-proposal-scale", "sample-thin", "equilibrium-step",
-        "fekete-polish-rounds", "fekete-table-polish-rounds", "equilibrium-max-iters"])
+        "fekete-polish-rounds", "fekete-table-polish-rounds", "fekete-table-n",
+        "equilibrium-max-iters"])
 def test_bad_values_exit_with_one_error_line(tmp_path, runner, command,
                                               template, old, new, message):
     assert old in template

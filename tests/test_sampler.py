@@ -1,5 +1,6 @@
 """Metropolis chains against exact enumerations and closed-form marginals."""
 
+import hashlib
 import math
 import warnings
 
@@ -30,6 +31,7 @@ from gibbslab.sampler import (
     _ContinuousChain,
     _continuous_deltas,
     _FiniteChain,
+    _propose_point,
     enumerate_gibbs,
     mcmc_run,
 )
@@ -371,6 +373,148 @@ def test_green_tempering_swaps_carry_the_cache(green_chain_models):
     assert result.swap_rates[0] > 0.0
     final = result.final_state
     assert abs(final.energy - w_n(model, final.positions)) < 1e-10
+
+
+# -- the chain step against the reference ----------------------------------------------
+
+
+@pytest.fixture(scope="module")
+def chain_models(circle_space, sphere_space, torus_green):
+    """One model per proposal kind: the circle log gas, a sphere Riesz gas,
+    the torus Green gas and a box log gas with a non-uniform reference and
+    a confining potential."""
+    box = build_space("box", 64, bounds=[(-3.0, 3.0)], density="exp(-x*x/4)")
+    return {
+        "circle": EnergyModel(circle_space, LogChordKernel(), BetaSchedule.constant(2.0)),
+        "sphere": EnergyModel(sphere_space, RieszKernel(1.0), BetaSchedule.constant(1.0)),
+        "torus": EnergyModel(torus_green.space, GreenKernel(torus_green),
+                             BetaSchedule.constant(2.0)),
+        "box": EnergyModel(box, LogChordKernel(2.0), BetaSchedule.constant(2.0),
+                           potentials=[StaticPotential(lambda p: 0.5 * p[:, 0] ** 2)]),
+    }
+
+
+def _recorded_run(monkeypatch, *args, **kwargs):
+    """``mcmc_run`` that also returns every chain it made."""
+    chains = []
+    make_chain = sampler._make_chain
+
+    def recording(*chain_args):
+        chain, kind = make_chain(*chain_args)
+        chains.append(chain)
+        return chain, kind
+
+    monkeypatch.setattr(sampler, "_make_chain", recording)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)  # swap rates of short ladders
+        result = mcmc_run(*args, **kwargs)
+    monkeypatch.setattr(sampler, "_make_chain", make_chain)
+    return result, chains
+
+
+# sha256 of samples then energies (first 16 hex digits), taken before the
+# step lost its per-call overhead: the step keeps the stream.  None where
+# the burn-in adaptation now stops at the torus diameter sqrt(1/2).
+PARENT_DIGESTS = {
+    "circle": ("6fe8e5230a0f3690", "955394ba61f80393", "73f43978383e3757"),
+    "sphere": ("aae59474f90ed3d3", "02dd1226c5c6057c", "9c52d6c6b1ea6c9c"),
+    "torus": ("f5ead3664a27d7c9", None, None),
+    "box": ("79cacf9f91f19473", "f01ab2bd25b674a2", "a8a253686fb5a96d"),
+}
+RUNS = [(10, None), (2_500, None), (2_500, [0.5, 1.0])]
+
+
+@pytest.mark.parametrize("kind, steps, ladder, digest", [
+    (kind, steps, ladder, PARENT_DIGESTS[kind][k])
+    for kind in PARENT_DIGESTS for k, (steps, ladder) in enumerate(RUNS)
+], ids=[f"{kind}-{case}" for kind in PARENT_DIGESTS
+        for case in ("ten-steps", "coherence-checks", "two-rungs")])
+def test_chain_energy_and_stream_against_the_reference(chain_models, monkeypatch, kind,
+                                                       steps, ladder, digest):
+    # every rung's cached energy is w_n of its positions at the end, after
+    # coherence checks, a same-seed rerun is byte-identical, and the stream
+    # is the pinned one
+    model = chain_models[kind]
+    runs = [_recorded_run(monkeypatch, model, 6, steps=steps, seed=13, ladder=ladder,
+                          swap_every=10, thin=1) for _ in range(2)]
+    (result, chains), (again, _) = runs
+    assert len(chains) == (1 if ladder is None else 2)
+    for chain in chains:
+        state = chain.state
+        assert abs(state.energy - w_n(model, state.positions)) < 1e-9
+    assert result.final_state.energy == result.energies[-1]
+    assert result.samples.tobytes() == again.samples.tobytes()
+    assert result.energies.tobytes() == again.energies.tobytes()
+    if digest is not None:
+        pinned = hashlib.sha256(result.samples.tobytes() + result.energies.tobytes())
+        assert pinned.hexdigest()[:16] == digest
+
+
+@pytest.mark.parametrize("steps, sizes", [(10, [10]), (2_500, [_FINITE_BLOCK] * 3)])
+def test_finite_variate_blocks_follow_the_chain_length(four_atom_model, monkeypatch,
+                                                       steps, sizes):
+    # a short segment draws only the steps it makes
+    drawn = []
+    draw_block = _FiniteChain.draw_block
+
+    def recording(chain, rng, size):
+        drawn.append(size)
+        return draw_block(chain, rng, size)
+
+    monkeypatch.setattr(_FiniteChain, "draw_block", recording)
+    mcmc_run(four_atom_model, 6, steps=steps, seed=13)
+    assert drawn == sizes
+
+
+@settings(max_examples=200, deadline=None)
+@given(kind=st.sampled_from(["circle", "torus", "sphere"]), seed=st.integers(0, 2 ** 32 - 1),
+       normals=st.lists(st.floats(-1e3, 1e3), min_size=3, max_size=3),
+       scale=st.floats(0.0, 10.0))
+def test_proposal_stays_on_the_space(circle_space, torus_space, sphere_space, kind, seed,
+                                     normals, scale):
+    space = {"circle": circle_space, "torus": torus_space, "sphere": sphere_space}[kind]
+    point = space.sample_points(np.random.default_rng(seed), 1)[0].tolist()
+    moved = np.array(_propose_point(space, point, normals[: space.point_dim], scale))
+    assert moved.shape == (space.point_dim,)
+    if kind == "sphere":
+        assert abs(np.linalg.norm(moved) - 1.0) < 1e-12
+    else:
+        period = 2.0 * math.pi if kind == "circle" else 1.0
+        assert np.all((moved >= 0.0) & (moved < period))
+
+
+def test_proposal_wraps_a_tiny_negative_step(circle_space, torus_space):
+    # -1e-300 mod the period rounds to the period itself, which is off the chart
+    assert _propose_point(circle_space, [0.0], [-1e-300], 1.0) == [0.0]
+    assert _propose_point(torus_space, [0.0, 0.5], [-1e-300, 0.0], 1.0) == [0.0, 0.5]
+
+
+def test_box_proposal_leaving_the_chart_is_none(box_space):
+    assert _propose_point(box_space, [2.5], [1.0], 1.0) is None
+    assert _propose_point(box_space, [2.5], [0.5], 1.0) == [3.0]
+
+
+def test_near_collision_chain_warns_nothing(circle_space):
+    # two particles one float apart and steps of 1e-16: candidates land on
+    # the other particle, where the log kernel divides by zero
+    model = EnergyModel(circle_space, LogChordKernel(), BetaSchedule.constant(1.0))
+    initial = np.array([[1.0], [np.nextafter(1.0, 2.0)]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        result = mcmc_run(model, 2, steps=2_000, seed=3, initial=initial,
+                          proposal_scale=1e-16, burn_in=0.0)
+    assert np.isfinite(result.energies).all()
+    final = result.final_state
+    assert abs(final.energy - w_n(model, final.positions)) < 1e-9
+
+
+def test_burn_in_adaptation_stops_at_the_diameter():
+    # a free gas accepts every move; the scale grew without bound before
+    space = build_space("circle", 64)
+    model = EnergyModel(space, ConstantKernel(0.0), BetaSchedule.constant(1.0))
+    result = mcmc_run(model, 2, steps=20_000, seed=1, burn_in=0.9)
+    assert result.proposal_scale <= math.pi
+    assert np.isfinite(result.samples).all()
 
 
 # -- safety rails ----------------------------------------------------------------------

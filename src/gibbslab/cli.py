@@ -125,6 +125,16 @@ def _n_values(config):
     return n_values
 
 
+def _ldp_options(config, keys, branch):
+    """``config.options("ldp", *keys)``, refusing a Laplace key that only
+    another branch reads rather than ignoring it."""
+    block = config.section("ldp")
+    for key in FINITE_LAPLACE_OPTIONS + MC_LAPLACE_OPTIONS:
+        if key in block and key not in keys:
+            raise ConfigError(f"{config.source}: ldp.{key} does not apply to {branch}")
+    return config.options("ldp", *keys)
+
+
 def _execute(command, config_path, body):
     """Shared harness: parse config, run, write manifest, map exit codes."""
     try:
@@ -321,11 +331,11 @@ def laplace_verify_cmd(config_path):
         if isinstance(model.space, FiniteSpace):
             verdict = laplace_verify_finite(
                 model.space, model, f, n_values,
-                **config.options("ldp", *FINITE_LAPLACE_OPTIONS))
+                **_ldp_options(config, FINITE_LAPLACE_OPTIONS, "a finite-space enumeration"))
         else:
             verdict = laplace_estimate_mc(
                 model, f, n_values, seed=config.seed,
-                **config.options("ldp", *MC_LAPLACE_OPTIONS))
+                **_ldp_options(config, MC_LAPLACE_OPTIONS, "a Monte Carlo estimate"))
         return _verdict_outputs(run, verdict, "laplace")
 
     _execute("laplace-verify", config_path, body)
@@ -375,7 +385,7 @@ def conditional_cmd(config_path):
             f = build_functional(config, block.get("f"), model.space)
             verdict = conditional_gas_verify(
                 model, f, n_values, mode="environment", seed=config.seed,
-                **config.options("ldp", *MC_LAPLACE_OPTIONS))
+                **_ldp_options(config, MC_LAPLACE_OPTIONS, "a Monte Carlo estimate"))
         elif mode == "single_particle":
             f_block = block.get("f")
             f_fn = None
@@ -387,7 +397,7 @@ def conditional_cmd(config_path):
                 f_fn = functional.g
             verdict = conditional_gas_verify(
                 model, f_fn, n_values, mode="single_particle",
-                **config.options("ldp", *SINGLE_PARTICLE_OPTIONS))
+                **_ldp_options(config, SINGLE_PARTICLE_OPTIONS, "the single-particle limit"))
         else:
             raise ConfigError(f"{config.source}: ldp.mode must be "
                               f"'environment' or 'single_particle', got "

@@ -100,7 +100,6 @@ class Kernel:
     ``np.errstate``."""
 
     singular = False
-    differentiable = True  # smooth away from the diagonal
 
     def values(self, space, a, b):
         raise EnergyError(f"{type(self).__name__} has no elementwise values")
@@ -216,15 +215,16 @@ class GreenKernel(Kernel):
 
 class CallableKernel(Kernel):
     """User-supplied pair kernel; ``fn(space, a, b)`` maps two broadcastable
-    point arrays, coordinates on the last axis, to values elementwise."""
+    point arrays, coordinates on the last axis, to values elementwise.
+    Fekete searches descend it on finite-difference gradients whether or
+    not it is smooth: a kinked kernel such as pi - d still reaches its
+    minimum."""
 
-    def __init__(self, fn, bound=None, singular=False, diagonal_fn=None,
-                 differentiable=True):
+    def __init__(self, fn, bound=None, singular=False, diagonal_fn=None):
         self.fn = fn
         self.bound = bound
         self.singular = singular
         self.diagonal_fn = diagonal_fn
-        self.differentiable = bool(differentiable)
 
     def values(self, space, a, b):
         # a value constant along an axis, or a scalar, fills the whole shape

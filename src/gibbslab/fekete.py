@@ -5,29 +5,29 @@ optionally tilted by a functional f of the empirical measure, and compares
 the resulting minima against the macroscopic infimum inf w (resp.
 inf {w + f}) computed on the node grid.
 
-The continuous optimizer is a multi-start local search: particles are drawn
-from the reference distribution, descended by geodesic gradient steps with
-Armijo backtracking (kernels differentiable off the diagonal) or refined by
-coordinate-wise pattern search (non-smooth kernels), then polished by
+The continuous optimizer is a multi-start local search on w_n itself: an
+integral tilt is first folded into the model as a one-body potential, and
+any other functional is refused, as the macroscopic infimum could not judge
+it.  Particles are drawn from the reference distribution, descended by
+geodesic gradient steps with Armijo backtracking (kinked kernels such as
+pi - d descend on their finite-difference gradients too), then polished by
 single-particle relocation sweeps that may exchange a particle's position
 for the best of a batch of fresh draws, all scored by one collision table
-and the sampler's batched energy delta.  An integral tilt is folded into the
-model as a one-body potential first, so the local searches see only f =
-None or a composed or density functional.  Collision tests and energies
-read only the n(n-1)/2 pairs i < j.  Finite atom spaces are solved exactly by enumerating
-occupation-count classes.  Results are best-found local minima,
-not certified global optima; the circle log-gas, whose global minimum is
-known in closed form, serves as the regression anchor for the optimizer.
+and the sampler's batched energy delta, and descended once more.  Collision
+tests and energies read only the n(n-1)/2 pairs i < j.  Finite atom spaces
+are solved exactly by enumerating occupation-count classes.  Results are
+best-found local minima, not certified global optima; the circle log-gas,
+whose global minimum is known in closed form, serves as the regression
+anchor for the optimizer.
 
 One solver, ``_limit_infimum``, gives inf {f + F} for F = w + D/beta: the
 Fekete infimum at beta = inf, and the Laplace limits of ``ldp`` at the
 model's limit beta.
 
-Functionals of the empirical measure come in three representable classes:
-plain integrals ``f(mu) = integral of g dmu`` (evaluated directly on the
-atoms), scalar compositions of several such integrals, and functionals of a
-density (evaluated through the fixed-bandwidth grid smoothing of
-`measures`).
+Functionals of the empirical measure come in two representable classes:
+plain integrals ``f(mu) = integral of g dmu``, which every space takes, and
+scalar compositions of several such integrals, which only finite atom spaces
+take: there exact enumeration and the simplex limit can judge them.
 """
 
 import math
@@ -45,7 +45,7 @@ from .energy import (
 )
 from .equilibrium import _equilibrium, _limit_tables, _mirror_descent
 from .errors import CollisionError, EnergyError
-from .measures import EmpiricalMeasure, FiniteSpace, _fmt, grid_projection, relative_entropy
+from .measures import FiniteSpace, _fmt, relative_entropy
 from .rng import derive_rng
 from .sampler import _continuous_deltas
 from .simplex import class_table, simplex_minimize
@@ -55,7 +55,6 @@ __all__ = [
     "MeasureFunctional",
     "IntegralFunctional",
     "ComposedFunctional",
-    "DensityFunctional",
     "FeketeResult",
     "fekete_minimize",
     "macro_infimum",
@@ -64,22 +63,14 @@ __all__ = [
 ]
 
 _COLLISION_TOL = 1e-12
-_SMOOTHING_BANDWIDTH = 0.25
 
 
 # -- functionals of the empirical measure --------------------------------------------
 
 
 class MeasureFunctional:
-    """Functional of a probability measure, evaluated on particle
-    configurations (through their empirical measure), on grid densities,
-    or on rows of atom-mass vectors over a finite space."""
-
-    def configuration_value(self, space, config):
-        raise NotImplementedError
-
-    def grid_value(self, mu):
-        raise NotImplementedError
+    """Functional of a probability measure, evaluated on rows of atom-mass
+    vectors over a finite space."""
 
     def simplex_values(self, space, taus):
         raise NotImplementedError
@@ -94,20 +85,18 @@ class IntegralFunctional(MeasureFunctional):
     def __init__(self, g):
         self.g = g
 
-    def point_values(self, space, points):
-        if callable(self.g):
-            return np.asarray(self.g(points), dtype=float)
-        if not isinstance(space, FiniteSpace):
+    def point_values(self, points):
+        """g at (r, d) points of a continuous space."""
+        if not callable(self.g):
             raise EnergyError(
                 "per-atom value vectors need a finite space; continuous spaces "
                 "take a function of the coordinates (an 'expr' block)")
-        values = np.asarray(self.g, dtype=float)
-        return values[np.asarray(points, dtype=np.int64)]
+        return np.asarray(self.g(points), dtype=float)
 
     def node_values(self, space):
         """g at the atoms of a finite space or at the nodes of a grid."""
         if not isinstance(space, FiniteSpace):
-            return self.point_values(space, space.nodes)
+            return self.point_values(space.nodes)
         if callable(self.g):
             raise EnergyError("finite-space functionals need a per-atom value vector")
         values = np.asarray(self.g, dtype=float)
@@ -117,26 +106,19 @@ class IntegralFunctional(MeasureFunctional):
             )
         return values
 
-    def configuration_value(self, space, config):
-        return float(self.point_values(space, config).mean())
-
-    def grid_value(self, mu):
-        return float((mu.node_masses * self.node_values(mu.space)).sum())
-
     def simplex_values(self, space, taus):
         return np.asarray(taus, dtype=float) @ self.node_values(space)
 
 
 def _fold_functional(model, f):
-    """Copy of ``model`` with the integral functional ``f`` (None for none)
-    added as a one-body potential, so that its energy is w_n + f(i_n)."""
-    potentials = list(model.potentials)
-    if f is not None:
-        if not isinstance(f, IntegralFunctional):
-            raise EnergyError("continuous spaces support integral functionals only")
-        potentials.append(StaticPotential(
-            lambda pts: f.point_values(model.space, pts), description="tilt"))
-    return EnergyModel(model.space, model.kernel, model.beta, potentials=potentials)
+    """Copy of ``model`` with the integral functional ``f`` added as a
+    one-body potential, so that its energy is w_n + f(i_n); any other f
+    raises EnergyError."""
+    if not isinstance(f, IntegralFunctional):
+        raise EnergyError("continuous spaces support integral functionals only")
+    tilt = StaticPotential(f.point_values, description="tilt")
+    return EnergyModel(model.space, model.kernel, model.beta,
+                       potentials=[*model.potentials, tilt])
 
 
 class ComposedFunctional(MeasureFunctional):
@@ -148,33 +130,9 @@ class ComposedFunctional(MeasureFunctional):
         if not self.parts:
             raise EnergyError("composition needs at least one integral part")
 
-    def configuration_value(self, space, config):
-        return float(self.phi(*[p.configuration_value(space, config) for p in self.parts]))
-
-    def grid_value(self, mu):
-        return float(self.phi(*[p.grid_value(mu) for p in self.parts]))
-
     def simplex_values(self, space, taus):
         columns = [p.simplex_values(space, taus) for p in self.parts]
         return np.array([float(self.phi(*vals)) for vals in zip(*columns)])
-
-
-class DensityFunctional(MeasureFunctional):
-    """f(mu) = fn(mu) for fn defined on grid densities; configurations are
-    smoothed onto the grid with a fixed bandwidth first."""
-
-    def __init__(self, fn):
-        self.fn = fn
-
-    def configuration_value(self, space, config):
-        smoothed = grid_projection(EmpiricalMeasure(space, config), _SMOOTHING_BANDWIDTH)
-        return float(self.fn(smoothed))
-
-    def grid_value(self, mu):
-        return float(self.fn(mu))
-
-    def simplex_values(self, space, taus):
-        raise EnergyError("density functionals are not defined on finite atom spaces")
 
 
 # -- results -------------------------------------------------------------------------
@@ -259,13 +217,6 @@ def _canonical(config):
     return config[np.lexsort(keys)]
 
 
-def _objective(model, config, f):
-    value = w_n(model, config)
-    if f is not None:
-        value += f.configuration_value(model.space, config)
-    return value
-
-
 # -- gradients -------------------------------------------------------------------------
 
 
@@ -322,11 +273,11 @@ def _gradient(model, config, h=1e-6):
 # -- local searches -------------------------------------------------------------------
 
 
-def _gradient_descent(model, config, f, max_iters, grad_tol):
+def _gradient_descent(model, config, max_iters, grad_tol):
     """Geodesic descent with Barzilai-Borwein trial steps and Armijo
     backtracking; accepted values are strictly decreasing."""
     space = model.space
-    value = _objective(model, config, f)
+    value = w_n(model, config)
     if not math.isfinite(value):
         raise CollisionError("initial configuration has infinite energy",
                              pair=_closest_pair(space, config)[1])
@@ -355,7 +306,7 @@ def _gradient_descent(model, config, f, max_iters, grad_tol):
         while eta >= 1e-18:
             cand = _retract(space, config - eta * grad)
             dist, _ = _closest_pair(space, cand)
-            cand_value = math.inf if dist < _COLLISION_TOL else _objective(model, cand, f)
+            cand_value = math.inf if dist < _COLLISION_TOL else w_n(model, cand)
             if cand_value <= value - 1e-6 * eta * gnorm2:
                 config, value = cand, cand_value
                 trace.append(value)
@@ -367,51 +318,14 @@ def _gradient_descent(model, config, f, max_iters, grad_tol):
     return config, value, iterations, trace
 
 
-def _pattern_step(space):
-    return {"circle": 0.5, "torus": 0.2, "sphere": 0.4}.get(space.kind, 0.25)
-
-
-def _pattern_search(model, config, f, max_iters):
-    """Coordinate-wise pattern search for non-smooth kernels."""
-    space = model.space
-    n, dim = config.shape
-    value = _objective(model, config, f)
-    if not math.isfinite(value):
-        raise CollisionError("initial configuration has infinite energy",
-                             pair=_closest_pair(space, config)[1])
-    trace = [value]
-    step = _pattern_step(space)
-    iterations = 0
-    while iterations < max_iters and step > 1e-10:
-        iterations += 1
-        improved = False
-        for i in range(n):
-            for c in range(dim):
-                for sign in (1.0, -1.0):
-                    cand = config.copy()
-                    cand[i, c] += sign * step
-                    cand = _retract(space, cand)
-                    if _closest_pair(space, cand)[0] < _COLLISION_TOL:
-                        continue
-                    cand_value = _objective(model, cand, f)
-                    if cand_value < value - 1e-15:
-                        config, value = cand, cand_value
-                        trace.append(value)
-                        improved = True
-        if not improved:
-            step *= 0.5
-    return config, value, iterations, trace
-
-
 @np.errstate(divide="ignore", invalid="ignore")  # a draw on a particle divides by zero
-def _relocation_polish(model, config, f, rng, value, rounds, candidates):
+def _relocation_polish(model, config, rng, value, rounds, candidates):
     """Single-particle exchange sweeps: each particle may trade its position
     for the best of a batch of fresh reference draws when that strictly
-    lowers the objective.  The batch costs one geodesic table for the
-    collision mask and, when f is None, one batched energy delta
-    (``sampler._continuous_deltas``, under this function's one errstate); an
-    integral tilt arrives folded into the model, so only composed and
-    density functionals score the draws one objective at a time."""
+    lowers w_n.  The batch costs one geodesic table for the collision mask
+    and one batched energy delta (``sampler._continuous_deltas``, under this
+    function's one errstate); an integral tilt arrives folded into the model
+    as a one-body potential, so the deltas score it too."""
     space = model.space
     n = config.shape[0]
     improved_any = False
@@ -422,14 +336,7 @@ def _relocation_polish(model, config, f, rng, value, rounds, candidates):
             gaps = space.distance(draws[:, None], config[None])
             gaps[:, i] = np.inf
             clear = gaps.min(axis=1) >= _COLLISION_TOL
-            if f is None:
-                deltas = _continuous_deltas(model, config, i, draws)
-            else:
-                deltas = np.full(candidates, math.inf)
-                for r in np.flatnonzero(clear):
-                    moved = config.copy()
-                    moved[i] = draws[r]
-                    deltas[r] = _objective(model, moved, f) - value
+            deltas = _continuous_deltas(model, config, i, draws)
             # colliding draws and NaN deltas never win; argmin keeps the first
             # of equal minima, as a strict-improvement scan would
             deltas[~clear | np.isnan(deltas)] = math.inf
@@ -443,7 +350,7 @@ def _relocation_polish(model, config, f, rng, value, rounds, candidates):
         if not improved:
             break
     if improved_any:
-        value = _objective(model, config, f)
+        value = w_n(model, config)
     return config, value, improved_any
 
 
@@ -482,11 +389,13 @@ def fekete_minimize(model, n, f=None, restarts=8, seed=0, max_iters=2000,
     """Minimize w_n (plus an optional empirical-measure functional) over
     n-point configurations.
 
-    Finite atom spaces are solved exactly by enumeration.  Continuous spaces
-    fold an integral f into the model as a one-body potential, then run
-    ``restarts`` independent local searches (reproducible streams derived
-    from ``seed``); restarts that collide are recorded as ``+inf`` and the
-    best survivor wins, with ties broken by the canonical coordinate key.
+    Finite atom spaces are solved exactly by enumeration, for integral and
+    composed functionals alike.  Continuous spaces take integral f only: it
+    is folded into the model as a one-body potential, then ``restarts``
+    independent local searches (reproducible streams derived from ``seed``)
+    minimize w_n of the folded model; restarts that collide are recorded as
+    ``+inf`` and the best survivor wins, with ties broken by the canonical
+    coordinate key.
     """
     if isinstance(model, FiniteEnergyModel):
         return _finite_fekete(model, n, f)
@@ -499,29 +408,22 @@ def fekete_minimize(model, n, f=None, restarts=8, seed=0, max_iters=2000,
                                ("polish_candidates", polish_candidates, 1)):
         if count < least:
             raise EnergyError(f"{name} must be >= {least}, got {count}")
-    if isinstance(f, IntegralFunctional):
-        model, f = _fold_functional(model, f), None
-    use_gradient = model.kernel.differentiable and f is None
+    if f is not None:
+        model = _fold_functional(model, f)
     values, configs, iter_counts, traces = [], [], [], []
     collisions = 0
     for r in range(restarts):
         rng = derive_rng(seed, "fekete", f"restart{r}")
         try:
             config = _collision_free_init(model.space, rng, n)
-            if use_gradient:
-                config, value, iters, trace = _gradient_descent(
-                    model, config, f, max_iters, grad_tol)
-            else:
-                config, value, iters, trace = _pattern_search(model, config, f, max_iters)
+            config, value, iters, trace = _gradient_descent(model, config, max_iters, grad_tol)
             config, value, moved = _relocation_polish(
-                model, config, f, rng, value, polish_rounds, polish_candidates)
+                model, config, rng, value, polish_rounds, polish_candidates)
             if moved:
                 trace.append(value)
-                if use_gradient:
-                    config, value, extra, tail = _gradient_descent(
-                        model, config, f, max_iters, grad_tol)
-                    iters += extra
-                    trace.extend(tail[1:])
+                config, value, extra, tail = _gradient_descent(model, config, max_iters, grad_tol)
+                iters += extra
+                trace.extend(tail[1:])
         except CollisionError:
             collisions += 1
             values.append(math.inf)
@@ -541,15 +443,12 @@ def fekete_minimize(model, n, f=None, restarts=8, seed=0, max_iters=2000,
     if configs[best] is None:
         raise CollisionError("every restart ended in a particle collision")
     points = configs[best]
-    gradient_norm = None
-    if use_gradient:
-        gradient_norm = float(np.abs(_gradient(model, points)).max())
     return FeketeResult(
         points=points,
         value=values[best],
         restarts=restarts,
         restart_values=np.asarray(values),
-        gradient_norm=gradient_norm,
+        gradient_norm=float(np.abs(_gradient(model, points)).max()),
         iterations=iter_counts[best],
         collisions=collisions,
         trace=np.asarray(traces[best]),

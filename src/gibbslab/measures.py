@@ -23,8 +23,6 @@ __all__ = [
     "relative_entropy",
     "legendre_check",
     "bounded_lipschitz_distance",
-    "empirical_from_points",
-    "grid_projection",
 ]
 
 _MASS_TOL = 1e-10
@@ -272,21 +270,3 @@ def bounded_lipschitz_distance(mu, nu):
         raise MeasureError("measures live on different spaces")
     return float(np.abs(_bl_integrals(mu) - _bl_integrals(nu)).max())
 
-
-# -- smoothing -----------------------------------------------------------------
-
-
-def empirical_from_points(space, points):
-    return EmpiricalMeasure(space, points)
-
-
-def grid_projection(measure, bandwidth):
-    """Geodesic Gaussian smoothing of an empirical measure onto the grid."""
-    if not isinstance(measure, EmpiricalMeasure):
-        raise MeasureError("grid_projection expects an EmpiricalMeasure")
-    if not bandwidth > 0.0:
-        raise MeasureError(f"bandwidth must be positive, got {bandwidth!r}")
-    space = measure.space
-    d = space.geodesic(space.nodes, measure.points)
-    raw = np.exp(-0.5 * (d / bandwidth) ** 2).sum(axis=1)
-    return GridMeasure.from_unnormalized(space, raw)

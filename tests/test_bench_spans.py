@@ -47,3 +47,13 @@ def test_span_hooks_name_wrapped_functions():
         fn = getattr(module, name, None)
         assert name in module.__all__, key
         assert inspect.isfunction(fn) and fn.__module__ == module.__name__, key
+
+
+def test_layer_exports_all_exist():
+    # install calls getattr on every name in each layer's __all__, so a
+    # deleted name left there breaks only a traced run
+    spans = _spans()
+    for layer in spans.LAYERS:
+        module = importlib.import_module(f"gibbslab.{layer}")
+        for name in getattr(module, "__all__", ()):
+            assert hasattr(module, name), f"{layer}.{name}"

@@ -469,12 +469,36 @@ ldp:
      "fekete.n configures a single-n search"),
     ("equilibrium", EQUILIBRIUM_TEXT, "  overlay:", "  max_iters: 0\n  overlay:",
      "max_iters must be >= 1, got 0"),
+    ("sample", SAMPLE_TEXT, "thin: 10", "thin: 10\n  swap_every: -7", "swap interval"),
+    ("laplace-verify", FINITE_TEXT, "threshold: 0.05", "threshold: 0.05\n  chain_budget: -5",
+     "ldp.chain_budget does not apply to a finite-space enumeration"),
+    ("laplace-verify", FINITE_TEXT, "threshold: 0.05", "threshold: 0.05\n  rungs: 0",
+     "ldp.rungs does not apply to a finite-space enumeration"),
+    ("laplace-verify", FINITE_TEXT, "threshold: 0.05", "threshold: 0.05\n  ess_floor: -1",
+     "ldp.ess_floor does not apply to a finite-space enumeration"),
+    ("laplace-verify", FEKETE_TEXT, "fekete:\n  restarts: 4",
+     "ldp:\n  n_values: [4]\n  grid_steps: -3",
+     "ldp.grid_steps does not apply to a Monte Carlo estimate"),
+    ("conditional", SINGLE_PARTICLE_TEXT, "threshold: 0.05",
+     "threshold: 0.05\n  chain_budget: 1000",
+     "ldp.chain_budget does not apply to the single-particle limit"),
+    ("conditional", SINGLE_PARTICLE_TEXT, "threshold: 0.05", "threshold: 0.05\n  rungs: 8",
+     "ldp.rungs does not apply to the single-particle limit"),
+    ("conditional", SINGLE_PARTICLE_TEXT, "threshold: 0.05", "threshold: 0.05\n  grid_steps: 40",
+     "ldp.grid_steps does not apply to the single-particle limit"),
+    ("conditional", SINGLE_PARTICLE_TEXT, "mode: single_particle",
+     "mode: environment\n  grid_steps: 40",
+     "ldp.grid_steps does not apply to a Monte Carlo estimate"),
 ], ids=["green-trials", "green-tolerance", "equilibrium-tol", "sample-swap",
         "sample-steps", "fekete-restarts", "laplace-n-values", "laplace-grid-steps",
         "rate-level", "conditional-mode", "laplace-circle-vector",
         "sample-proposal-scale", "sample-thin", "equilibrium-step",
         "fekete-polish-rounds", "fekete-table-polish-rounds", "fekete-table-n",
-        "equilibrium-max-iters"])
+        "equilibrium-max-iters", "sample-swap-without-ladder",
+        "laplace-finite-chain-budget", "laplace-finite-rungs", "laplace-finite-ess-floor",
+        "laplace-mc-grid-steps", "conditional-single-particle-chain-budget",
+        "conditional-single-particle-rungs", "conditional-single-particle-grid-steps",
+        "conditional-environment-grid-steps"])
 def test_bad_values_exit_with_one_error_line(tmp_path, runner, command,
                                               template, old, new, message):
     assert old in template

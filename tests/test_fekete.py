@@ -21,21 +21,20 @@ from gibbslab.energy import (
 from gibbslab.errors import CollisionError, EnergyError, EnumerationCapError
 from gibbslab.fekete import (
     ComposedFunctional,
-    DensityFunctional,
     IntegralFunctional,
     _analytic_pair_gradient,
     _closest_pair,
     _fd_pair_gradient,
     _fold_functional,
     _gradient_descent,
-    _objective,
     _relocation_polish,
     fekete_minimize,
     infima_convergence_table,
     macro_infimum,
 )
-from gibbslab.measures import FiniteSpace, GridMeasure
-from gibbslab.energy import w_macro
+from gibbslab.config import RunConfig, build_model
+from gibbslab.measures import FiniteSpace
+from gibbslab.energy import w_macro, w_n
 from gibbslab.spaces import build_space
 
 
@@ -127,7 +126,7 @@ def _row_delta(model, config, i, point):
     return (new_int - old_int) / n ** 2 + (new_ext - old_ext) / n
 
 
-def _looped_relocation_polish(model, config, f, rng, value, rounds, candidates):
+def _looped_relocation_polish(model, config, rng, value, rounds, candidates):
     """The per-candidate scan that the batched polish replaced."""
     space = model.space
     n = config.shape[0]
@@ -142,12 +141,7 @@ def _looped_relocation_polish(model, config, f, rng, value, rounds, candidates):
                 gaps[i] = np.inf
                 if float(gaps.min()) < 1e-12:
                     continue
-                if f is None:
-                    delta = _row_delta(model, config, i, cand)
-                else:
-                    moved = config.copy()
-                    moved[i] = cand
-                    delta = _objective(model, moved, f) - value
+                delta = _row_delta(model, config, i, cand)
                 if delta < best_delta:
                     best_delta, best_point = delta, cand
             if best_point is not None and best_delta < -1e-13 * max(1.0, abs(value)):
@@ -158,30 +152,26 @@ def _looped_relocation_polish(model, config, f, rng, value, rounds, candidates):
         if not improved:
             break
     if improved_any:
-        value = _objective(model, config, f)
+        value = w_n(model, config)
     return config, value, improved_any
 
 
-@pytest.mark.parametrize("case", ["circle", "sphere", "circle tilt", "circle density"])
+@pytest.mark.parametrize("case", ["circle", "sphere", "circle tilt"])
 def test_batched_polish_matches_looped_scan(case, circle_space, sphere_space):
     if case.startswith("sphere"):
         model = EnergyModel(sphere_space, RieszKernel(1.0), BetaSchedule.constant(1.0))
     else:
         model = EnergyModel(circle_space, LogChordKernel(), BetaSchedule.linear(1.0))
-    f = None
     if case == "circle tilt":
         # fekete_minimize folds an integral tilt into the model
         model = _fold_functional(model, IntegralFunctional(lambda pts: np.cos(3.0 * pts[:, 0])))
-    elif case == "circle density":
-        f = DensityFunctional(lambda mu: float((mu.node_masses ** 2).sum()))
-    n, rounds = (4, 1) if case == "circle density" else (12, 3)
     start_rng = np.random.default_rng(31)
-    config = model.space.sample_points(start_rng, n)
-    value = _objective(model, config, f)
+    config = model.space.sample_points(start_rng, 12)
+    value = w_n(model, config)
     outcomes = []
     for polish in (_relocation_polish, _looped_relocation_polish):
         rng = np.random.default_rng(7)
-        out = polish(model, config.copy(), f, rng, value, rounds, 8)
+        out = polish(model, config.copy(), rng, value, 3, 8)
         outcomes.append((out, rng.bit_generator.state))
     (batched, state), (looped, looped_state) = outcomes
     assert batched[2] and looped[2]
@@ -246,19 +236,17 @@ def test_unique_minimum_pair(circle_space):
     assert result.value <= table.min() / 4.0 + 1e-9
 
 
-def test_pattern_search_branch(circle_space):
-    def kinked(space, a, b):
-        d = np.abs(a[..., 0] - b[..., 0])
-        d = np.minimum(d, 2.0 * np.pi - d)
-        return np.pi - d
-
-    model = EnergyModel(circle_space, CallableKernel(kinked, differentiable=False),
-                        BetaSchedule.constant(1.0))
-    result = fekete_minimize(model, 2, restarts=3, seed=7, max_iters=200)
-    gap = abs(result.points[0, 0] - result.points[1, 0])
-    gap = min(gap, 2.0 * np.pi - gap)
-    assert abs(gap - np.pi) < 1e-4
-    assert result.gradient_norm is None
+def test_kinked_kernel_reaches_the_largest_distance_sum():
+    # pi - d is kinked at d = 0 and d = pi; equally spaced points attain the
+    # circle's largest sum of geodesic distances, floor(n^2 / 4) * pi
+    model = build_model(RunConfig.from_text(
+        "seed: 1\nspace:\n  kind: circle\n  resolution: 256\n"
+        "kernel:\n  kind: expression\n  expr: pi - d\n"
+        "beta:\n  kind: constant\n  value: 1.0\n"))
+    for n in range(2, 13):
+        expected = (math.comb(n, 2) - n * n // 4) * math.pi / n ** 2
+        value = fekete_minimize(model, n, restarts=3, seed=n).value
+        assert abs(value - expected) < 1e-12, n
 
 
 # -- finite atom spaces: exhaustive enumeration ------------------------------------------
@@ -269,17 +257,22 @@ def test_finite_enumeration_vs_brute_force(rng):
     raw = rng.standard_normal((3, 3))
     g = 0.5 * (raw + raw.T)
     model = FiniteEnergyModel(space, BetaSchedule.constant(1.0), pair_matrix=g)
-    f = IntegralFunctional(np.array([0.4, -0.1, 0.2]))
+    tilt = np.array([0.4, -0.1, 0.2])
     n = 4
-    best = math.inf
-    for labels in itertools.product(range(3), repeat=n):
-        counts = np.bincount(labels, minlength=3)
-        val = model.w_counts(counts, n) + float(counts / n @ f.g)
-        best = min(best, val)
-    result = fekete_minimize(model, n, f=f)
-    assert_allclose(result.value, best, rtol=1e-12)
-    assert result.points.shape == (n,)
-    assert np.all(np.diff(result.points) >= 0)
+    # an integral tilt and a composed one, which finite spaces also take
+    for phi in (None, lambda v: 3.0 * (v - 0.1) ** 2):
+        f = IntegralFunctional(tilt)
+        if phi is not None:
+            f = ComposedFunctional(phi, [f])
+        best = math.inf
+        for labels in itertools.product(range(3), repeat=n):
+            counts = np.bincount(labels, minlength=3)
+            lin = float(counts / n @ tilt)
+            best = min(best, model.w_counts(counts, n) + (lin if phi is None else phi(lin)))
+        result = fekete_minimize(model, n, f=f)
+        assert_allclose(result.value, best, rtol=1e-12)
+        assert result.points.shape == (n,)
+        assert np.all(np.diff(result.points) >= 0)
 
 
 def test_finite_infima_table():
@@ -316,31 +309,11 @@ def test_nonnegative_tilt_raises_infimum(log_gas):
     assert tilted.value >= base.value - 1e-12
 
 
-def test_composed_functional(circle_space):
-    parts = [IntegralFunctional(lambda pts: np.cos(pts[:, 0]))]
-    f = ComposedFunctional(lambda v: (v - 0.3) ** 2, parts)
-    model = EnergyModel(circle_space, ConstantKernel(0.0), BetaSchedule.constant(1.0))
-    result = fekete_minimize(model, 3, f=f, restarts=3, seed=1, max_iters=300)
-    assert result.value < 1e-6
-    assert abs(np.cos(result.points[:, 0]).mean() - 0.3) < 1e-3
-    config = circle_space.sample_points(np.random.default_rng(0), 5)
-    manual = (float(np.cos(config[:, 0]).mean()) - 0.3) ** 2
-    assert_allclose(f.configuration_value(circle_space, config), manual, rtol=1e-12)
-
-
-def test_density_functional_smoke(circle_space):
-    f = DensityFunctional(lambda mu: float((mu.density ** 2 * mu.space.weights).sum()))
-    model = EnergyModel(circle_space, ConstantKernel(0.0), BetaSchedule.constant(1.0))
-    result = fekete_minimize(model, 3, f=f, restarts=1, seed=2, max_iters=40)
-    assert math.isfinite(result.value)
-    with pytest.raises(EnergyError):
-        f.simplex_values(FiniteSpace([0.5, 0.5]), np.array([[0.5, 0.5]]))
-
-
 def test_macro_infimum_with_tilt(log_gas):
     f = IntegralFunctional(lambda pts: np.cos(pts[:, 0]))
     value, witness = macro_infimum(log_gas, f=f)
-    recomputed = w_macro(log_gas, witness) + f.grid_value(witness)
+    recomputed = w_macro(log_gas, witness) + float(
+        witness.node_masses @ f.node_values(log_gas.space))
     assert_allclose(value, recomputed, rtol=1e-10)
     uniform_value = w_macro(log_gas, type(witness).uniform(log_gas.space)) + 0.0
     assert value < uniform_value
@@ -375,7 +348,7 @@ def test_finite_limit_refuses_a_plain_callable():
 def test_collision_error_on_coincident_start(log_gas):
     config = np.array([[1.0], [1.0], [2.0]])
     with pytest.raises(CollisionError) as info:
-        _gradient_descent(log_gas, config, None, 10, 1e-9)
+        _gradient_descent(log_gas, config, 10, 1e-9)
     assert info.value.pair is not None
 
 
@@ -395,24 +368,19 @@ def test_guards(log_gas):
         f.simplex_values(FiniteSpace([0.5, 0.5]), np.array([[0.5, 0.5]]))
     with pytest.raises(EnergyError):
         ComposedFunctional(lambda: 0.0, [])
+    composed = ComposedFunctional(lambda v: v * v, [f])
+    with pytest.raises(EnergyError, match="integral functionals only"):
+        fekete_minimize(log_gas, 4, f=composed)
 
 
 def test_vector_functional_needs_a_finite_space(log_gas):
     # a per-atom vector on a continuous space would be indexed by the
     # integer part of each coordinate
     f = IntegralFunctional(np.arange(64.0))
-    space = log_gas.space
-    with pytest.raises(EnergyError, match="finite space"):
-        f.configuration_value(space, np.array([[0.5], [3.2], [6.1]]))
-    with pytest.raises(EnergyError, match="finite space"):
-        f.grid_value(GridMeasure.uniform(space))
     with pytest.raises(EnergyError, match="finite space"):
         fekete_minimize(log_gas, 4, f=f, seed=0)
     with pytest.raises(EnergyError, match="finite space"):
         macro_infimum(log_gas, f)
-    atoms = FiniteSpace([0.5, 0.5])
-    value = IntegralFunctional([1.0, 3.0]).configuration_value(atoms, np.array([0, 1, 1]))
-    assert value == 7.0 / 3.0
 
 
 def test_exports(circle_table, log_gas):

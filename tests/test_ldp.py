@@ -1,3 +1,4 @@
+import itertools
 import math
 import warnings
 from pathlib import Path
@@ -5,7 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
-from scipy.optimize import brentq
+from scipy.optimize import brentq, minimize_scalar
 from scipy.special import iv
 
 from gibbslab import fekete, ldp
@@ -122,6 +123,37 @@ def test_mismatch_kernel_gaps_decrease_to_simplex_limit():
         ent = np.where(taus > 0, taus * np.log(taus / 0.5), 0.0).sum(axis=1)
     objective = ts + ts * (1.0 - ts) + ent
     assert_allclose(verdict.limit, -objective.min(), atol=1e-9)
+
+
+def test_composed_tilt_matches_brute_force_and_the_edge_minimum():
+    # a nonlinear f = 3 (tau_0 - 0.2)^2, which only finite spaces take
+    space = FiniteSpace(TWO_ATOM_PI)
+    model = FiniteEnergyModel(space, BetaSchedule.constant(2.0),
+                              pair_matrix=np.array([[0.0, 1.0], [1.0, 0.0]]))
+    phi = lambda t: 3.0 * (t - 0.2) ** 2
+    f = ComposedFunctional(phi, [IntegralFunctional(np.array([1.0, 0.0]))])
+    n_values = list(range(2, 13))
+    verdict = laplace_verify_finite(space, model, f, n_values)
+    for n, value in zip(n_values, verdict.values):
+        # log of the sum over all 2^n label sequences, each of weight 2^-n
+        coupling = 2.0 * n
+        exponents = []
+        for labels in itertools.product((0, 1), repeat=n):
+            t = labels.count(0) / n
+            exponents.append(-coupling * (t * (1.0 - t) + phi(t)) - n * math.log(2.0))
+        top = max(exponents)
+        brute = top + math.log(math.fsum(math.exp(e - top) for e in exponents))
+        assert abs(value - brute / coupling) < 1e-14, n
+
+    def edge(t):
+        ent = sum(x * math.log(2.0 * x) for x in (t, 1.0 - t) if x > 0.0)
+        return phi(t) + t * (1.0 - t) + ent / 2.0
+
+    oracle = minimize_scalar(edge, bounds=(0.0, 1.0), method="bounded",
+                             options={"xatol": 1e-12})
+    assert abs(verdict.limit + oracle.fun) < 1e-9
+    assert np.all(np.diff(verdict.gaps) < 0.0)
+    assert verdict.passed
 
 
 def test_product_case_matches_closed_form_at_every_n():

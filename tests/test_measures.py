@@ -14,8 +14,6 @@ from gibbslab.measures import (
     FiniteSpace,
     GridMeasure,
     bounded_lipschitz_distance,
-    empirical_from_points,
-    grid_projection,
     legendre_check,
     relative_entropy,
 )
@@ -255,27 +253,6 @@ def test_bl_distance_keeps_no_space_alive():
     del space, uniform
     gc.collect()
     assert ref() is None
-
-
-def test_grid_projection_single_atom(circle_space):
-    emp = empirical_from_points(circle_space, circle_space.nodes[[10]])
-    proj = grid_projection(emp, circle_space.diameter)
-    assert relative_entropy(proj) < 0.05
-    assert abs((circle_space.weights * proj.density).sum() - 1.0) < 1e-12
-
-
-def test_grid_projection_many_atoms_nearly_uniform(circle_space):
-    pts = (2.0 * np.pi * np.arange(64) / 64)[:, None]
-    proj = grid_projection(empirical_from_points(circle_space, pts), 0.5)
-    assert relative_entropy(proj) < 1e-3
-
-
-def test_grid_projection_guards(circle_space):
-    emp = EmpiricalMeasure(circle_space, circle_space.nodes[[0]])
-    with pytest.raises(MeasureError):
-        grid_projection(emp, 0.0)
-    with pytest.raises(MeasureError):
-        grid_projection(GridMeasure.uniform(circle_space), 1.0)
 
 
 def test_csv_and_json_exports(circle_space):

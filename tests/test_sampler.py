@@ -559,10 +559,12 @@ def test_coherence_checks_run_through_burn_in(circle_space, monkeypatch):
 
 def test_swap_interval_must_be_positive(circle_space):
     model = EnergyModel(circle_space, ConstantKernel(0.0), BetaSchedule.constant(1.0))
-    for swap_every in (0, -5):
-        with pytest.raises(EnergyError, match="swap interval"):
-            mcmc_run(model, n=2, steps=100, seed=1, ladder=[0.5, 1.0],
-                     swap_every=swap_every)
+    # checked with or without a ladder: a plain chain must not run past it
+    for ladder in (None, [0.5, 1.0]):
+        for swap_every in (0, -5):
+            with pytest.raises(EnergyError, match="swap interval"):
+                mcmc_run(model, n=2, steps=100, seed=1, ladder=ladder,
+                         swap_every=swap_every)
 
 
 def test_run_guards(four_atom_model, circle_space):

@@ -295,6 +295,11 @@ def fekete_cmd(config_path, n_override):
                        f"{table.n_values[-1]} (threshold {table.threshold:g},"
                        f" slope {table.slope:.2e})")
             return table.passed
+        if not n_values:
+            for key in FEKETE_TABLE_OPTIONS:
+                if key in block and key not in FEKETE_OPTIONS:
+                    raise ConfigError(f"{config.source}: fekete.{key} configures "
+                                      "the n_values table, not a single-n search")
         n = n_override if n_override is not None else block.get("n")
         if n is None:
             raise ConfigError(f"{config.source}: fekete.n or --n is required")
@@ -347,6 +352,7 @@ def rate_profile_cmd(config_path):
     """Constrained infimum of the rate function over a half-space."""
 
     def body(config, run):
+        _ldp_options(config, (), "a rate profile")
         model = _any_model(config)
         constraint = build_constraint(config, model.space)
         profile = rate_function_profile(model, constraint)

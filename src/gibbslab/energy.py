@@ -202,9 +202,13 @@ class GreenKernel(Kernel):
         self.model = model
 
     def pairwise(self, space, x, y):
+        return self._model_on(space).pairwise(x, y)
+
+    def _model_on(self, space):
+        """The Green model, which must live on ``space``."""
         if space is not self.model.space:
             raise EnergyError("Green kernel evaluated on a different space")
-        return self.model.pairwise(x, y)
+        return self.model
 
     def diagonal_values(self, space):
         return self.model.node_diagonal()
@@ -413,24 +417,33 @@ def _upper_triangle(n):
     return rows, cols
 
 
-def _internal_pair_values(model, config):
+def _internal_pair_values(model, config, features=None):
     """Kernel values on the pairs i < j in row-major order: elementwise, or
-    for the Green kernel entries of its matrix-product table."""
+    for the Green kernel entries of its matrix-product table, built from
+    ``features`` (``GreenModel.features(config)``) when they are given."""
     kernel, space = model.kernel, model.space
     rows, cols = _upper_triangle(config.shape[0])
     if isinstance(kernel, GreenKernel):
-        return kernel.pairwise(space, config, config)[rows, cols]
+        if features is None:
+            return kernel.pairwise(space, config, config)[rows, cols]
+        return kernel.model._feature_table(features, features)[rows, cols]
     with np.errstate(divide="ignore"):
         return kernel.values(space, config[rows], config[cols])
 
 
 def w_n_report(model, config):
     """Microscopic energy with its internal/external decomposition."""
+    return _w_n_report(model, config)
+
+
+def _w_n_report(model, config, features=None):
+    """``w_n_report``; a Green model's pair table comes from ``features``
+    of the configuration when the caller holds them."""
     config = model.space._as_points(config)
     n = config.shape[0]
     if n < 1:
         raise EnergyError("configuration must hold at least one point")
-    pair_values = _internal_pair_values(model, config)
+    pair_values = _internal_pair_values(model, config, features)
     internal = _sorted_sum(pair_values) / float(n) ** 2
     external = _sorted_sum(model.potential_stage_values(n, config)) / n
     value = internal + external

@@ -52,10 +52,13 @@ energy by
 
 The basis is evaluated elementwise, so a cached row equals a fresh one bit
 for bit and the change at p = x_i is exactly 0.  The polish builds a cache
-from its configuration; a chain keeps one live: on accept the row of the
-last call replaces row i and S is summed afresh, so no rounding error
-accumulates, the coherence check rebuilds the rows, and a tempering swap
-exchanges them with the positions.
+from its configuration.  A chain evaluates the basis at its n start points
+once (``GreenModel.features``): the same rows give its start energy, equal
+to ``w_n`` bit for bit, and its cache.  It keeps the cache live: on accept
+the row of the last call replaces row i and S is summed afresh, so no
+rounding error accumulates; the coherence check rebuilds the cache from the
+one evaluation that gives the fresh energy; and a tempering swap exchanges
+it with the positions.
 
 A finite-chain step does scalar work only, beyond reading and writing one
 entry of the live labels array.  It keeps the counts c and the row sums
@@ -75,7 +78,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .energy import EnergyModel, FiniteEnergyModel, GreenKernel, w_n
+from .energy import EnergyModel, FiniteEnergyModel, GreenKernel, _w_n_report, w_n
 from .errors import EnergyError, TrappedChainError
 from .measures import EmpiricalMeasure
 from .rng import derive_rng
@@ -199,7 +202,7 @@ def _continuous_deltas(model, positions, i, points, cache=None, rows=None):
         rows = np.concatenate((points, positions[i : i + 1]))
     if isinstance(kernel, GreenKernel):
         if cache is None:
-            cache = _GreenCache(kernel.model, positions)
+            cache = _GreenCache(kernel.model, kernel.model.features(positions)[0])
         internal = cache.changes(i, points)
     else:
         table = kernel.values(model.space, rows[:, None], positions[None])
@@ -217,21 +220,19 @@ def _continuous_deltas(model, positions, i, points, cache=None, rows=None):
 
 
 class _GreenCache:
-    """Scaled basis rows of one Green-kernel configuration and the field
-    S - (n-1) q (see the module docstring)."""
+    """The scaled basis rows of one Green-kernel configuration (the first of
+    its ``GreenModel.features``) and the field S - (n-1) q (see the module
+    docstring)."""
 
-    def __init__(self, green, positions):
+    def __init__(self, green, rows):
         self.green = green
-        self.shift = (positions.shape[0] - 1) * (green.charge_coeffs * green._inv_sqrt_eigs)
-        self.rebuild(positions)
+        self.rows = rows
+        self.shift = (rows.shape[0] - 1) * (green.charge_coeffs * green._inv_sqrt_eigs)
+        self.field = rows.sum(axis=0) - self.shift
 
     def scaled_rows(self, points):
         green = self.green
         return green.space.evaluate_basis(points)[:, 1 : green.order + 1] * green._inv_sqrt_eigs
-
-    def rebuild(self, positions):
-        self.rows = self.scaled_rows(positions)
-        self.field = self.rows.sum(axis=0) - self.shift
 
     def changes(self, i, points):
         """n^2 times the internal energy change of moving particle i to each
@@ -307,7 +308,10 @@ class _ContinuousChain(_Chain):
             positions = space._as_points(initial).copy()
             if positions.shape[0] != n:
                 raise EnergyError(f"initial configuration has {positions.shape[0]} points, expected {n}")
-        energy = w_n(model, positions)
+        self.green = (model.kernel._model_on(space) if isinstance(model.kernel, GreenKernel)
+                      else None)
+        self.green_cache = None
+        energy = self._energy_of(positions)
         if not math.isfinite(energy):
             raise EnergyError("initial configuration has infinite energy")
         self.state = ChainState(positions=positions, energy=energy, proposal_scale=scale)
@@ -317,8 +321,6 @@ class _ContinuousChain(_Chain):
         self.candidate = self.rows[:1]
         self.density = (space.reference_density if space.kind == "box"
                         and space.params.get("_density_fn") is not None else None)
-        self.green_cache = (_GreenCache(model.kernel.model, positions)
-                            if isinstance(model.kernel, GreenKernel) else None)
 
     def step(self, rng, coupling):
         state = self.state
@@ -353,13 +355,17 @@ class _ContinuousChain(_Chain):
                     accept = True
         self._book(accept)
 
-    def check_coherence(self):
-        super().check_coherence()
-        if self.green_cache is not None:
-            self.green_cache.rebuild(self.state.positions)
-
     def fresh_energy(self):
-        return w_n(self.model, self.state.positions)
+        return self._energy_of(self.state.positions)
+
+    def _energy_of(self, positions):
+        """w_n of ``positions``.  A Green chain (re)builds its cache from the
+        same single basis evaluation of the points."""
+        if self.green is None:
+            return w_n(self.model, positions)
+        features = self.green.features(positions)
+        self.green_cache = _GreenCache(self.green, features[0])
+        return _w_n_report(self.model, positions, features).value
 
 
 class _FiniteChain(_Chain):

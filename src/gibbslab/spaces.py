@@ -59,6 +59,7 @@ class Space:
         Basis functions tabulated at the nodes; column 0 is the constant 1.
     mode_index : ndarray or None, shape (n_modes, 2)
         Torus frequency pairs (m1, m2) as floats, one per cos/sin column pair.
+        Its two columns are also kept as contiguous rows for the basis.
     """
 
     def __init__(self, kind, dim, nodes, weights, cell_volumes, params,
@@ -73,6 +74,7 @@ class Space:
         self.eigenvalues = None if eigenvalues is None else np.asarray(eigenvalues, float)
         self.basis_values = None if basis_values is None else np.asarray(basis_values, float)
         self.mode_index = None if mode_index is None else np.asarray(mode_index, float)
+        self._mode_rows = None if mode_index is None else self.mode_index.T.copy()
         self.density_values = None if density_values is None else np.asarray(density_values, float)
 
     # -- basic geometry ----------------------------------------------------
@@ -160,7 +162,7 @@ class Space:
         if self.kind == "circle":
             return _circle_basis(pts[:, 0], self.params["basis_order"])
         if self.kind == "torus":
-            return _torus_basis(pts, self.mode_index)
+            return _torus_basis(pts, self._mode_rows)
         return _sphere_basis(pts, self.params["basis_order"])
 
     def reference_density(self, points):
@@ -236,15 +238,18 @@ def _torus_modes(order):
     return modes
 
 
-def _torus_basis(points, modes):
-    """Basis table from one phase matrix; ``modes`` is the (M, 2) float array.
+def _torus_basis(points, mode_rows):
+    """Basis table from one phase matrix; ``mode_rows`` is the (2, M) float
+    array of the m1 and m2 of every mode, each row contiguous (a column of
+    ``Space.mode_index`` is strided, and slower to read).
 
-    The phase is an elementwise multiply-add, not ``points @ modes.T``: a
+    The phase is an elementwise multiply-add, not ``points @ mode_rows``: a
     matrix product would round differently from the per-mode formula
     ``2*pi*(m1*u + m2*v)``, and the torus outputs are kept bit-stable.
     """
-    phase = 2.0 * np.pi * (points[:, :1] * modes[:, 0] + points[:, 1:] * modes[:, 1])
-    out = np.empty((points.shape[0], 2 * modes.shape[0] + 1))
+    m1, m2 = mode_rows
+    phase = 2.0 * np.pi * (points[:, :1] * m1 + points[:, 1:] * m2)
+    out = np.empty((points.shape[0], 2 * m1.shape[0] + 1))
     out[:, 0] = 1.0
     out[:, 1::2] = np.sqrt(2.0) * np.cos(phase)
     out[:, 2::2] = np.sqrt(2.0) * np.sin(phase)
@@ -261,7 +266,7 @@ def _build_torus(resolution, basis_order):
     modes = np.array(_torus_modes(basis_order), dtype=float)
     lam = 4.0 * np.pi ** 2 * (modes ** 2).sum(axis=1)
     eigs = np.concatenate([[0.0], np.repeat(lam, 2)])
-    basis = _torus_basis(nodes, modes)
+    basis = _torus_basis(nodes, modes.T.copy())
     return Space("torus", 2, nodes, weights, cells,
                  {"resolution": resolution, "basis_order": basis_order},
                  eigenvalues=eigs, basis_values=basis, mode_index=modes)
@@ -275,35 +280,68 @@ def _sphere_norm(l, m):
     return math.sqrt((2 * l + 1) / ratio)
 
 
+@functools.lru_cache(maxsize=8)
+def _sphere_degree_tables(order):
+    """Per degree l, as read-only float columns over the orders m: the
+    factors of m = 0..l (the norm, times sqrt(2) for m > 0), and the
+    recurrence's l + m - 1 and l - m for m = 0..l-2."""
+    tables = []
+    for l in range(order + 1):
+        norms = [_sphere_norm(l, 0)] + [math.sqrt(2.0) * _sphere_norm(l, m)
+                                        for m in range(1, l + 1)]
+        m = np.arange(max(l - 1, 0), dtype=float)[:, None]
+        tables.append((np.array(norms)[:, None], l + m - 1.0, l - m))
+        for column in tables[-1]:
+            column.flags.writeable = False
+    return tables
+
+
 def _sphere_basis(points, order):
     """Real spherical harmonics up to degree ``order``; column l*l + l + m
     holds degree l, order m (cosine for m > 0, sine of |m| for m < 0).
 
     The associated Legendre functions P_l^m(cos theta) come from the
     P_m^m -> P_{m+1}^m -> P_l^m recurrence, with the Condon-Shortley sign of
-    ``scipy.special.lpmv``.
+    ``scipy.special.lpmv``.  The loop runs over the degree l and takes the
+    orders m = 0..l as rows of (order + 1, points) work arrays.  Every entry
+    takes the operations of the per-(l, m) recurrence in the same order, and
+    cos(m phi) and sin(m phi) are numpy's of the same products m * phi, so
+    the table equals the one built column by column bit for bit.
     """
     ct = np.clip(points[:, 2], -1.0, 1.0)
     phi = np.arctan2(points[:, 1], points[:, 0])
     sine = np.sqrt((1.0 - ct) * (1.0 + ct))
     out = np.empty((points.shape[0], (order + 1) ** 2))
-    pmm = np.ones_like(ct)
-    for m in range(order + 1):
-        if m > 0:
-            pmm = -(2 * m - 1) * sine * pmm
-        cos_m, sin_m = np.cos(m * phi), np.sin(m * phi)
-        prev, leg = None, pmm
-        for l in range(m, order + 1):
-            if l == m + 1:
-                prev, leg = leg, (2 * m + 1) * ct * leg
-            elif l > m + 1:
-                prev, leg = leg, ((2 * l - 1) * ct * leg - (l + m - 1) * prev) / (l - m)
-            norm = _sphere_norm(l, m)
-            if m == 0:
-                out[:, l * l + l] = norm * leg
-            else:
-                out[:, l * l + l + m] = math.sqrt(2.0) * norm * leg * cos_m
-                out[:, l * l + l - m] = math.sqrt(2.0) * norm * leg * sin_m
+    m_phi = np.arange(order + 1, dtype=float)[:, None] * phi
+    cos_m, sin_m = np.cos(m_phi), np.sin(m_phi)
+    # P_{l-2}, P_{l-1} and P_l in rotation, and two scratch arrays: written in
+    # place, so a large table allocates no temporary per degree
+    prev, leg, nxt, scaled, product = np.empty((5, order + 1, points.shape[0]))
+    for l, (norms, upper, lower) in enumerate(_sphere_degree_tables(order)):
+        if l == 0:
+            nxt[0] = 1.0
+        else:
+            # (2l - 1) ct is the factor of m = l - 1 and of every m < l - 1
+            factor = (2 * l - 1) * ct
+            if l > 1:
+                head = nxt[: l - 1]
+                np.multiply(factor, leg[: l - 1], out=head)
+                np.multiply(upper, prev[: l - 1], out=product[: l - 1])
+                np.subtract(head, product[: l - 1], out=head)
+                np.divide(head, lower, out=head)
+            np.multiply(factor, leg[l - 1], out=nxt[l - 1])
+            # P_l^l from P_{l-1}^{l-1}
+            np.multiply(-(2 * l - 1) * sine, leg[l - 1], out=nxt[l])
+        prev, leg, nxt = leg, nxt, prev
+        np.multiply(norms, leg[: l + 1], out=scaled[: l + 1])
+        # cos(0 * phi) = 1 exactly, so column l*l + l is norm * P_l^0.  The
+        # products are formed in the (m, points) layout and copied over: a
+        # ufunc writing straight into the strided columns is slower.
+        np.multiply(scaled[: l + 1], cos_m[: l + 1], out=product[: l + 1])
+        out[:, l * l + l : (l + 1) ** 2] = product[: l + 1].T
+        if l > 0:
+            np.multiply(scaled[1 : l + 1], sin_m[1 : l + 1], out=product[:l])
+            out[:, l * l + l - 1 : l * l - 1 : -1] = product[:l].T
     return out
 
 
@@ -555,7 +593,11 @@ class GreenModel:
     def features(self, points):
         """Scaled basis rows b~(x) = basis(x)[1:order+1] / sqrt(lambda) and
         phi(x), from one basis evaluation; G(x, y) = b~(x).b~(y) - phi(x) - phi(y) + c."""
-        basis = self.space.evaluate_basis(points)[:, 1 : self.order + 1]
+        return self._basis_features(self.space.evaluate_basis(points))
+
+    def _basis_features(self, basis):
+        """``features`` of the points whose basis rows are ``basis``."""
+        basis = basis[:, 1 : self.order + 1]
         return basis * self._inv_sqrt_eigs, basis @ (self.charge_coeffs / self.eigs)
 
     def kernel_matrix(self):
@@ -568,9 +610,18 @@ class GreenModel:
         return (np.einsum("ij,ij->i", scaled, scaled) - 2.0 * self.phi_nodes) + self.constant
 
     def pairwise(self, x, y):
-        """Pairwise kernel values between two point arrays, finite on the diagonal."""
-        bx, phi_x = self.features(x)
-        by, phi_y = self.features(y)
+        """Pairwise kernel values between two point arrays, finite on the
+        diagonal; ``pairwise(x, x)`` evaluates the basis at x once."""
+        fx = self.features(x)
+        return self._feature_table(fx, fx if y is x else self.features(y))
+
+    def _feature_table(self, fx, fy):
+        """The kernel table between the points of two ``features`` pairs.
+        One set of features on both sides is copied for the product: b~ @ b~.T
+        on one buffer may take BLAS syrk, which rounds differently from gemm."""
+        (bx, phi_x), (by, phi_y) = fx, fy
+        if by is bx:
+            by = by.copy()
         return (bx @ by.T - (phi_x[:, None] + phi_y[None, :])) + self.constant
 
     def evaluate(self, x, y):
@@ -583,7 +634,11 @@ class GreenModel:
 
     def rows_at_nodes(self, x):
         """Kernel values G(x_j, node_i) for arbitrary points x, shape (p, n_nodes)."""
-        bx, phi_x = self.features(x)
+        return self._node_rows(self.features(x))
+
+    def _node_rows(self, fx):
+        """``rows_at_nodes`` of the points whose ``features`` are ``fx``."""
+        bx, phi_x = fx
         shift = phi_x[:, None] + self.phi_nodes[None, :]
         return (bx @ self.scaled_nodes.T - shift) + self.constant
 
@@ -643,7 +698,8 @@ def green_identity_residual(model, f_coeffs, x):
 
         | sum_i w_i G(x, node_i) (lap f)(node_i) + f(x) - int f dL |,
 
-    with the Laplacian applied spectrally.
+    with the Laplacian applied spectrally.  f(x) and the kernel row
+    G(x, node_i) are both read from one basis evaluation at x.
     """
     space = model.space
     coeffs = np.asarray(f_coeffs, dtype=float)
@@ -659,8 +715,9 @@ def green_identity_residual(model, f_coeffs, x):
     full[: coeffs.shape[0]] = coeffs
     lap_nodes = space.basis_values @ (-space.eigenvalues * full)
     f_nodes = space.basis_values @ full
-    f_at_x = float((space.evaluate_basis(x) @ full)[0])
-    g_row = model.rows_at_nodes(x)[0]
+    basis = space.evaluate_basis(x)
+    f_at_x = float((basis @ full)[0])
+    g_row = model._node_rows(model._basis_features(basis))[0]
     integral = float((space.weights * g_row * lap_nodes).sum())
     target = float((space.weights * f_nodes * model.charge.values).sum())
     return abs(integral + f_at_x - target)

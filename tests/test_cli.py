@@ -431,6 +431,11 @@ ldp:
 """
 
 
+# the ldp keys a rate profile does not read, each with a value it would refuse
+RATE_IGNORED_KEYS = [("chain_budget", -5), ("rungs", 0), ("ess_floor", -1.0),
+                     ("grid_steps", -3), ("threshold", -1.0)]
+
+
 @pytest.mark.parametrize("command, template, old, new, message", [
     ("green-check", GREEN_TEXT, "trials: 10", "trials: 0",
      "green_check.trials must be at least 1"),
@@ -489,6 +494,13 @@ ldp:
     ("conditional", SINGLE_PARTICLE_TEXT, "mode: single_particle",
      "mode: environment\n  grid_steps: 40",
      "ldp.grid_steps does not apply to a Monte Carlo estimate"),
+    *[("rate-profile", RATE_TEXT, "n_values: [4]", f"n_values: [4]\n  {key}: {value}",
+       f"ldp.{key} does not apply to a rate profile")
+      for key, value in RATE_IGNORED_KEYS],
+    ("fekete", FEKETE_TEXT, "restarts: 4", "restarts: 4\n  n: 3\n  threshold: -1.0",
+     "fekete.threshold configures the n_values table, not a single-n search"),
+    ("fekete", FEKETE_TEXT, "restarts: 4", "restarts: 4\n  n: 3\n  grid_steps: -3",
+     "fekete.grid_steps configures the n_values table, not a single-n search"),
 ], ids=["green-trials", "green-tolerance", "equilibrium-tol", "sample-swap",
         "sample-steps", "fekete-restarts", "laplace-n-values", "laplace-grid-steps",
         "rate-level", "conditional-mode", "laplace-circle-vector",
@@ -498,7 +510,9 @@ ldp:
         "laplace-finite-chain-budget", "laplace-finite-rungs", "laplace-finite-ess-floor",
         "laplace-mc-grid-steps", "conditional-single-particle-chain-budget",
         "conditional-single-particle-rungs", "conditional-single-particle-grid-steps",
-        "conditional-environment-grid-steps"])
+        "conditional-environment-grid-steps",
+        *[f"rate-{key.replace('_', '-')}" for key, _ in RATE_IGNORED_KEYS],
+        "fekete-single-threshold", "fekete-single-grid-steps"])
 def test_bad_values_exit_with_one_error_line(tmp_path, runner, command,
                                               template, old, new, message):
     assert old in template

@@ -296,6 +296,33 @@ def test_green_cached_delta_equals_energy_difference(green_chain_models, kind, n
         assert abs(delta - want) < 1e-12 * scale
 
 
+@pytest.mark.parametrize("kind", ["torus", "sphere"])
+def test_green_chain_start_is_one_evaluation(green_chain_models, monkeypatch, kind, rng):
+    # the start energy and the cache come from one basis evaluation of the n
+    # points; the energy is w_n's bit for bit, and so is the coherence check's
+    model = green_chain_models[kind]
+    space, green = model.space, model.kernel.model
+    positions = space.sample_points(rng, 7)
+    calls = []
+    evaluate_basis = type(space).evaluate_basis
+
+    def counting(self, points):
+        calls.append(len(points))
+        return evaluate_basis(self, points)
+
+    monkeypatch.setattr(type(space), "evaluate_basis", counting)
+    chain = _ContinuousChain(model, 7, rng, positions, 0.5)
+    assert calls == [7]
+    monkeypatch.setattr(type(space), "evaluate_basis", evaluate_basis)
+    assert chain.state.energy == w_n(model, positions)
+    assert np.array_equal(chain.green_cache.rows, green.features(positions)[0])
+    for _ in range(3):
+        chain.step(rng, 2.0)
+    chain.check_coherence()
+    assert chain.state.energy == w_n(model, chain.state.positions)
+    assert np.array_equal(chain.green_cache.rows, green.features(chain.state.positions)[0])
+
+
 @pytest.fixture(scope="module")
 def dense_delta_models(circle_space, sphere_space, box_space, torus_green):
     """Pair models scored by ``_continuous_deltas`` without a live cache:
@@ -329,7 +356,8 @@ def test_dense_deltas_equal_energy_differences(dense_delta_models, kind, n, r, s
     positions = space.sample_points(rng, n)
     i = int(rng.integers(n))
     points = space.sample_points(rng, r)
-    deltas = _continuous_deltas(model, positions, i, points)
+    with np.errstate(divide="ignore", invalid="ignore"):  # as the caller must
+        deltas = _continuous_deltas(model, positions, i, points)
     assert deltas.shape == (r,)
     for point, delta in zip(points, deltas):
         want, scale = _energy_difference(model, positions, i, point)
@@ -341,7 +369,8 @@ def test_dense_deltas_at_a_particle(dense_delta_models, kind, rng):
     model = dense_delta_models[kind]
     positions = model.space.sample_points(rng, 6)
     # row 0: particle 2's own position; row 1: particle 4's position
-    deltas = _continuous_deltas(model, positions, 2, positions[[2, 4]])
+    with np.errstate(divide="ignore", invalid="ignore"):  # as the caller must
+        deltas = _continuous_deltas(model, positions, 2, positions[[2, 4]])
     assert deltas[0] == 0.0
     if kind == "torus":  # the truncated Green kernel is finite on the diagonal
         want, scale = _energy_difference(model, positions, 2, positions[4])

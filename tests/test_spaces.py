@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from numpy.testing import assert_allclose
+from numpy.testing import assert_allclose, assert_array_equal
 from scipy.special import lpmv
 
 from gibbslab.energy import GreenKernel, kernel_node_matrix
@@ -94,10 +94,63 @@ def sphere_basis_lpmv(points, order):
     return np.stack(cols, axis=1)
 
 
+def sphere_basis_by_column(points, order):
+    """Reference sphere basis: the P_m^m -> P_{m+1}^m -> P_l^m recurrence one
+    (l, m) column at a time, with the operations of ``_sphere_basis`` in the
+    same order."""
+    ct = np.clip(points[:, 2], -1.0, 1.0)
+    phi = np.arctan2(points[:, 1], points[:, 0])
+    sine = np.sqrt((1.0 - ct) * (1.0 + ct))
+    out = np.empty((points.shape[0], (order + 1) ** 2))
+    pmm = np.ones_like(ct)
+    for m in range(order + 1):
+        if m > 0:
+            pmm = -(2 * m - 1) * sine * pmm
+        cos_m, sin_m = np.cos(m * phi), np.sin(m * phi)
+        prev, leg = None, pmm
+        for l in range(m, order + 1):
+            if l == m + 1:
+                prev, leg = leg, (2 * m + 1) * ct * leg
+            elif l > m + 1:
+                prev, leg = leg, ((2 * l - 1) * ct * leg - (l + m - 1) * prev) / (l - m)
+            norm = _sphere_norm(l, m)
+            if m == 0:
+                out[:, l * l + l] = norm * leg
+            else:
+                out[:, l * l + l + m] = math.sqrt(2.0) * norm * leg * cos_m
+                out[:, l * l + l - m] = math.sqrt(2.0) * norm * leg * sin_m
+    return out
+
+
 def test_torus_basis_equals_mode_loop(torus_space, rng):
     points = rng.uniform(size=(4096, 2))
     assert np.array_equal(torus_space.evaluate_basis(points), torus_basis_loop(points, 16))
     assert np.array_equal(torus_space.basis_values, torus_basis_loop(torus_space.nodes, 16))
+
+
+def test_torus_row_equals_mode_loop(torus_space, rng):
+    # a chain evaluates one point at a time
+    for point in rng.uniform(size=(32, 2)):
+        assert_array_equal(torus_space.evaluate_basis(point), torus_basis_loop(point[None], 16))
+
+
+@pytest.mark.parametrize("order", range(25))
+def test_sphere_basis_equals_column_loop(order, rng):
+    points = rng.normal(size=(300, 3))
+    points /= np.linalg.norm(points, axis=1, keepdims=True)
+    points = np.vstack([points, [[0.0, 0.0, 1.0], [0.0, 0.0, -1.0], [1.0, 0.0, 0.0],
+                                 [-0.0, 0.0, 1.0], [0.0, -0.0, -1.0]]])
+    assert_array_equal(_sphere_basis(points, order), sphere_basis_by_column(points, order))
+    for point in points[[0, 300, 301]]:  # one row at a time, poles included
+        assert_array_equal(_sphere_basis(point[None], order),
+                           sphere_basis_by_column(point[None], order))
+
+
+def test_sphere_node_tables_equal_column_loop(sphere_space):
+    # the basis table and the order-24 moments of the quadrature correction
+    nodes = sphere_space.nodes
+    assert_array_equal(sphere_space.basis_values, sphere_basis_by_column(nodes, 12))
+    assert_array_equal(_sphere_basis(nodes, 24), sphere_basis_by_column(nodes, 24))
 
 
 @pytest.mark.parametrize("order", [1, 12, 24])
@@ -200,6 +253,38 @@ def test_green_identity_scalar_entry_point(circle_green, rng):
     coeffs = rng.normal(size=circle_green.space.n_basis)
     x = circle_green.space.sample_points(rng, 1)
     assert green_identity_residual(circle_green, coeffs, x) < 1e-6
+
+
+# green_identity_residual at four seeded probes (coefficients over the whole
+# kept basis, one point), as float.hex, from evaluating x twice: once for
+# f(x), once more for the kernel row.  Reading both from one row keeps them.
+PINNED_RESIDUALS = {
+    "torus_green": ["0x1.e352000000000p-40", "0x1.1ea0000000000p-44",
+                    "0x1.be30000000000p-40", "0x1.c570000000000p-40"],
+    "sphere_charged_green": ["0x1.3c40000000000p-45", "0x1.6000000000000p-48",
+                             "0x1.5c00000000000p-47", "0x1.5f00000000000p-44"],
+}
+
+
+@pytest.mark.parametrize("fixture", sorted(PINNED_RESIDUALS))
+def test_green_identity_residual_is_pinned(fixture, request):
+    model = request.getfixturevalue(fixture)
+    rng = np.random.default_rng(7)
+    got = []
+    for _ in range(4):
+        coeffs = rng.standard_normal(model.order + 1)
+        x = model.space.sample_points(rng, 1)
+        got.append(green_identity_residual(model, coeffs, x).hex())
+    assert got == PINNED_RESIDUALS[fixture]
+
+
+@pytest.mark.parametrize("fixture", ["circle_green", "torus_green", "sphere_charged_green"])
+def test_green_pairwise_on_itself_equals_a_copy(fixture, request, rng):
+    # pairwise(x, x) evaluates x once; the table keeps the bits of two
+    # evaluations of equal points
+    model = request.getfixturevalue(fixture)
+    x = model.space.sample_points(rng, 9)
+    assert_array_equal(model.pairwise(x, x), model.pairwise(x, x.copy()))
 
 
 def test_green_identity_rejects_unresolved_test_function(circle_space):

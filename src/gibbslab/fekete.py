@@ -38,6 +38,7 @@ import numpy as np
 from .energy import (
     EnergyModel,
     FiniteEnergyModel,
+    GreenKernel,
     LogChordKernel,
     StaticPotential,
     _upper_triangle,
@@ -239,6 +240,10 @@ def _fd_pair_gradient(model, config, h):
     On the sphere the shifted points are renormalized, so the difference
     quotient is automatically the tangential derivative."""
     space, kernel = model.space, model.kernel
+    table = lambda pts: kernel.pairwise(space, pts, config)
+    if isinstance(kernel, GreenKernel):  # the configuration's basis once, not 2*dim times
+        green, fixed = kernel.model, kernel._model_on(space).features(config)
+        table = lambda pts: green._feature_table(green.features(pts), fixed)
     n, dim = config.shape
     grad = np.empty_like(config)
     for c in range(dim):
@@ -247,7 +252,7 @@ def _fd_pair_gradient(model, config, h):
         plus = _retract(space, config + shift)
         minus = _retract(space, config - shift)
         with np.errstate(divide="ignore", invalid="ignore"):
-            diff = kernel.pairwise(space, plus, config) - kernel.pairwise(space, minus, config)
+            diff = table(plus) - table(minus)
         np.fill_diagonal(diff, 0.0)
         grad[:, c] = diff.sum(axis=1) / (2.0 * h) / n ** 2
     return grad

@@ -239,9 +239,9 @@ def _torus_modes(order):
 
 
 def _torus_basis(points, mode_rows):
-    """Basis table from one phase matrix; ``mode_rows`` is the (2, M) float
-    array of the m1 and m2 of every mode, each row contiguous (a column of
-    ``Space.mode_index`` is strided, and slower to read).
+    """Basis table at arbitrary points (the grid nodes take ``_torus_node_table``);
+    ``mode_rows`` is the (2, M) float array of the m1 and m2 of every mode, each
+    row contiguous (a column of ``Space.mode_index`` is strided, slower to read).
 
     The phase is an elementwise multiply-add, not ``points @ mode_rows``: a
     matrix product would round differently from the per-mode formula
@@ -256,6 +256,26 @@ def _torus_basis(points, mode_rows):
     return out
 
 
+def _torus_node_table(resolution, modes):
+    """Basis table at the R x R grid nodes (a/R, b/R) for the integer (M, 2) modes.
+    Mode (m1, m2) has phase 2*pi*(k/R) there, k = a*m1 + b*m2, so the rows are
+    gathered, one a at a time, from one (K, 2) table of sqrt(2) cos and sin over
+    the k range.  At R a power of two, a/R and u*m1 + v*m2 are exact, so this is
+    ``_torus_basis`` at the nodes bit for bit; otherwise k/R is the correctly
+    rounded fraction, and the entries move by round-off (under 5e-14)."""
+    m1, m2 = modes.T
+    low = (resolution - 1) * int(np.minimum(modes, 0).sum(axis=1).min())
+    high = (resolution - 1) * int(np.maximum(modes, 0).sum(axis=1).max())
+    phase = 2.0 * np.pi * (np.arange(low, high + 1) / resolution)
+    table = np.sqrt(2.0) * np.column_stack([np.cos(phase), np.sin(phase)])
+    offsets = np.arange(resolution)[:, None] * m2 - low
+    out = np.empty((resolution, resolution, 2 * modes.shape[0] + 1))
+    out[..., 0] = 1.0
+    for a in range(resolution):
+        out[a, :, 1:] = np.take(table, offsets + a * m1, axis=0).reshape(resolution, -1)
+    return out.reshape(resolution * resolution, -1)
+
+
 def _build_torus(resolution, basis_order):
     side = np.arange(resolution) / resolution
     uu, vv = np.meshgrid(side, side, indexing="ij")
@@ -263,10 +283,10 @@ def _build_torus(resolution, basis_order):
     n = nodes.shape[0]
     weights = np.full(n, 1.0 / n)
     cells = np.full(n, 1.0 / n)
-    modes = np.array(_torus_modes(basis_order), dtype=float)
+    modes = np.array(_torus_modes(basis_order))
     lam = 4.0 * np.pi ** 2 * (modes ** 2).sum(axis=1)
     eigs = np.concatenate([[0.0], np.repeat(lam, 2)])
-    basis = _torus_basis(nodes, modes.T.copy())
+    basis = _torus_node_table(resolution, modes)
     return Space("torus", 2, nodes, weights, cells,
                  {"resolution": resolution, "basis_order": basis_order},
                  eigenvalues=eigs, basis_values=basis, mode_index=modes)

@@ -5,7 +5,7 @@ import math
 
 import numpy as np
 import pytest
-from numpy.testing import assert_allclose
+from numpy.testing import assert_allclose, assert_array_equal
 
 from gibbslab import energy
 from gibbslab.energy import (
@@ -14,6 +14,7 @@ from gibbslab.energy import (
     ConstantKernel,
     EnergyModel,
     FiniteEnergyModel,
+    GreenKernel,
     LogChordKernel,
     RieszKernel,
     StaticPotential,
@@ -35,7 +36,7 @@ from gibbslab.fekete import (
 from gibbslab.config import RunConfig, build_model
 from gibbslab.measures import FiniteSpace
 from gibbslab.energy import w_macro, w_n
-from gibbslab.spaces import build_space
+from gibbslab.spaces import BackgroundCharge, GreenModel, Space, build_space
 
 
 @pytest.fixture(scope="module")
@@ -88,6 +89,29 @@ def test_analytic_gradient_matches_fd(log_gas, rng):
     analytic = _analytic_pair_gradient(log_gas, config)
     fd = _fd_pair_gradient(log_gas, config, 1e-6)
     assert np.abs(analytic - fd).max() < 1e-7
+
+
+def test_green_fd_gradient_evaluates_the_configuration_once(monkeypatch):
+    space = build_space("torus", 16, 4)
+    kernel = GreenKernel(GreenModel(space, BackgroundCharge.uniform(space)))
+    model = EnergyModel(space, kernel, BetaSchedule.linear(1.0))
+    config = space.sample_points(np.random.default_rng(3), 8)
+    # the same bits as differencing the kernel's pairwise tables
+    expected = np.empty_like(config)
+    for c in range(2):
+        shift = np.zeros((1, 2))
+        shift[0, c] = 1e-6
+        plus, minus = (config + shift) % 1.0, (config - shift) % 1.0
+        diff = kernel.pairwise(space, plus, config) - kernel.pairwise(space, minus, config)
+        np.fill_diagonal(diff, 0.0)
+        expected[:, c] = diff.sum(axis=1) / (2.0 * 1e-6) / 8 ** 2
+    rows = []
+    evaluate = Space.evaluate_basis
+    monkeypatch.setattr(Space, "evaluate_basis",
+                        lambda self, points: rows.append(len(points)) or evaluate(self, points))
+    assert_array_equal(_fd_pair_gradient(model, config, 1e-6), expected)
+    # (2 * dim + 1) * n rows per gradient: the configuration once, each shift once
+    assert sum(rows) == (2 * 2 + 1) * 8
 
 
 def test_canonical_point_order(log_gas):

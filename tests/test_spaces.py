@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -65,7 +66,6 @@ def test_sphere_build(sphere_space):
     assert_allclose(sphere_space.eigenvalues[4:9], [6] * 5)
 
 
-@pytest.mark.parametrize("fixture", ["circle_space", "torus_space", "sphere_space"])
 def torus_basis_loop(points, order):
     """Reference torus basis: one column pair per mode, in a Python loop."""
     cols = [np.ones(points.shape[0])]
@@ -126,6 +126,47 @@ def test_torus_basis_equals_mode_loop(torus_space, rng):
     points = rng.uniform(size=(4096, 2))
     assert np.array_equal(torus_space.evaluate_basis(points), torus_basis_loop(points, 16))
     assert np.array_equal(torus_space.basis_values, torus_basis_loop(torus_space.nodes, 16))
+
+
+def node_blocks(space, size=4096):
+    """Row slices of a node table, so that a reference is formed a block at a time."""
+    return [slice(start, start + size) for start in range(0, space.n_nodes, size)]
+
+
+@pytest.mark.parametrize("resolution, order", [(8, 3), (16, 7), (32, 12), (64, 16), (128, 16)])
+def test_torus_node_table_equals_mode_loop(resolution, order):
+    # at a power-of-two resolution the integer-phase table is the per-mode formula
+    space = build_space("torus", resolution, order)
+    for rows in node_blocks(space):
+        assert_array_equal(space.basis_values[rows], torus_basis_loop(space.nodes[rows], order))
+
+
+@pytest.mark.parametrize("resolution, order", [(24, 5), (40, 8), (100, 16)])
+def test_torus_node_table_off_powers_of_two(resolution, order):
+    # elsewhere it is within round-off of the per-mode formula and of
+    # sqrt(2) cos/sin of 2*pi*k/R in long double, k = a*m1 + b*m2 exact
+    space = build_space("torus", resolution, order)
+    modes = np.array(_torus_modes(order))
+    two_pi, root2 = 8 * np.arctan(np.longdouble(1)), np.sqrt(np.longdouble(2))
+    for rows in node_blocks(space, 2000):
+        table = space.basis_values[rows]
+        assert_allclose(table, torus_basis_loop(space.nodes[rows], order), rtol=0, atol=1e-13)
+        a, b = np.divmod(np.arange(space.n_nodes)[rows], resolution)
+        k = a[:, None] * modes[:, 0] + b[:, None] * modes[:, 1]
+        phase = two_pi * k.astype(np.longdouble) / resolution
+        assert np.abs(table[:, 1::2] - root2 * np.cos(phase)).max() < 1e-13
+        assert np.abs(table[:, 2::2] - root2 * np.sin(phase)).max() < 1e-13
+
+
+def test_torus_build_peak_is_the_node_table():
+    # no temporary of the table's size: the build's peak is the table itself
+    tracemalloc.start()
+    try:
+        space = build_space("torus", 64, 16)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.1 * space.basis_values.nbytes
 
 
 def test_torus_row_equals_mode_loop(torus_space, rng):

@@ -16,7 +16,6 @@ import os
 from datetime import datetime, timezone
 
 import click
-import numpy as np
 
 from . import __version__
 from .config import (
@@ -33,10 +32,10 @@ from .errors import ConfigError, GibbsLabError
 from .expressions import compile_point_function
 from .fekete import fekete_minimize, infima_convergence_table
 from .ldp import (
-    conditional_gas_verify,
     laplace_estimate_mc,
     laplace_verify_finite,
     rate_function_profile,
+    single_particle_limit,
 )
 from .measures import FiniteSpace
 from .plotting import plot_emit
@@ -69,6 +68,16 @@ def _csv_text(rows):
 
 def _json_text(obj):
     return json.dumps(obj, indent=2, sort_keys=True, ensure_ascii=False) + "\n"
+
+
+def _node_table_csv(space, columns):
+    """CSV of the grid nodes: their coordinates, then one column per entry of
+    ``columns`` (name -> node values), every number as %.17g."""
+    values = [*space.nodes.T, *columns.values()]
+    rows = [_coordinate_names(space) + list(columns)]
+    for i in range(space.n_nodes):
+        rows.append([f"{column[i]:.17g}" for column in values])
+    return _csv_text(rows)
 
 
 class _Run:
@@ -207,17 +216,12 @@ def equilibrium_cmd(config_path):
         result = minimize_free_energy(
             model, **config.options("equilibrium", *EQUILIBRIUM_OPTIONS))
         space = model.space
-        names = _coordinate_names(space)
-        header = names + ["density"]
-        columns = [*space.nodes.T, result.measure.density]
+        columns = {"density": result.measure.density}
         overlay = config.section("equilibrium").get("overlay")
         if overlay is not None:
-            header.append("overlay")
-            columns.append(compile_point_function(overlay, names)(space.nodes))
-        rows = [header]
-        for i in range(space.n_nodes):
-            rows.append([f"{column[i]:.17g}" for column in columns])
-        run.emit("equilibrium_density.csv", _csv_text(rows))
+            columns["overlay"] = compile_point_function(
+                overlay, _coordinate_names(space))(space.nodes)
+        run.emit("equilibrium_density.csv", _node_table_csv(space, columns))
         run.emit("equilibrium_summary.json", _json_text({
             "value": result.value,
             "gap": result.gap,
@@ -248,8 +252,7 @@ def sample_cmd(config_path):
             n_atoms = model.space.n_atoms
             rows = [["sample"] + [f"count_{i}" for i in range(n_atoms)]]
             for index in range(result.samples.shape[0]):
-                counts = np.bincount(result.samples[index],
-                                     minlength=n_atoms)
+                counts = result.counts(n_atoms, index)
                 rows.append([str(index)] + [str(int(c)) for c in counts])
         else:
             names = _coordinate_names(model.space)
@@ -360,15 +363,10 @@ def rate_profile_cmd(config_path):
             rows = [["atom", "mass"]]
             for index, mass in enumerate(profile.witness):
                 rows.append([str(index), f"{mass:.17g}"])
+            text = _csv_text(rows)
         else:
-            names = _coordinate_names(model.space)
-            rows = [names + ["density"]]
-            nodes = model.space.nodes
-            density = profile.witness.density
-            for i in range(nodes.shape[0]):
-                rows.append([f"{x:.17g}" for x in nodes[i]]
-                            + [f"{density[i]:.17g}"])
-        run.emit("rate_witness.csv", _csv_text(rows))
+            text = _node_table_csv(model.space, {"density": profile.witness.density})
+        run.emit("rate_witness.csv", text)
         run.emit("rate_profile.json", _json_text(profile.to_json_dict()))
         click.echo(f"rate infimum {profile.value:.8f} "
                    f"(base free energy {profile.base_value:.8f})")
@@ -389,8 +387,8 @@ def conditional_cmd(config_path):
         model = build_model(config, environment=True)
         if mode == "environment":
             f = build_functional(config, block.get("f"), model.space)
-            verdict = conditional_gas_verify(
-                model, f, n_values, mode="environment", seed=config.seed,
+            verdict = laplace_estimate_mc(
+                model, f, n_values, seed=config.seed,
                 **_ldp_options(config, MC_LAPLACE_OPTIONS, "a Monte Carlo estimate"))
         elif mode == "single_particle":
             f_block = block.get("f")
@@ -401,8 +399,12 @@ def conditional_cmd(config_path):
                     raise ConfigError(f"{config.source}: single-particle f "
                                       "needs an 'expr' block")
                 f_fn = functional.g
-            verdict = conditional_gas_verify(
-                model, f_fn, n_values, mode="single_particle",
+            if len(model.potentials) > 1:
+                raise ConfigError(f"{config.source}: single-particle mode takes "
+                                  "the environment as its only potential; remove "
+                                  "the potentials entries")
+            verdict = single_particle_limit(
+                model.space, model.beta, f_fn, model.potentials[0], n_values,
                 **_ldp_options(config, SINGLE_PARTICLE_OPTIONS, "the single-particle limit"))
         else:
             raise ConfigError(f"{config.source}: ldp.mode must be "

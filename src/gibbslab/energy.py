@@ -224,11 +224,10 @@ class CallableKernel(Kernel):
     not it is smooth: a kinked kernel such as pi - d still reaches its
     minimum."""
 
-    def __init__(self, fn, bound=None, singular=False, diagonal_fn=None):
+    def __init__(self, fn, bound=None, singular=False):
         self.fn = fn
         self.bound = bound
         self.singular = singular
-        self.diagonal_fn = diagonal_fn
 
     def values(self, space, a, b):
         # a value constant along an axis, or a scalar, fills the whole shape
@@ -236,10 +235,8 @@ class CallableKernel(Kernel):
         return np.full(shape, self.fn(space, a, b), dtype=float)
 
     def diagonal_values(self, space):
-        if self.diagonal_fn is not None:
-            return np.asarray(self.diagonal_fn(space), dtype=float)
         if self.singular:
-            raise EnergyError("singular callable kernel needs an explicit diagonal_fn")
+            raise EnergyError("singular callable kernel has no diagonal correction")
         return self.values(space, space.nodes[:, None], space.nodes[:, None])[:, 0]
 
     def lower_bound(self, space):
@@ -364,7 +361,6 @@ class EnergyReport:
     internal: float
     external: float
     n: int
-    infinite: bool
     pair_values: np.ndarray | None = None
 
 
@@ -452,7 +448,6 @@ def _w_n_report(model, config, features=None):
         internal=internal,
         external=external,
         n=n,
-        infinite=not math.isfinite(value),
         pair_values=pair_values,
     )
 

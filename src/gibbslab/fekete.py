@@ -48,7 +48,7 @@ from .equilibrium import _equilibrium, _limit_tables, _mirror_descent
 from .errors import CollisionError, EnergyError
 from .measures import FiniteSpace, _fmt, relative_entropy
 from .rng import derive_rng
-from .sampler import _continuous_deltas
+from .sampler import _continuous_deltas, _GreenCache
 from .simplex import class_table, simplex_minimize
 from .spaces import _coordinate_names
 
@@ -64,6 +64,7 @@ __all__ = [
 ]
 
 _COLLISION_TOL = 1e-12
+_POLISH_CANDIDATES = 8  # fresh reference draws per particle in a relocation sweep
 
 
 # -- functionals of the empirical measure --------------------------------------------
@@ -324,24 +325,29 @@ def _gradient_descent(model, config, max_iters, grad_tol):
 
 
 @np.errstate(divide="ignore", invalid="ignore")  # a draw on a particle divides by zero
-def _relocation_polish(model, config, rng, value, rounds, candidates):
+def _relocation_polish(model, config, rng, value, rounds):
     """Single-particle exchange sweeps: each particle may trade its position
     for the best of a batch of fresh reference draws when that strictly
     lowers w_n.  The batch costs one geodesic table for the collision mask
     and one batched energy delta (``sampler._continuous_deltas``, under this
     function's one errstate); an integral tilt arrives folded into the model
-    as a one-body potential, so the deltas score it too."""
+    as a one-body potential, so the deltas score it too.  A Green kernel's
+    ``_GreenCache`` is built once and takes each exchange's row."""
     space = model.space
     n = config.shape[0]
+    cache = None
+    if isinstance(model.kernel, GreenKernel):
+        green = model.kernel.model
+        cache = _GreenCache(green, green.features(config)[0])
     improved_any = False
     for _ in range(rounds):
         improved = False
         for i in range(n):
-            draws = space.sample_points(rng, candidates)
+            draws = space.sample_points(rng, _POLISH_CANDIDATES)
             gaps = space.distance(draws[:, None], config[None])
             gaps[:, i] = np.inf
             clear = gaps.min(axis=1) >= _COLLISION_TOL
-            deltas = _continuous_deltas(model, config, i, draws)
+            deltas = _continuous_deltas(model, config, i, draws, cache)
             # colliding draws and NaN deltas never win; argmin keeps the first
             # of equal minima, as a strict-improvement scan would
             deltas[~clear | np.isnan(deltas)] = math.inf
@@ -351,6 +357,8 @@ def _relocation_polish(model, config, rng, value, rounds, candidates):
                 config = config.copy()
                 config[i] = draws[best]
                 value += best_delta
+                if cache is not None:
+                    cache.accept(i, best)
                 improved = improved_any = True
         if not improved:
             break
@@ -390,7 +398,7 @@ def _finite_fekete(model, n, f):
 
 
 def fekete_minimize(model, n, f=None, restarts=8, seed=0, max_iters=2000,
-                    grad_tol=1e-9, polish_rounds=2, polish_candidates=8):
+                    grad_tol=1e-9, polish_rounds=2):
     """Minimize w_n (plus an optional empirical-measure functional) over
     n-point configurations.
 
@@ -409,8 +417,7 @@ def fekete_minimize(model, n, f=None, restarts=8, seed=0, max_iters=2000,
     if n < 2:
         raise EnergyError(f"need at least 2 particles, got {n}")
     for name, count, least in (("restarts", restarts, 1), ("max_iters", max_iters, 1),
-                               ("polish_rounds", polish_rounds, 0),
-                               ("polish_candidates", polish_candidates, 1)):
+                               ("polish_rounds", polish_rounds, 0)):
         if count < least:
             raise EnergyError(f"{name} must be >= {least}, got {count}")
     if f is not None:
@@ -423,7 +430,7 @@ def fekete_minimize(model, n, f=None, restarts=8, seed=0, max_iters=2000,
             config = _collision_free_init(model.space, rng, n)
             config, value, iters, trace = _gradient_descent(model, config, max_iters, grad_tol)
             config, value, moved = _relocation_polish(
-                model, config, rng, value, polish_rounds, polish_candidates)
+                model, config, rng, value, polish_rounds)
             if moved:
                 trace.append(value)
                 config, value, extra, tail = _gradient_descent(model, config, max_iters, grad_tol)

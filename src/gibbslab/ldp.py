@@ -18,9 +18,10 @@ never declared from finitely many terms.
 Also provided: constrained minimization of the rate function I = F - inf F
 over half-spaces {mu : integral of g dmu >= c} through the tilted family
 argmin (F - lambda * integral of g dmu), whose one multiplier lambda >= 0 is
-found by bisection and is the slope of the profile in c, and the two
-conditional-gas reductions (a varying environment folded into the energy,
-and the single-particle quadrature limit).
+found by bisection and is the slope of the profile in c.  Conditional gases
+take two calls: ``laplace_estimate_mc`` on a model whose energy holds the
+deterministic environment as an environment potential, and
+``single_particle_limit``, the one-particle quadrature limit.
 
 Desk-scale caps: ``simplex.CLASS_CAP`` bounds the type classes enumerated,
 ``PARTICLE_CAP`` the particles of a chain.
@@ -31,13 +32,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .energy import (
-    EnergyModel,
-    EnvironmentPotential,
-    FiniteEnergyModel,
-    StaticPotential,
-    w_n,
-)
+from .energy import EnergyModel, FiniteEnergyModel, w_n
 from .equilibrium import _limit_tables, _mirror_descent, _objective
 from .errors import EnergyError, InfeasibleConstraintError
 from .fekete import _fold_functional, _limit_infimum, _particle_counts
@@ -55,7 +50,6 @@ __all__ = [
     "laplace_verify_finite",
     "laplace_estimate_mc",
     "rate_function_profile",
-    "conditional_gas_verify",
     "single_particle_limit",
 ]
 
@@ -415,68 +409,28 @@ def rate_function_profile(model, descriptor=None, max_iters=3000, tol=1e-10):
 # -- conditional gases -----------------------------------------------------------------------
 
 
-def single_particle_limit(space, beta, f_fn, potential, n_values, interaction=None,
-                          decay=None, threshold=0.05):
+def single_particle_limit(space, beta, f_fn, potential, n_values, threshold=0.05):
     """One-particle quadrature check: compares
 
-        (1/beta_n) log integral of exp(-beta_n (f + V_n + lambda_n h)) dPi
+        (1/beta_n) log integral of exp(-beta_n (f + V_n)) dPi
 
     against -min over the grid of (f + V_limit).  ``potential`` supplies the
-    stage fields V_n and their limit; ``interaction``/``decay`` optionally
-    add a vanishing one-body term lambda_n * h."""
+    stage fields V_n and their limit."""
     n_values = _particle_counts(n_values)
     nodes = space.nodes
     log_w = np.log(space.weights)
     f_nodes = np.zeros(space.n_nodes) if f_fn is None else np.asarray(
         f_fn(nodes), dtype=float)
-    h_nodes = None
-    if interaction is not None:
-        h_nodes = np.asarray(interaction(nodes), dtype=float)
     values = []
     for n in n_values:
         beta_n = beta.beta_at(n)
         field_n = np.asarray(potential.stage_values(n, nodes), dtype=float)
         if not np.all(np.isfinite(field_n)):
             raise EnergyError(f"stage potential is not finite on the grid at n={n}")
-        total = f_nodes + field_n
-        if h_nodes is not None:
-            lam = float(decay(n)) if decay is not None else 0.0
-            total = total + lam * h_nodes
-        values.append(float(logsumexp(log_w - beta_n * total)) / beta_n)
+        values.append(float(logsumexp(log_w - beta_n * (f_nodes + field_n))) / beta_n)
     v_limit = np.asarray(potential.limit_values(nodes), dtype=float)
     target = f_nodes + v_limit
     limit = -float(target.min())
     witness = nodes[int(np.argmin(target))]
     return _verdict("single-particle", n_values, values, None, limit,
                     threshold, witness=witness)
-
-
-def conditional_gas_verify(model, f, n_values, mode="environment", **kwargs):
-    """Conditional-gas checks.
-
-    ``mode="environment"``: the deterministic environment is already folded
-    into the model's energy through an environment potential; the check
-    reduces to the Monte Carlo Laplace estimate.  ``mode="single_particle"``:
-    direct quadrature of the one-particle integral; pass ``f_fn`` (callable
-    or None), ``potential`` (environment or static potential with stage
-    values) and optionally ``interaction``/``decay`` through kwargs."""
-    if mode == "environment":
-        if not isinstance(model, EnergyModel) or not any(
-                isinstance(p, EnvironmentPotential) for p in model.potentials):
-            raise EnergyError(
-                "environment mode needs an EnergyModel with an environment potential")
-        return laplace_estimate_mc(model, f, n_values, **kwargs)
-    if mode == "single_particle":
-        potential = kwargs.pop("potential", None)
-        if potential is None:
-            candidates = [p for p in getattr(model, "potentials", ())
-                          if isinstance(p, (EnvironmentPotential, StaticPotential))]
-            if len(candidates) != 1:
-                raise EnergyError(
-                    "single-particle mode needs exactly one potential "
-                    "(pass potential=... explicitly)")
-            potential = candidates[0]
-        f_fn = kwargs.pop("f_fn", f)
-        return single_particle_limit(model.space, model.beta, f_fn, potential,
-                                     n_values, **kwargs)
-    raise EnergyError(f"unknown conditional-gas mode {mode!r}")

@@ -37,22 +37,6 @@ class EmpiricalMeasure:
         if self.points.shape[0] == 0:
             raise MeasureError("empirical measure needs at least one atom")
 
-    @property
-    def n_atoms(self):
-        return self.points.shape[0]
-
-    def to_csv_rows(self):
-        header = ["index"] + [f"coord{i}" for i in range(self.points.shape[1])]
-        rows = [[str(i)] + [_fmt(c) for c in p] for i, p in enumerate(self.points)]
-        return [header] + rows
-
-    def to_json_dict(self):
-        return {
-            "type": "empirical",
-            "space": self.space.kind,
-            "points": [[float(c) for c in p] for p in self.points],
-        }
-
 
 class GridMeasure:
     """Nonnegative density against the reference measure, total mass 1."""
@@ -87,30 +71,11 @@ class GridMeasure:
     def node_masses(self):
         return self.space.weights * self.density
 
-    def to_csv_rows(self):
-        pdim = self.space.point_dim
-        header = ["index"] + [f"coord{i}" for i in range(pdim)] + ["weight", "density"]
-        rows = []
-        for i in range(self.space.n_nodes):
-            rows.append(
-                [str(i)]
-                + [_fmt(c) for c in self.space.nodes[i]]
-                + [_fmt(self.space.weights[i]), _fmt(self.density[i])]
-            )
-        return [header] + rows
-
-    def to_json_dict(self):
-        return {
-            "type": "grid",
-            "space": self.space.kind,
-            "density": [float(v) for v in self.density],
-        }
-
 
 class FiniteSpace:
-    """Finitely many labelled atoms with a positive base distribution."""
+    """Finitely many atoms with a positive base distribution."""
 
-    def __init__(self, probs, labels=None):
+    def __init__(self, probs):
         probs = np.asarray(probs, dtype=float)
         if probs.ndim != 1 or probs.shape[0] < 2:
             raise MeasureError("finite space needs at least two atoms")
@@ -119,9 +84,6 @@ class FiniteSpace:
         if abs(probs.sum() - 1.0) > 1e-12:
             raise MeasureError(f"finite base distribution sums to {probs.sum()!r}")
         self.probs = probs
-        self.labels = list(labels) if labels is not None else [str(i) for i in range(len(probs))]
-        if len(self.labels) != len(probs):
-            raise MeasureError("labels and probabilities disagree in length")
 
     @property
     def n_atoms(self):

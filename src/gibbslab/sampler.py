@@ -51,14 +51,14 @@ energy by
     (B~(P) - b~(x_i)).(S - (n-1) q - b~(x_i)).
 
 The basis is evaluated elementwise, so a cached row equals a fresh one bit
-for bit and the change at p = x_i is exactly 0.  The polish builds a cache
-from its configuration.  A chain evaluates the basis at its n start points
-once (``GreenModel.features``): the same rows give its start energy, equal
-to ``w_n`` bit for bit, and its cache.  It keeps the cache live: on accept
-the row of the last call replaces row i and S is summed afresh, so no
-rounding error accumulates; the coherence check rebuilds the cache from the
-one evaluation that gives the fresh energy; and a tempering swap exchanges
-it with the positions.
+for bit and the change at p = x_i is exactly 0.  A chain evaluates the
+basis at its n start points once (``GreenModel.features``): the same rows
+give its start energy, equal to ``w_n`` bit for bit, and its cache.  A
+chain and the Fekete polish keep their cache live: on accept the chosen
+candidate's row from the last call replaces row i and S is summed afresh,
+so no rounding error accumulates.  A chain's coherence check rebuilds the
+cache from the one evaluation that gives the fresh energy, and a tempering
+swap exchanges it with the positions.
 
 A finite-chain step does scalar work only, beyond reading and writing one
 entry of the live labels array.  It keeps the counts c and the row sums
@@ -80,7 +80,6 @@ import numpy as np
 
 from .energy import EnergyModel, FiniteEnergyModel, GreenKernel, _w_n_report, w_n
 from .errors import EnergyError, TrappedChainError
-from .measures import EmpiricalMeasure
 from .rng import derive_rng
 from .simplex import class_table, logsumexp
 
@@ -128,10 +127,6 @@ class SampleResult:
     final_state: ChainState
     swap_rates: list | None = None
     ladder_energies: dict | None = None
-
-    def empirical(self, space, index):
-        """Empirical measure of one stored continuous sample."""
-        return EmpiricalMeasure(space, self.samples[index])
 
     def counts(self, n_atoms, index):
         """Atom counts of one stored finite-space sample."""
@@ -241,9 +236,9 @@ class _GreenCache:
         self.drawn = self.scaled_rows(points)
         return (self.drawn - old) @ (self.field - old)
 
-    def accept(self, i):
-        """Move particle i to the point of the last one-point ``changes``."""
-        self.rows[i] = self.drawn[0]
+    def accept(self, i, k):
+        """Move particle i to point k of the last ``changes``."""
+        self.rows[i] = self.drawn[k]
         self.field = self.rows.sum(axis=0) - self.shift
 
 
@@ -351,7 +346,7 @@ class _ContinuousChain(_Chain):
                     positions[i] = rows[0]
                     state.energy += delta
                     if self.green_cache is not None:
-                        self.green_cache.accept(i)
+                        self.green_cache.accept(i, 0)
                     accept = True
         self._book(accept)
 

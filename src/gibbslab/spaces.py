@@ -654,13 +654,7 @@ class GreenModel:
 
     def rows_at_nodes(self, x):
         """Kernel values G(x_j, node_i) for arbitrary points x, shape (p, n_nodes)."""
-        return self._node_rows(self.features(x))
-
-    def _node_rows(self, fx):
-        """``rows_at_nodes`` of the points whose ``features`` are ``fx``."""
-        bx, phi_x = fx
-        shift = phi_x[:, None] + self.phi_nodes[None, :]
-        return (bx @ self.scaled_nodes.T - shift) + self.constant
+        return self._feature_table(self.features(x), (self.scaled_nodes, self.phi_nodes))
 
     def table_blocks(self):
         """The node kernel table as (row slice, block) pairs of about 4 MB of
@@ -669,8 +663,7 @@ class GreenModel:
         rows = max(1, 2 ** 19 // scaled.shape[0])
         for start in range(0, scaled.shape[0], rows):
             part = slice(start, start + rows)
-            shift = phi[part, None] + phi[None, :]
-            yield part, (scaled[part] @ scaled.T - shift) + self.constant
+            yield part, self._feature_table((scaled[part], phi[part]), (scaled, phi))
 
     def lower_bound(self):
         """Grid minimum of the kernel table, taken block by block (finite for
@@ -737,7 +730,8 @@ def green_identity_residual(model, f_coeffs, x):
     f_nodes = space.basis_values @ full
     basis = space.evaluate_basis(x)
     f_at_x = float((basis @ full)[0])
-    g_row = model._node_rows(model._basis_features(basis))[0]
+    g_row = model._feature_table(model._basis_features(basis),
+                                 (model.scaled_nodes, model.phi_nodes))[0]
     integral = float((space.weights * g_row * lap_nodes).sum())
     target = float((space.weights * f_nodes * model.charge.values).sum())
     return abs(integral + f_at_x - target)

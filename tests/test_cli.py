@@ -494,6 +494,9 @@ RATE_IGNORED_KEYS = [("chain_budget", -5), ("rungs", 0), ("ess_floor", -1.0),
     ("conditional", SINGLE_PARTICLE_TEXT, "mode: single_particle",
      "mode: environment\n  grid_steps: 40",
      "ldp.grid_steps does not apply to a Monte Carlo estimate"),
+    ("conditional", SINGLE_PARTICLE_TEXT, "environment:",
+     "potentials:\n  - expr: cos(theta)\nenvironment:",
+     "single-particle mode takes the environment as its only potential"),
     *[("rate-profile", RATE_TEXT, "n_values: [4]", f"n_values: [4]\n  {key}: {value}",
        f"ldp.{key} does not apply to a rate profile")
       for key, value in RATE_IGNORED_KEYS],
@@ -510,7 +513,7 @@ RATE_IGNORED_KEYS = [("chain_budget", -5), ("rungs", 0), ("ess_floor", -1.0),
         "laplace-finite-chain-budget", "laplace-finite-rungs", "laplace-finite-ess-floor",
         "laplace-mc-grid-steps", "conditional-single-particle-chain-budget",
         "conditional-single-particle-rungs", "conditional-single-particle-grid-steps",
-        "conditional-environment-grid-steps",
+        "conditional-environment-grid-steps", "conditional-single-particle-potentials",
         *[f"rate-{key.replace('_', '-')}" for key, _ in RATE_IGNORED_KEYS],
         "fekete-single-threshold", "fekete-single-grid-steps"])
 def test_bad_values_exit_with_one_error_line(tmp_path, runner, command,

@@ -78,7 +78,6 @@ def test_report_decomposition(circle_space):
     assert_allclose(rep.internal, pair_sum / 9.0, rtol=1e-14)
     assert_allclose(rep.external, (1.0 + 0.0 - 1.0) / 3.0, atol=1e-15)
     assert rep.value == rep.internal + rep.external
-    assert not rep.infinite
     assert rep.pair_values.shape == (3,)
 
 
@@ -86,7 +85,6 @@ def test_coincident_atoms_hit_infinity(circle_space):
     model = EnergyModel(circle_space, LogChordKernel(), BETA)
     rep = w_n_report(model, np.array([[1.0], [1.0], [2.0]]))
     assert rep.value == math.inf
-    assert rep.infinite
 
 
 def test_single_point_configuration(circle_space):

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
-from gibbslab import energy
+from gibbslab import energy, fekete
 from gibbslab.energy import (
     BetaSchedule,
     CallableKernel,
@@ -21,6 +21,7 @@ from gibbslab.energy import (
 )
 from gibbslab.errors import CollisionError, EnergyError, EnumerationCapError
 from gibbslab.fekete import (
+    _POLISH_CANDIDATES,
     ComposedFunctional,
     IntegralFunctional,
     _analytic_pair_gradient,
@@ -150,7 +151,7 @@ def _row_delta(model, config, i, point):
     return (new_int - old_int) / n ** 2 + (new_ext - old_ext) / n
 
 
-def _looped_relocation_polish(model, config, rng, value, rounds, candidates):
+def _looped_relocation_polish(model, config, rng, value, rounds):
     """The per-candidate scan that the batched polish replaced."""
     space = model.space
     n = config.shape[0]
@@ -158,7 +159,7 @@ def _looped_relocation_polish(model, config, rng, value, rounds, candidates):
     for _ in range(rounds):
         improved = False
         for i in range(n):
-            draws = space.sample_points(rng, candidates)
+            draws = space.sample_points(rng, _POLISH_CANDIDATES)
             best_delta, best_point = 0.0, None
             for cand in draws:
                 gaps = space.geodesic(cand[None, :], config)[0]
@@ -195,13 +196,43 @@ def test_batched_polish_matches_looped_scan(case, circle_space, sphere_space):
     outcomes = []
     for polish in (_relocation_polish, _looped_relocation_polish):
         rng = np.random.default_rng(7)
-        out = polish(model, config.copy(), rng, value, 3, 8)
+        out = polish(model, config.copy(), rng, value, 3)
         outcomes.append((out, rng.bit_generator.state))
     (batched, state), (looped, looped_state) = outcomes
     assert batched[2] and looped[2]
     assert np.array_equal(batched[0], looped[0])
     assert batched[1] == looped[1]
     assert state == looped_state
+
+
+@pytest.mark.parametrize("fixture", ["torus_green", "sphere_charged_green"])
+def test_green_polish_keeps_one_cache(fixture, request, monkeypatch):
+    # the polish builds one _GreenCache and gives it each exchange's row; a
+    # cache built afresh for every particle, which _continuous_deltas makes
+    # when it is given none, scores the same bits
+    green = request.getfixturevalue(fixture)
+    space = green.space
+    model = EnergyModel(space, GreenKernel(green), BetaSchedule.constant(1.0))
+    n = 6  # fewer than the polish's 8 draws, so the row counts tell them apart
+    config = space.sample_points(np.random.default_rng(31), n)
+    value = w_n(model, config)
+    rows = []
+    evaluate = Space.evaluate_basis
+    monkeypatch.setattr(Space, "evaluate_basis",
+                        lambda self, points: rows.append(len(points)) or evaluate(self, points))
+    outcomes = []
+    for _ in range(2):
+        rows.clear()
+        rng = np.random.default_rng(7)
+        outcomes.append((_relocation_polish(model, config.copy(), rng, value, 3),
+                         rng.bit_generator.state, list(rows)))
+        monkeypatch.setattr(fekete, "_GreenCache", lambda green, rows: None)
+    (live, state, live_rows), (fresh, fresh_state, fresh_rows) = outcomes
+    assert live[2]
+    assert np.array_equal(live[0], fresh[0])
+    assert live[1] == fresh[1] and state == fresh_state
+    # the configuration's rows once for the cache and once for the closing w_n
+    assert live_rows.count(n) == 2 < fresh_rows.count(n)
 
 
 @pytest.mark.parametrize("kind", ["circle", "sphere"])
@@ -225,7 +256,6 @@ def test_integral_tilt_is_folded_into_the_model(kind, circle_space, sphere_space
     ("restarts", 0, "restarts must be >= 1, got 0"),
     ("max_iters", -5, "max_iters must be >= 1, got -5"),
     ("polish_rounds", -1, "polish_rounds must be >= 0, got -1"),
-    ("polish_candidates", 0, "polish_candidates must be >= 1, got 0"),
 ])
 def test_fekete_refuses_counts_below_their_minimum(log_gas, keyword, value, message):
     with pytest.raises(EnergyError, match=message):

@@ -33,7 +33,6 @@ from gibbslab.fekete import ComposedFunctional, IntegralFunctional, macro_infimu
 from gibbslab.ldp import (
     HalfSpace,
     LaplaceVerdict,
-    conditional_gas_verify,
     laplace_estimate_mc,
     laplace_verify_finite,
     rate_function_profile,
@@ -623,19 +622,11 @@ def test_conditional_environment_mode_matches_closed_form(circle_space):
     closed = math.log(iv(0, 4.0)) / 2.0
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        verdict = conditional_gas_verify(model, tilt, [4, 8],
-                                         chain_budget=12000, seed=2)
+        verdict = laplace_estimate_mc(model, tilt, [4, 8],
+                                      chain_budget=12000, seed=2)
     assert abs(verdict.limit - closed) < 1e-10
     assert np.abs((verdict.values - closed) / verdict.errors).max() < 4.0
     assert verdict.passed
-
-
-def test_conditional_environment_mode_requires_environment(flat_circle_model):
-    with pytest.raises(EnergyError, match="environment"):
-        conditional_gas_verify(flat_circle_model, None, [4],
-                               mode="environment")
-    with pytest.raises(EnergyError, match="mode"):
-        conditional_gas_verify(flat_circle_model, None, [4], mode="banana")
 
 
 def test_single_particle_quadrature_gap_shrinks_in_beta(circle_space):
@@ -663,17 +654,11 @@ def test_single_particle_dispatch_and_guards(circle_space):
     external = CallableKernel(lambda sp, a, b: np.cos(a[..., 0] - b[..., 0]))
     pinned = EmpiricalMeasure(circle_space, np.array([[0.0]]))
     env = EnvironmentPotential(external, EnvironmentSequence.fixed(pinned))
-    model = EnergyModel(circle_space, ConstantKernel(0.0),
-                        BetaSchedule.linear(2.0), potentials=[env])
-    verdict = conditional_gas_verify(model, None, [1, 2, 4, 8],
-                                     mode="single_particle")
+    verdict = single_particle_limit(circle_space, BetaSchedule.linear(2.0), None,
+                                    env, [1, 2, 4, 8])
     assert_allclose(verdict.witness[0], math.pi, atol=1e-12)
     assert np.all(np.diff(verdict.gaps) < 0.0)
 
-    bare = EnergyModel(circle_space, ConstantKernel(0.0),
-                       BetaSchedule.linear(2.0))
-    with pytest.raises(EnergyError, match="potential"):
-        conditional_gas_verify(bare, None, [2], mode="single_particle")
     with pytest.raises(EnergyError, match="increasing"):
         single_particle_limit(circle_space, BetaSchedule.linear(2.0), None,
                               StaticPotential(lambda p: p[:, 0] * 0.0), [4, 2])

@@ -82,8 +82,6 @@ def test_finite_space_validation():
         FiniteSpace([0.5, 0.5, 0.0])
     with pytest.raises(MeasureError):
         FiniteSpace([0.7, 0.7])
-    fs = FiniteSpace([0.25, 0.75], labels=["a", "b"])
-    assert fs.labels == ["a", "b"]
 
 
 def test_legendre_two_atom_value():
@@ -253,20 +251,6 @@ def test_bl_distance_keeps_no_space_alive():
     del space, uniform
     gc.collect()
     assert ref() is None
-
-
-def test_csv_and_json_exports(circle_space):
-    mu = GridMeasure.uniform(circle_space)
-    rows = mu.to_csv_rows()
-    assert rows[0] == ["index", "coord0", "weight", "density"]
-    assert len(rows) == circle_space.n_nodes + 1
-    blob = mu.to_json_dict()
-    assert blob["type"] == "grid"
-    emp = EmpiricalMeasure(circle_space, circle_space.nodes[:2])
-    rows = emp.to_csv_rows()
-    assert rows[0] == ["index", "coord0"]
-    assert len(rows) == 3
-    assert emp.to_json_dict()["type"] == "empirical"
 
 
 def test_empirical_needs_atoms(circle_space):

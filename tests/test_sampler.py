@@ -285,7 +285,7 @@ def test_green_cached_delta_equals_energy_difference(green_chain_models, kind, n
         delta = _continuous_deltas(model, positions, i, point[None, :], cache)[0]
         assert abs(delta - _energy_difference(model, positions, i, point)[0]) < 1e-12
         positions[i] = point
-        cache.accept(i)
+        cache.accept(i, 0)
     i = int(rng.integers(n))
     points = space.sample_points(rng, r)
     live = _continuous_deltas(model, positions, i, points, cache)
@@ -668,13 +668,9 @@ def test_tempering_swap_rate_warning(four_atom_model):
                  swap_every=10)
 
 
-def test_result_accessors(four_atom_model, circle_space):
+def test_result_accessors(four_atom_model):
     finite = mcmc_run(four_atom_model, 5, steps=2000, seed=6)
     counts = finite.counts(4, 0)
     assert counts.sum() == 5
     payload = finite.to_json_dict()
     assert payload["kind"] == "finite" and payload["n"] == 5
-    model = EnergyModel(circle_space, ConstantKernel(0.0), BetaSchedule.constant(1.0))
-    cont = mcmc_run(model, n=3, steps=2000, seed=7)
-    emp = cont.empirical(circle_space, 0)
-    assert emp.points.shape == (3, 1)

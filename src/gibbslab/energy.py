@@ -30,7 +30,7 @@ import numpy as np
 
 from .errors import EnergyError
 from .expressions import compile_point_function
-from .measures import EmpiricalMeasure, FiniteSpace, GridMeasure
+from .measures import FiniteSpace, GridMeasure
 from .spaces import _coordinate_names
 
 __all__ = [
@@ -52,7 +52,6 @@ __all__ = [
     "w_n",
     "w_n_report",
     "w_macro",
-    "expected_energy",
     "confining_bound_check",
     "euclidean_transform",
     "kernel_node_matrix",
@@ -311,19 +310,6 @@ class EnvironmentSequence:
     def fixed(cls, measure):
         return cls(lambda n: measure, measure)
 
-    @classmethod
-    def point_stream(cls, space, stream_points, limit):
-        stream_points = space._as_points(stream_points)
-
-        def stage(n):
-            if n > stream_points.shape[0]:
-                raise EnergyError(
-                    f"environment stream holds {stream_points.shape[0]} points, stage {n} requested"
-                )
-            return EmpiricalMeasure(space, stream_points[:n])
-
-        return cls(stage, limit)
-
     def measure_at(self, n):
         return self._stage_fn(n)
 
@@ -394,9 +380,6 @@ class EnergyModel:
             return np.zeros(points.shape[0])
         return sum(p.limit_values(points) for p in self.potentials)
 
-    def kernel_floor(self):
-        return self.kernel.lower_bound(self.space)
-
 
 def _sorted_sum(values):
     """Sum in a canonical (sorted) order so permuting inputs changes nothing."""
@@ -457,49 +440,17 @@ def w_n(model, config):
     return w_n_report(model, config).value
 
 
-def _macro_internal_integral(model, mu, clip=None):
-    """Double integral of G d(mu tensor mu) with the corrected diagonal."""
-    masses = mu.node_masses
-    if clip is not None and isinstance(model.kernel, GreenKernel):
-        # clipped block by block: the Green table is never held whole
-        green = model.kernel.model
-        diagonal = green.node_diagonal()
-        total = 0.0
-        for part, block in green.table_blocks():
-            np.fill_diagonal(block[:, part.start :], diagonal[part])
-            total += float(masses[part] @ np.minimum(block, clip) @ masses)
-        return total
-    matrix = model.node_matrix()
-    if clip is not None:
-        matrix = np.minimum(matrix, clip)
-    return float(masses @ matrix @ masses)
-
-
-def w_macro(model, mu, clip=None):
+def w_macro(model, mu):
     """Macroscopic energy of a grid density: half the pair double integral
-    plus the potentials.
-
-    ``clip`` truncates the pair kernel at G ∧ clip (monotone approximation)."""
+    plus the potentials."""
     if not isinstance(mu, GridMeasure):
         raise EnergyError("macroscopic energy expects a GridMeasure")
     if mu.space is not model.space:
         raise EnergyError("measure lives on a different space")
-    internal = _macro_internal_integral(model, mu, clip=clip) / 2.0
-    external = float((mu.node_masses * model.potential_limit_values(model.space.nodes)).sum())
+    masses = mu.node_masses
+    internal = float(masses @ model.node_matrix() @ masses) / 2.0
+    external = float((masses * model.potential_limit_values(model.space.nodes)).sum())
     return internal + external
-
-
-def expected_energy(model, mu, n):
-    """E[w_n] under mu^(tensor n):  n^{-2} C(n,2) integral G d(mu tensor mu)
-    plus the stage-n one-body terms."""
-    if n < 1:
-        raise EnergyError(f"need n >= 1, got {n}")
-    integral = _macro_internal_integral(model, mu)
-    coefficient = math.comb(n, 2) / float(n) ** 2
-    external = float(
-        (mu.node_masses * model.potential_stage_values(n, model.space.nodes)).sum()
-    )
-    return coefficient * integral + external
 
 
 def confining_bound_check(model, config, inside_fn, kernel_floor, energy_bound=None):
@@ -513,7 +464,7 @@ def confining_bound_check(model, config, inside_fn, kernel_floor, energy_bound=N
         bound = (2 * energy_bound / kernel_floor)^(1/2) + 2/n.
     """
     config = model.space._as_points(config)
-    floor = model.kernel_floor()
+    floor = model.kernel.lower_bound(model.space)
     if floor is None or floor < 0.0:
         raise EnergyError("confining bound requires a nonnegative kernel")
     if not kernel_floor > 0.0:

@@ -31,18 +31,17 @@ __all__ = [
     "MeanFieldReport",
     "DerivativeReport",
     "free_energy",
-    "free_energy_gradient",
     "minimize_free_energy",
     "mean_field_residual",
     "directional_derivative_check",
 ]
 
 
-def free_energy(model, mu, clip=None):
+def free_energy(model, mu):
     """Macroscopic energy plus (1/beta) relative entropy; beta = inf drops
     the entropy term."""
     beta = model.beta.limit
-    energy = w_macro(model, mu, clip=clip)
+    energy = w_macro(model, mu)
     if math.isinf(beta):
         return energy
     return energy + relative_entropy(mu) / beta
@@ -69,12 +68,6 @@ def _gradient(matrix, v, weights, masses, beta):
         return g
     with np.errstate(divide="ignore"):
         return g + (np.log(masses / weights) + 1.0) / beta
-
-
-def free_energy_gradient(model, mu):
-    """Node values of the first variation dF/dm at mu (mass coordinates)."""
-    matrix, v, weights = _limit_tables(model, "the free-energy gradient", finite=False)
-    return _gradient(matrix, v, weights, mu.node_masses, model.beta.limit)
 
 
 def _objective(matrix, v, weights, masses, beta):

@@ -3,7 +3,6 @@
 __all__ = [
     "GibbsLabError",
     "SpaceError",
-    "DiagonalSingularityError",
     "MeasureError",
     "EnergyError",
     "StepSizeFailureError",
@@ -21,10 +20,6 @@ class GibbsLabError(Exception):
 
 class SpaceError(GibbsLabError):
     """Bad space construction request (unknown kind, aliasing guard, ...)."""
-
-
-class DiagonalSingularityError(GibbsLabError):
-    """A singular kernel was evaluated on the diagonal x == y."""
 
 
 class MeasureError(GibbsLabError):

@@ -22,7 +22,6 @@ __all__ = [
     "LegendreReport",
     "relative_entropy",
     "legendre_check",
-    "bounded_lipschitz_distance",
 ]
 
 _MASS_TOL = 1e-10
@@ -190,45 +189,4 @@ def legendre_check(space, g):
     value, _ = simplex_minimize(_finite_objective(pi, g), space.n_atoms, steps=200,
                                 refine_rounds=6)
     return LegendreReport(lhs=lhs, rhs_closed=rhs_closed, rhs_grid=-value, tilt=tilt)
-
-
-# -- bounded-Lipschitz surrogate distance -------------------------------------
-
-_BL_ANCHORS = 64  # capped distances to every (n_nodes // 64)-th node
-
-
-def _bl_integrals(measure):
-    """Integrals of every dictionary function against ``measure``, from one
-    table of the functions at its points (the nodes of a grid measure)."""
-    space = measure.space
-    grid = isinstance(measure, GridMeasure)
-    points = space.nodes if grid else measure.points
-    if space.has_basis:
-        basis = space.basis_values if grid else space.evaluate_basis(points)
-        sups = np.abs(space.basis_values).max(axis=0)
-        scales = sups * np.maximum(1.0, np.sqrt(space.eigenvalues))
-        smooth = basis[:, 1:] / scales[1:]
-    else:
-        bounds = np.asarray(space.params["bounds"], float)
-        center = 0.5 * (bounds[:, 0] + bounds[:, 1])
-        smooth = (points - center) / np.maximum(1.0, 0.5 * (bounds[:, 1] - bounds[:, 0]))
-    anchors = space.nodes[::max(1, space.n_nodes // _BL_ANCHORS)]
-    table = np.hstack([smooth, np.minimum(space.geodesic(points, anchors), 1.0)])
-    return measure.node_masses @ table if grid else table.mean(axis=0)
-
-
-def bounded_lipschitz_distance(mu, nu):
-    """Max dictionary-function discrepancy; a surrogate for weak convergence.
-
-    The dictionary holds the space's basis columns 1.. divided by
-    sup * max(1, sqrt(eigenvalue)), so each is bounded by 1 and about
-    1-Lipschitz (on boxes, the coordinates centered and divided by
-    max(1, half-width)), then the geodesic distances capped at 1 to every
-    (n_nodes // 64)-th node.  Each measure tabulates all of them at its
-    points in one pass: a grid measure integrates the node table against its
-    node masses, an empirical measure takes the column means.
-    """
-    if nu.space is not mu.space:
-        raise MeasureError("measures live on different spaces")
-    return float(np.abs(_bl_integrals(mu) - _bl_integrals(nu)).max())
 

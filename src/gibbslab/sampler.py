@@ -559,10 +559,12 @@ def mcmc_run(model, n, steps, seed, initial=None, proposal_scale=0.5,
         for pair in range(len(scales) - 1):
             rate = swap_accepts[pair] / max(1, swap_attempts[pair])
             swap_rates.append(rate)
-            if not 0.1 <= rate <= 0.9:
+            # a high rate only says two rungs are close; a low one, that they
+            # rarely exchange states
+            if rate < 0.1:
                 warnings.warn(
                     f"tempering swap rate {rate:.3f} between coupling fractions "
-                    f"{scales[pair]} and {scales[pair + 1]} is outside [0.1, 0.9]",
+                    f"{scales[pair]} and {scales[pair + 1]} is below 0.1",
                     RuntimeWarning,
                 )
     post_rate = top.state.accepts / max(1, top.state.steps)

@@ -21,7 +21,7 @@ import math
 
 import numpy as np
 
-from .errors import DiagonalSingularityError, SpaceError
+from .errors import SpaceError
 from .expressions import compile_point_function
 
 __all__ = [
@@ -30,7 +30,6 @@ __all__ = [
     "GreenModel",
     "GreenOperator",
     "build_space",
-    "green_evaluate",
     "green_identity_residual",
 ]
 
@@ -644,14 +643,6 @@ class GreenModel:
             by = by.copy()
         return (bx @ by.T - (phi_x[:, None] + phi_y[None, :])) + self.constant
 
-    def evaluate(self, x, y):
-        """Pairwise kernel values between two point arrays."""
-        xs = self.space._as_points(x)
-        ys = self.space._as_points(y)
-        if np.any(self.space.geodesic(xs, ys) < 1e-12):
-            raise DiagonalSingularityError("Green kernel requested on the diagonal x == y")
-        return self.pairwise(xs, ys)
-
     def rows_at_nodes(self, x):
         """Kernel values G(x_j, node_i) for arbitrary points x, shape (p, n_nodes)."""
         return self._feature_table(self.features(x), (self.scaled_nodes, self.phi_nodes))
@@ -696,11 +687,6 @@ class GreenOperator:
 
     # G is symmetric, so x @ G = G @ x
     __rmatmul__ = __matmul__
-
-
-def green_evaluate(model, x, y):
-    """Kernel value G(x, y); signals the diagonal singularity when x == y."""
-    return float(model.evaluate(x, y)[0, 0])
 
 
 def green_identity_residual(model, f_coeffs, x):

@@ -1,3 +1,4 @@
+import ast
 import filecmp
 import hashlib
 import inspect
@@ -403,6 +404,35 @@ def test_runtime_imports_no_scipy():
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
+
+
+def unused_imports(source):
+    """Names that a module imports and never reads, as "name (line n)".  An
+    import line marked ``# noqa: F401`` is exempt; a name listed in
+    ``__all__`` counts as read."""
+    tree = ast.parse(source)
+    lines = source.splitlines()
+    imported, read = {}, set()
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            if any("# noqa: F401" in line for line in lines[node.lineno - 1 : node.end_lineno]):
+                continue
+            for alias in node.names:
+                imported[alias.asname or alias.name.split(".")[0]] = node.lineno
+        elif isinstance(node, ast.Name):
+            read.add(node.id)
+        elif (isinstance(node, ast.Assign)
+              and any(isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets)):
+            read.update(ast.literal_eval(node.value))
+    return [f"{name} (line {line})" for name, line in sorted(imported.items())
+            if name not in read]
+
+
+def test_modules_import_no_unused_names():
+    package = Path(gibbslab.__file__).resolve().parent
+    unused = {path.name: unused_imports(path.read_text())
+              for path in sorted(package.glob("*.py"))}
+    assert not {name: found for name, found in unused.items() if found}
 
 
 SINGLE_PARTICLE_TEXT = """

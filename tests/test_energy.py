@@ -2,7 +2,6 @@
 
 import itertools
 import math
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -26,14 +25,13 @@ from gibbslab.energy import (
     TiltedKernel,
     confining_bound_check,
     euclidean_transform,
-    expected_energy,
     kernel_node_matrix,
     w_macro,
     w_n,
     w_n_report,
 )
 from gibbslab.errors import EnergyError
-from gibbslab.measures import FiniteSpace, GridMeasure
+from gibbslab.measures import EmpiricalMeasure, FiniteSpace, GridMeasure
 from gibbslab.spaces import BackgroundCharge, GreenModel, build_space
 
 BETA = BetaSchedule.constant(2.0)
@@ -108,7 +106,7 @@ def test_permutation_invariance_exact(circle_space, rng):
 def test_stability_bound_randomized(circle_space, rng):
     # w_n >= floor * C(n,2)/n^2 for every configuration
     model = EnergyModel(circle_space, LogChordKernel(), BETA)
-    floor = model.kernel_floor()
+    floor = model.kernel.lower_bound(circle_space)
     assert floor == -math.log(2.0)
     n = 8
     lower = floor * math.comb(n, 2) / n ** 2
@@ -159,51 +157,6 @@ def test_green_kernel_energy_vanishes(circle_green):
     assert abs(value) < 1e-12
 
 
-def test_monotone_truncation(circle_space):
-    model = EnergyModel(circle_space, LogChordKernel(), BETA)
-    density = 1.0 + 0.5 * np.cos(circle_space.nodes[:, 0])
-    mu = GridMeasure.from_unnormalized(circle_space, density)
-    full = w_macro(model, mu)
-    clips = [0.5, 1.0, 2.0, 4.0, 8.0]
-    values = [w_macro(model, mu, clip=c) for c in clips]
-    for lo, hi in zip(values, values[1:]):
-        assert lo <= hi + 1e-15
-    assert values[-1] <= full + 1e-15
-    assert_allclose(values[-1], full, atol=1e-12)
-
-
-def test_green_truncation_clips_the_node_table(circle_green):
-    # clipping takes the Green table's entries block by block; the circle's
-    # 256 rows fit one block, so the sum is the dense one
-    space = circle_green.space
-    model = EnergyModel(space, GreenKernel(circle_green), BETA)
-    mu = GridMeasure.from_unnormalized(space, 1.0 + 0.5 * np.cos(space.nodes[:, 0]))
-    masses = mu.node_masses
-    table = kernel_node_matrix(model.kernel, space)
-    for clip in (0.0, 1.0, 8.0):
-        want = 0.5 * float(masses @ np.minimum(table, clip) @ masses)
-        assert w_macro(model, mu, clip=clip) == want
-
-
-def test_torus_clipped_energy_never_forms_the_node_table(torus_green):
-    # the 64^2 node table alone would take 128 MiB
-    space = torus_green.space
-    model = EnergyModel(space, GreenKernel(torus_green), BETA)
-    mu = GridMeasure.from_unnormalized(space, 1.0 + 0.5 * np.cos(2.0 * np.pi * space.nodes[:, 0]))
-    tracemalloc.start()
-    try:
-        clipped = w_macro(model, mu, clip=0.1)
-        unclipped = w_macro(model, mu, clip=math.inf)
-        peak = tracemalloc.get_traced_memory()[1] / 2 ** 20
-    finally:
-        tracemalloc.stop()
-    assert peak <= 64.0
-    # an infinite clip leaves the table whole, which the rank-(order + 2)
-    # operator applies without entries
-    assert_allclose(unclipped, w_macro(model, mu), rtol=1e-12)
-    assert clipped < unclipped
-
-
 def test_macro_guards(circle_space, box_space):
     model = EnergyModel(circle_space, LogChordKernel(), BETA)
     with pytest.raises(EnergyError):
@@ -232,14 +185,6 @@ def test_node_matrix_symmetry(circle_space):
 # -- expected energies -------------------------------------------------------------
 
 
-def test_expected_energy_constant_kernel(circle_space):
-    # E[w_n] = C(n,2)/n^2 = (n-1)/(2n) for a unit constant kernel
-    model = EnergyModel(circle_space, ConstantKernel(1.0), BETA)
-    mu = GridMeasure.uniform(circle_space)
-    assert expected_energy(model, mu, 4) == 0.375
-    assert expected_energy(model, mu, 100) == 0.495
-
-
 def test_expected_energy_matches_enumeration():
     # brute-force E over all m^n labelled configurations
     probs = np.array([0.5, 0.3, 0.2])
@@ -253,14 +198,6 @@ def test_expected_energy_matches_enumeration():
         total += p * fem.w_counts(np.bincount(cfg, minlength=3), n)
     closed = (n - 1) / (2 * n) * float(probs @ G @ probs)
     assert_allclose(total, closed, atol=1e-14)
-
-
-def test_expected_energy_approaches_macro(circle_space):
-    model = EnergyModel(circle_space, ConstantKernel(0.7), BETA)
-    mu = GridMeasure.uniform(circle_space)
-    macro = w_macro(model, mu)
-    for n in (10, 100, 10_000):
-        assert abs(expected_energy(model, mu, n) - macro) <= 0.7 / (2 * n) + 1e-15
 
 
 # -- confining bound ---------------------------------------------------------------
@@ -315,7 +252,7 @@ def test_static_potential_expression(box_space):
 def test_environment_potential(circle_space, rng):
     stream = circle_space.sample_points(rng, 50)
     limit = GridMeasure.uniform(circle_space)
-    env = EnvironmentSequence.point_stream(circle_space, stream, limit)
+    env = EnvironmentSequence(lambda n: EmpiricalMeasure(circle_space, stream[:n]), limit)
     pot = EnvironmentPotential(CallableKernel(
         lambda sp, a, b: np.cos(a[..., 0] - b[..., 0])), env)
     x = np.array([[0.3]])
@@ -323,8 +260,6 @@ def test_environment_potential(circle_space, rng):
     assert_allclose(pot.stage_values(10, x), [by_hand], rtol=1e-14)
     # against the uniform limit the cosine integrates to zero
     assert_allclose(pot.limit_values(x), [0.0], atol=1e-14)
-    with pytest.raises(EnergyError):
-        pot.stage_values(51, x)
     model = EnergyModel(circle_space, ConstantKernel(0.0), BETA, potentials=[pot])
     cfg = stream[:4]
     expect = np.mean([np.cos(cfg[i, 0] - stream[:4, 0]).mean() for i in range(4)])

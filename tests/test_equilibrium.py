@@ -24,7 +24,6 @@ from gibbslab.equilibrium import (
     _mirror_descent,
     directional_derivative_check,
     free_energy,
-    free_energy_gradient,
     mean_field_residual,
     minimize_free_energy,
 )
@@ -221,14 +220,6 @@ def test_directional_derivative_vanishes_at_minimizer(torus_model, torus_equilib
         assert abs(report.analytic) < 1e-6
 
 
-def test_gradient_matches_componentwise_fd(torus_model, torus_space):
-    mu = GridMeasure.from_unnormalized(
-        torus_space, 1.0 + 0.2 * np.cos(2.0 * np.pi * torus_space.nodes[:, 0]))
-    grad = free_energy_gradient(torus_model, mu)
-    assert grad.shape == (torus_space.n_nodes,)
-    assert np.all(np.isfinite(grad))
-
-
 def test_minimize_guards(torus_model, torus_space, circle_space):
     other = GridMeasure.uniform(circle_space)
     with pytest.raises(MeasureError):
@@ -273,7 +264,6 @@ def test_grid_only_jobs_refuse_a_finite_model(torus_space):
     mu = GridMeasure.uniform(torus_space)
     for job, call in [
         ("free-energy minimization", lambda: minimize_free_energy(model)),
-        ("the free-energy gradient", lambda: free_energy_gradient(model, mu)),
         ("the directional derivative check",
          lambda: directional_derivative_check(model, mu, mu)),
     ]:

@@ -663,9 +663,17 @@ def test_parallel_tempering_matches_enumeration(four_atom_model):
 
 
 def test_tempering_swap_rate_warning(four_atom_model):
-    with pytest.warns(RuntimeWarning, match="swap rate"):
-        mcmc_run(four_atom_model, 4, steps=5000, seed=13, ladder=[0.99, 1.0],
-                 swap_every=10)
+    # far-apart rungs at beta = 20 swap at a rate of 0.048
+    cold = FiniteEnergyModel(four_atom_model.space, BetaSchedule.constant(20.0),
+                             pair_matrix=four_atom_model.pair_matrix)
+    with pytest.warns(RuntimeWarning, match="swap rate .* is below 0.1"):
+        mcmc_run(cold, 4, steps=5000, seed=13, ladder=[0.01, 1.0], swap_every=10)
+    # close rungs swap almost always, which is no fault of the ladder
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        result = mcmc_run(four_atom_model, 4, steps=5000, seed=13, ladder=[0.99, 1.0],
+                          swap_every=10)
+    assert result.swap_rates[0] > 0.9
 
 
 def test_result_accessors(four_atom_model):

@@ -9,7 +9,7 @@ from numpy.testing import assert_allclose, assert_array_equal
 from scipy.special import lpmv
 
 from gibbslab.energy import GreenKernel, kernel_node_matrix
-from gibbslab.errors import DiagonalSingularityError, SpaceError
+from gibbslab.errors import SpaceError
 from gibbslab.spaces import (
     BackgroundCharge,
     GreenModel,
@@ -17,7 +17,6 @@ from gibbslab.spaces import (
     _sphere_basis,
     _sphere_norm,
     _torus_modes,
-    green_evaluate,
     green_identity_residual,
 )
 
@@ -235,24 +234,20 @@ def test_circle_series_oracle():
 
 
 def test_circle_green_matches_closed_form(circle_space, circle_green):
-    value = green_evaluate(circle_green, [0.0], [np.pi])
+    origin, antipode = np.array([[0.0]]), np.array([[np.pi]])
+    value = circle_green.pairwise(origin, antipode)[0, 0]
     assert abs(value - circle_closed_form(np.pi)) < 5e-4
     # truncation error shrinks as the order grows
     charge = BackgroundCharge.uniform(circle_space)
     errs = []
     for order in (32, 64, 128):
         model = GreenModel(circle_space, charge, order=order)
-        errs.append(abs(green_evaluate(model, [0.0], [np.pi]) - circle_closed_form(np.pi)))
+        errs.append(abs(model.pairwise(origin, antipode)[0, 0] - circle_closed_form(np.pi)))
     assert errs[0] > errs[1] > errs[2]
     # generic offsets against the closed form at full order
     for delta in (0.3, 1.2, 2.5):
-        value = green_evaluate(circle_green, [0.0], [delta])
+        value = circle_green.pairwise(origin, np.array([[delta]]))[0, 0]
         assert abs(value - circle_closed_form(delta)) < 2e-3
-
-
-def test_green_diagonal_singularity(circle_green):
-    with pytest.raises(DiagonalSingularityError):
-        green_evaluate(circle_green, [1.0], [1.0])
 
 
 def residual_all_basis(model, xs):

@@ -6,6 +6,10 @@ file checksums, prints a one-line summary, and exits 0 on pass, 2 when a
 verdict fails, 1 on any error.  Identical (config, seed) reruns produce
 byte-identical CSV/JSON bodies; wall-clock timestamps live only in the
 manifest.
+
+This module owns the result-file formats: the library's result records
+hold plain data, and every CSV and JSON is built here, numbers as %.17g in
+CSV and each record's named attributes in JSON.
 """
 
 import csv
@@ -57,6 +61,19 @@ FINITE_LAPLACE_OPTIONS = ("threshold", "grid_steps")
 MC_LAPLACE_OPTIONS = ("chain_budget", "rungs", "threshold", "ess_floor")
 SINGLE_PARTICLE_OPTIONS = ("threshold",)
 
+# The record attributes each result JSON holds; a field added to a record
+# stays out of its file until it is named here.
+SAMPLE_KEYS = ("kind", "n", "steps", "burn_in_steps", "thin", "seed", "coupling",
+               "acceptance_rate", "proposal_scale", "swap_rates")
+FEKETE_KEYS = ("value", "restarts", "restart_values", "gradient_norm", "iterations",
+               "collisions", "points")
+FEKETE_TABLE_KEYS = ("n_values", "inf_values", "macro_inf", "gaps", "slope",
+                     "final_gap", "threshold", "passed")
+VERDICT_KEYS = ("kind", "n_values", "values", "errors", "limit", "gaps", "slope",
+                "final_gap", "threshold", "passed")
+RATE_KEYS = ("value", "base_value", "constrained_value", "constraint_slack",
+             "iterations", "multiplier")
+
 
 def _csv_text(rows):
     buffer = io.StringIO()
@@ -70,6 +87,14 @@ def _json_text(obj):
     return json.dumps(obj, indent=2, sort_keys=True, ensure_ascii=False) + "\n"
 
 
+def _record_json(record, keys, **extra):
+    """JSON text of the ``keys`` attributes of a result record and of
+    ``extra``, arrays and numpy scalars as their ``tolist()`` values."""
+    values = {key: getattr(record, key) for key in keys} | extra
+    return _json_text({key: value.tolist() if hasattr(value, "tolist") else value
+                       for key, value in values.items()})
+
+
 def _node_table_csv(space, columns):
     """CSV of the grid nodes: their coordinates, then one column per entry of
     ``columns`` (name -> node values), every number as %.17g."""
@@ -78,6 +103,32 @@ def _node_table_csv(space, columns):
     for i in range(space.n_nodes):
         rows.append([f"{column[i]:.17g}" for column in values])
     return _csv_text(rows)
+
+
+def _indexed_csv(header, index, *columns):
+    """CSV with one row per entry of ``index``: the entry, then the values
+    of ``columns`` at it, every number as %.17g."""
+    return _csv_text([header] + [[str(i)] + [f"{x:.17g}" for x in values]
+                                 for i, *values in zip(index, *columns)])
+
+
+def _points_csv(space, points):
+    """CSV of a configuration: atom labels on a finite space, else one row
+    of coordinates per point."""
+    if points.ndim == 1:
+        return _indexed_csv(["index", "atom"], range(len(points)), points)
+    return _indexed_csv(["index"] + _coordinate_names(space), range(len(points)), *points.T)
+
+
+def _fekete_table_csv(table):
+    return _indexed_csv(["n", "inf_n", "inf_macro", "gap"], table.n_values, table.inf_values,
+                        [table.macro_inf] * len(table.n_values), table.gaps)
+
+
+def _verdict_csv(verdict):
+    """CSV of L_n per n with its error bar, 0 for exact values."""
+    errors = verdict.errors if verdict.errors is not None else [0.0] * len(verdict.n_values)
+    return _indexed_csv(["n", "L_n", "error"], verdict.n_values, verdict.values, errors)
 
 
 class _Run:
@@ -171,24 +222,21 @@ def green_check_cmd(config_path):
 
     def body(config, run):
         space = build_run_space(config)
-        options = config.options("green_check", "trials", "tolerance", "order")
+        options = config.options("green_check", "trials", "tolerance")
         trials = options.get("trials", 100)
         tolerance = options.get("tolerance", 1e-6)
         if trials < 1:
             raise ConfigError(f"{config.source}: green_check.trials must be "
                               f"at least 1, got {trials}")
-        model = build_green_model(space, config.section("kernel"),
-                                  options.get("order"))
+        model = build_green_model(space, config.section("kernel"))
         rng = derive_rng(config.seed, "green-check")
         residuals = []
         for _ in range(trials):
             point = space.sample_points(rng, 1)
             coeffs = rng.standard_normal(model.order + 1)
             residuals.append(green_identity_residual(model, coeffs, point))
-        rows = [["trial", "residual"]]
-        for index, residual in enumerate(residuals):
-            rows.append([str(index), f"{residual:.17g}"])
-        run.emit("green_residuals.csv", _csv_text(rows))
+        run.emit("green_residuals.csv", _indexed_csv(["trial", "residual"], range(trials),
+                                                     residuals))
         worst = max(residuals)
         passed = worst < tolerance
         run.emit("green_summary.json", _json_text({
@@ -263,7 +311,9 @@ def sample_cmd(config_path):
                     rows.append([str(index), str(atom)]
                                 + [f"{x:.17g}" for x in point])
         run.emit("samples.csv", _csv_text(rows))
-        run.emit("sample_summary.json", _json_text(result.to_json_dict()))
+        run.emit("sample_summary.json", _record_json(
+            result, SAMPLE_KEYS, n_samples=result.samples.shape[0],
+            mean_energy=float(result.energies.mean()) if result.energies.size else None))
         click.echo(f"{result.samples.shape[0]} samples, acceptance "
                    f"{result.acceptance_rate:.3f}, mean energy "
                    f"{float(result.energies.mean()):.6f}")
@@ -292,8 +342,8 @@ def fekete_cmd(config_path, n_override):
             table = infima_convergence_table(
                 model, n_values, seed=config.seed,
                 **config.options("fekete", *FEKETE_TABLE_OPTIONS))
-            run.emit("fekete_table.csv", _csv_text(table.to_csv_rows()))
-            run.emit("fekete_summary.json", _json_text(table.to_json_dict()))
+            run.emit("fekete_table.csv", _fekete_table_csv(table))
+            run.emit("fekete_summary.json", _record_json(table, FEKETE_TABLE_KEYS))
             click.echo(f"final gap {table.final_gap:.6f} at n="
                        f"{table.n_values[-1]} (threshold {table.threshold:g},"
                        f" slope {table.slope:.2e})")
@@ -308,8 +358,8 @@ def fekete_cmd(config_path, n_override):
             raise ConfigError(f"{config.source}: fekete.n or --n is required")
         result = fekete_minimize(model, n, seed=config.seed,
                                  **config.options("fekete", *FEKETE_OPTIONS))
-        run.emit("fekete_points.csv", _csv_text(result.to_csv_rows()))
-        run.emit("fekete_summary.json", _json_text(result.to_json_dict()))
+        run.emit("fekete_points.csv", _points_csv(model.space, result.points))
+        run.emit("fekete_summary.json", _record_json(result, FEKETE_KEYS))
         click.echo(f"minimum {result.value:.7f} over {result.restarts} "
                    f"restarts")
         return True
@@ -318,8 +368,8 @@ def fekete_cmd(config_path, n_override):
 
 
 def _verdict_outputs(run, verdict, prefix):
-    run.emit(f"{prefix}_values.csv", _csv_text(verdict.to_csv_rows()))
-    run.emit(f"{prefix}_verdict.json", _json_text(verdict.to_json_dict()))
+    run.emit(f"{prefix}_values.csv", _verdict_csv(verdict))
+    run.emit(f"{prefix}_verdict.json", _record_json(verdict, VERDICT_KEYS))
     click.echo(f"final gap {verdict.final_gap:.6f} against limit "
                f"{verdict.limit:.8f} (threshold {verdict.threshold:g}) -> "
                f"{'pass' if verdict.passed else 'fail'}")
@@ -360,14 +410,11 @@ def rate_profile_cmd(config_path):
         constraint = build_constraint(config, model.space)
         profile = rate_function_profile(model, constraint)
         if isinstance(model.space, FiniteSpace):
-            rows = [["atom", "mass"]]
-            for index, mass in enumerate(profile.witness):
-                rows.append([str(index), f"{mass:.17g}"])
-            text = _csv_text(rows)
+            text = _indexed_csv(["atom", "mass"], range(len(profile.witness)), profile.witness)
         else:
             text = _node_table_csv(model.space, {"density": profile.witness.density})
         run.emit("rate_witness.csv", text)
-        run.emit("rate_profile.json", _json_text(profile.to_json_dict()))
+        run.emit("rate_profile.json", _record_json(profile, RATE_KEYS))
         click.echo(f"rate infimum {profile.value:.8f} "
                    f"(base free energy {profile.base_value:.8f})")
         return True

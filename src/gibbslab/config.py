@@ -81,7 +81,7 @@ _SCHEMA = {
             "rungs": int, "ess_floor": float, "grid_steps": int,
             "mode": str, "f": _FUNCTIONAL,
             "constraint": {**_FUNCTIONAL, "level": float}},
-    "green_check": {"trials": int, "tolerance": float, "order": int},
+    "green_check": {"trials": int, "tolerance": float},
 }
 
 # YAML tags each leaf type accepts; a float leaf also takes a string that
@@ -271,18 +271,19 @@ def _distance_kernel(space, expr):
     def pair_fn(sp, a, b):
         return fn(sp.distance(a, b), sp.distance(a, b, chord=True))
 
-    return CallableKernel(pair_fn, singular=False)
+    return CallableKernel(pair_fn)
 
 
-def build_green_model(space, block, order=None):
-    """Green model for the ``charge`` of a kernel block: ``uniform`` (the
-    default) or an expression over the space's coordinates."""
+def build_green_model(space, block):
+    """Green model for the ``charge`` of a kernel block, ``uniform`` (the
+    default) or an expression over the space's coordinates, truncated at the
+    block's ``order`` (the model's default when unset)."""
     charge = block.get("charge", "uniform")
     if charge == "uniform":
         charge = BackgroundCharge.uniform(space)
     else:
         charge = BackgroundCharge.from_expression(space, charge)
-    return GreenModel(space, charge, order=order)
+    return GreenModel(space, charge, order=block.get("order"))
 
 
 def build_kernel(config, space, block=None):
@@ -290,7 +291,7 @@ def build_kernel(config, space, block=None):
         block = config.require("kernel")
     kind = block.get("kind")
     if kind == "green":
-        return GreenKernel(build_green_model(space, block, block.get("order")))
+        return GreenKernel(build_green_model(space, block))
     if kind == "log_chord":
         return LogChordKernel(**_typed(block, _KERNEL, ["scale"]))
     if kind == "constant":

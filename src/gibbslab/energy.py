@@ -61,28 +61,27 @@ __all__ = [
 class BetaSchedule:
     """Inverse-temperature sequence beta_n with its limit."""
 
-    def __init__(self, fn, limit, description):
+    def __init__(self, fn, limit):
         self._fn = fn
         self.limit = limit
-        self.description = description
 
     @classmethod
     def constant(cls, beta):
         beta = float(beta)
         if not beta > 0.0:
             raise EnergyError(f"beta must be positive, got {beta!r}")
-        return cls(lambda n: beta, beta, f"constant({beta!r})")
+        return cls(lambda n: beta, beta)
 
     @classmethod
     def linear(cls, coefficient=1.0):
         coefficient = float(coefficient)
         if not coefficient > 0.0:
             raise EnergyError(f"linear beta coefficient must be positive, got {coefficient!r}")
-        return cls(lambda n: coefficient * n, math.inf, f"linear({coefficient!r})")
+        return cls(lambda n: coefficient * n, math.inf)
 
     @classmethod
     def from_callable(cls, fn, limit):
-        return cls(fn, float(limit), "custom")
+        return cls(fn, float(limit))
 
     def beta_at(self, n):
         return float(self._fn(n))
@@ -97,8 +96,6 @@ class Kernel:
     arrays whose last axis holds the coordinates.  Singular kernels give
     +inf on coinciding points and leave the divide warning to the caller's
     ``np.errstate``."""
-
-    singular = False
 
     def values(self, space, a, b):
         raise EnergyError(f"{type(self).__name__} has no elementwise values")
@@ -141,8 +138,6 @@ def _ball_radius(space):
 class LogChordKernel(Kernel):
     """G(x, y) = -scale * log d(x, y), chord distance where an embedding exists."""
 
-    singular = True
-
     def __init__(self, scale=1.0):
         if not scale > 0.0:
             raise EnergyError(f"log kernel scale must be positive, got {scale!r}")
@@ -167,8 +162,6 @@ class LogChordKernel(Kernel):
 
 class RieszKernel(Kernel):
     """G(x, y) = scale * d(x, y)^(-s), chord distance where an embedding exists."""
-
-    singular = True
 
     def __init__(self, s, scale=1.0):
         if not 0.0 < s:
@@ -221,12 +214,12 @@ class CallableKernel(Kernel):
     point arrays, coordinates on the last axis, to values elementwise.
     Fekete searches descend it on finite-difference gradients whether or
     not it is smooth: a kinked kernel such as pi - d still reaches its
-    minimum."""
+    minimum.  It has no diagonal correction, so its self-pair values at the
+    grid nodes must be finite."""
 
-    def __init__(self, fn, bound=None, singular=False):
+    def __init__(self, fn, bound=None):
         self.fn = fn
         self.bound = bound
-        self.singular = singular
 
     def values(self, space, a, b):
         # a value constant along an axis, or a scalar, fills the whole shape
@@ -234,9 +227,12 @@ class CallableKernel(Kernel):
         return np.full(shape, self.fn(space, a, b), dtype=float)
 
     def diagonal_values(self, space):
-        if self.singular:
-            raise EnergyError("singular callable kernel has no diagonal correction")
-        return self.values(space, space.nodes[:, None], space.nodes[:, None])[:, 0]
+        with np.errstate(divide="ignore"):
+            diagonal = self.values(space, space.nodes[:, None], space.nodes[:, None])[:, 0]
+        if not np.all(np.isfinite(diagonal)):
+            raise EnergyError("callable kernel is not finite on the diagonal, and it "
+                              "has no diagonal correction")
+        return diagonal
 
     def lower_bound(self, space):
         return self.bound
@@ -249,7 +245,6 @@ class TiltedKernel(Kernel):
         self.base = base
         self.v_fn = v_fn
         self.coefficient = float(coefficient)
-        self.singular = base.singular
 
     def values(self, space, a, b):
         # v_fn maps (r, d) point arrays to (r,)
@@ -281,14 +276,12 @@ def kernel_node_matrix(kernel, space):
 class StaticPotential:
     """Fixed one-body potential V, identical at every stage n."""
 
-    def __init__(self, fn, description="potential"):
+    def __init__(self, fn):
         self.fn = fn
-        self.description = description
 
     @classmethod
     def from_expression(cls, space, expr):
-        return cls(compile_point_function(expr, _coordinate_names(space)),
-                   description=expr)
+        return cls(compile_point_function(expr, _coordinate_names(space)))
 
     def stage_values(self, n, points):
         return np.broadcast_to(

@@ -46,11 +46,10 @@ from .energy import (
 )
 from .equilibrium import _equilibrium, _limit_tables, _mirror_descent
 from .errors import CollisionError, EnergyError
-from .measures import FiniteSpace, _fmt, relative_entropy
+from .measures import FiniteSpace, relative_entropy
 from .rng import derive_rng
 from .sampler import _continuous_deltas, _GreenCache
 from .simplex import class_table, simplex_minimize
-from .spaces import _coordinate_names
 
 __all__ = [
     "MeasureFunctional",
@@ -118,7 +117,7 @@ def _fold_functional(model, f):
     raises EnergyError."""
     if not isinstance(f, IntegralFunctional):
         raise EnergyError("continuous spaces support integral functionals only")
-    tilt = StaticPotential(f.point_values, description="tilt")
+    tilt = StaticPotential(f.point_values)
     return EnergyModel(model.space, model.kernel, model.beta,
                        potentials=[*model.potentials, tilt])
 
@@ -159,29 +158,6 @@ class FeketeResult:
     iterations: int
     collisions: int = 0
     trace: np.ndarray | None = None
-    space: object = field(default=None, repr=False)
-
-    def to_csv_rows(self):
-        if self.points.ndim == 1:
-            header = ["index", "atom"]
-            rows = [[str(i), str(int(a))] for i, a in enumerate(self.points)]
-        else:
-            names = (_coordinate_names(self.space) if self.space is not None
-                     else [f"coord{i}" for i in range(self.points.shape[1])])
-            header = ["index"] + names
-            rows = [[str(i)] + [_fmt(c) for c in p] for i, p in enumerate(self.points)]
-        return [header] + rows
-
-    def to_json_dict(self):
-        return {
-            "value": self.value,
-            "restarts": self.restarts,
-            "restart_values": [float(v) for v in self.restart_values],
-            "gradient_norm": self.gradient_norm,
-            "iterations": self.iterations,
-            "collisions": self.collisions,
-            "points": self.points.tolist(),
-        }
 
 
 # -- geometry helpers ----------------------------------------------------------------
@@ -393,7 +369,6 @@ def _finite_fekete(model, n, f):
         restart_values=np.array([value]),
         gradient_norm=None,
         iterations=len(values),
-        space=model.space,
     )
 
 
@@ -464,7 +439,6 @@ def fekete_minimize(model, n, f=None, restarts=8, seed=0, max_iters=2000,
         iterations=iter_counts[best],
         collisions=collisions,
         trace=np.asarray(traces[best]),
-        space=model.space,
     )
 
 
@@ -547,24 +521,6 @@ class InfimaTable:
     passed: bool
     results: list
     witness: object = field(default=None, repr=False)
-
-    def to_csv_rows(self):
-        rows = [["n", "inf_n", "inf_macro", "gap"]]
-        for n, v, g in zip(self.n_values, self.inf_values, self.gaps):
-            rows.append([str(n), _fmt(v), _fmt(self.macro_inf), _fmt(g)])
-        return rows
-
-    def to_json_dict(self):
-        return {
-            "n_values": [int(n) for n in self.n_values],
-            "inf_values": [float(v) for v in self.inf_values],
-            "macro_inf": self.macro_inf,
-            "gaps": [float(g) for g in self.gaps],
-            "slope": self.slope,
-            "final_gap": self.final_gap,
-            "threshold": self.threshold,
-            "passed": self.passed,
-        }
 
 
 def infima_convergence_table(model, n_values, f=None, threshold=0.05,

@@ -36,7 +36,7 @@ from .energy import EnergyModel, FiniteEnergyModel, w_n
 from .equilibrium import _limit_tables, _mirror_descent, _objective
 from .errors import EnergyError, InfeasibleConstraintError
 from .fekete import _fold_functional, _limit_infimum, _particle_counts
-from .measures import FiniteSpace, GridMeasure, _fmt
+from .measures import FiniteSpace, GridMeasure
 from .rng import derive_rng
 from .sampler import mcmc_run
 # bench/check_bench.py checks that its span recorder rebinds ldp.simplex_minimize
@@ -55,6 +55,8 @@ __all__ = [
 
 PARTICLE_CAP = 64  # manifold Monte Carlo refuses beyond this particle count
 _DOUBLING_CAP = 60  # a rate profile's multiplier bracket grows to at most 2**60
+_PROFILE_MAX_ITERS = 3000  # gap evaluations per rate-profile descent
+_PROFILE_TOL = 1e-10  # a rate-profile descent's gap and move tolerance
 _TOL_FLOOR = 2.0 * np.finfo(float).eps  # the smallest tilted-descent tolerance
 
 
@@ -76,27 +78,6 @@ class LaplaceVerdict:
     threshold: float
     passed: bool
     witness: object = field(default=None, repr=False)
-
-    def to_csv_rows(self):
-        rows = [["n", "L_n", "error"]]
-        errs = self.errors if self.errors is not None else np.zeros(len(self.n_values))
-        for n, v, e in zip(self.n_values, self.values, errs):
-            rows.append([str(n), _fmt(v), _fmt(e)])
-        return rows
-
-    def to_json_dict(self):
-        return {
-            "kind": self.kind,
-            "n_values": [int(n) for n in self.n_values],
-            "values": [float(v) for v in self.values],
-            "errors": None if self.errors is None else [float(e) for e in self.errors],
-            "limit": self.limit,
-            "gaps": [float(g) for g in self.gaps],
-            "slope": self.slope,
-            "final_gap": self.final_gap,
-            "threshold": self.threshold,
-            "passed": self.passed,
-        }
 
 
 def _verdict(kind, n_values, values, errors, limit, threshold, witness=None):
@@ -303,18 +284,8 @@ class RateProfile:
     iterations: int
     multiplier: float | None = 0.0
 
-    def to_json_dict(self):
-        return {
-            "value": self.value,
-            "base_value": self.base_value,
-            "constrained_value": self.constrained_value,
-            "constraint_slack": self.constraint_slack,
-            "iterations": self.iterations,
-            "multiplier": self.multiplier,
-        }
 
-
-def rate_function_profile(model, descriptor=None, max_iters=3000, tol=1e-10):
+def rate_function_profile(model, descriptor=None):
     """Infimum of the rate function I = F - inf F over a half-space
     {mu : g.mu >= c}.
 
@@ -337,9 +308,10 @@ def rate_function_profile(model, descriptor=None, max_iters=3000, tol=1e-10):
         raise EnergyError(f"limit temperature must be positive, got {beta!r}")
     iterations = 0
 
-    def descend(matrix, v, ref, init, tol=tol):
+    def descend(matrix, v, ref, init, tol=_PROFILE_TOL):
         nonlocal iterations
-        descent = _mirror_descent(matrix, v, ref, beta, init, max_iters=max_iters, tol=tol)
+        descent = _mirror_descent(matrix, v, ref, beta, init, max_iters=_PROFILE_MAX_ITERS,
+                                  tol=tol)
         iterations += descent.iterations
         return descent.masses
 
@@ -380,7 +352,7 @@ def rate_function_profile(model, descriptor=None, max_iters=3000, tol=1e-10):
     off_face = min(1.0, (g_max - c) / (g_max - float(g.min())))
 
     def tilted(lam, init):
-        scaled = tol * off_face / (1.0 + lam * float(np.abs(g).max()))
+        scaled = _PROFILE_TOL * off_face / (1.0 + lam * float(np.abs(g).max()))
         return descend(matrix, v - lam * g, ref, init, max(scaled, _TOL_FLOOR))
 
     lo, lam, masses = 0.0, 1.0, base

@@ -89,10 +89,6 @@ class FiniteSpace:
         return self.probs.shape[0]
 
 
-def _fmt(value):
-    return format(float(value), ".17g")
-
-
 def _xlogx(x):
     return x * np.log(np.where(x > 0.0, x, 1.0))
 

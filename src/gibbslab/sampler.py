@@ -132,22 +132,6 @@ class SampleResult:
         """Atom counts of one stored finite-space sample."""
         return np.bincount(self.samples[index], minlength=n_atoms)
 
-    def to_json_dict(self):
-        return {
-            "kind": self.kind,
-            "n": self.n,
-            "steps": self.steps,
-            "burn_in_steps": self.burn_in_steps,
-            "thin": self.thin,
-            "seed": self.seed,
-            "coupling": self.coupling,
-            "acceptance_rate": self.acceptance_rate,
-            "proposal_scale": self.proposal_scale,
-            "n_samples": int(self.samples.shape[0]),
-            "mean_energy": float(self.energies.mean()) if self.energies.size else None,
-            "swap_rates": self.swap_rates,
-        }
-
 
 # -- proposals -----------------------------------------------------------------
 

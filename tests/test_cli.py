@@ -7,6 +7,7 @@ import os
 import re
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import pytest
@@ -435,6 +436,32 @@ def test_modules_import_no_unused_names():
     assert not {name: found for name, found in unused.items() if found}
 
 
+def unread_attribute_stores(package, readers):
+    """Every ``self.<name> = ...`` store in the modules of ``package``, as
+    "name (module line n)", whose name no module under ``readers`` loads as
+    an attribute or spells as a string constant (which covers ``getattr``
+    by name, as the CLI's record key tuples do)."""
+    stores, read = [], set()
+    for path in sorted(package.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if (isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Store)
+                    and isinstance(node.value, ast.Name) and node.value.id == "self"):
+                stores.append((node.attr, f"{path.name} line {node.lineno}"))
+    for folder in readers:
+        for path in sorted(folder.glob("*.py")):
+            for node in ast.walk(ast.parse(path.read_text())):
+                if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                    read.add(node.attr)
+                elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+                    read.add(node.value)
+    return [f"{name} ({where})" for name, where in sorted(stores) if name not in read]
+
+
+def test_no_attribute_is_stored_and_never_read():
+    package = Path(gibbslab.__file__).resolve().parent
+    assert unread_attribute_stores(package, [package, REPO / "bench", REPO / "tests"]) == []
+
+
 SINGLE_PARTICLE_TEXT = """
 seed: 4
 output_dir: {out}
@@ -613,3 +640,127 @@ def test_shipped_configs_reproduce_runs(tmp_path, runner, monkeypatch):
         _, mismatch, errors = filecmp.cmpfiles(committed, tmp_path / name,
                                                files, shallow=False)
         assert mismatch == [] and errors == [], (name, mismatch, errors)
+
+
+PROBE_FINITE = """
+seed: 13
+output_dir: {out}
+finite:
+  probs: [0.4, 0.3, 0.3]
+  pair_matrix:
+    - [0.0, 1.0, -0.5]
+    - [1.0, 0.2, 0.3]
+    - [-0.5, 0.3, 0.0]
+beta:
+  kind: constant
+  value: 2.0
+"""
+
+PROBE_CIRCLE = """
+seed: 13
+output_dir: {out}
+space:
+  kind: circle
+  resolution: 64
+kernel:
+  kind: log_chord
+beta:
+  kind: constant
+  value: 2.0
+"""
+
+# Command and config pairs that reach each result-file writer, with the
+# sha256 of every CSV and JSON they write.  The files must not change when
+# the code that formats them does.
+RESULT_FILE_PROBES = [
+    ("finite-sample", ["sample"],
+     PROBE_FINITE + "sampler:\n  n: 6\n  steps: 2000\n  thin: 20\n", {
+         "sample_summary.json": "1b70537e18acddbc72ff3c7f9cb7fbe67193570e552131595227e818e61cddb2",
+         "samples.csv": "9a632c640eb810994bcf69825812f6b5840b392181c4b3fb0daa57a12461b493"}),
+    ("finite-fekete", ["fekete", "--n", "5"], PROBE_FINITE, {
+        "fekete_points.csv": "126352edc7f79e0b45fb8d2b4eb7b3952a2b0a1a9b03fe66388002ba117cd151",
+        "fekete_summary.json": "c4d115138e50b7ebb153252bb205141de5a3eec0fea2cc526c54f2c372c1408d"}),
+    ("finite-rate", ["rate-profile"],
+     PROBE_FINITE + "ldp:\n  constraint:\n    vector: [1.0, 0.0, 0.0]\n    level: 0.7\n", {
+         "rate_profile.json": "232b58b898a0455f38d556179f44b7495594674d6e9cc375e040933dee7a8194",
+         "rate_witness.csv": "1e1a1965e9ede814b2fa9c0182cdb67150a53cc52abe7a2268e7e1c00efd9ed1"}),
+    ("finite-laplace", ["laplace-verify"],
+     PROBE_FINITE + "ldp:\n  n_values: [2, 4, 6]\n  f:\n    vector: [0.5, 0.0, -0.5]\n", {
+         "laplace_values.csv": "94db6d1d1d5d7a58262679c61ea6c85ee44809138178b976f8abf276b026a566",
+         "laplace_verdict.json": "4403fa0afe6e5c12fb29d41f173101fd375d76a827293c3621f1dba5531716d3"}),
+    ("circle-sample", ["sample"],
+     PROBE_CIRCLE + "sampler:\n  n: 6\n  steps: 600\n  thin: 20\n  ladder: [0.5, 1.0]\n"
+     "  swap_every: 10\n", {
+         "sample_summary.json": "9870e0beb27ab64314288b77e95173e8a03865eaf14adf2966dd4d13d1988696",
+         "samples.csv": "951485ae118ce6362d794bc9f86fa7ceada5eddca81f011f4104ea2be9a2aa46"}),
+    ("circle-fekete", ["fekete", "--n", "4"], PROBE_CIRCLE + "fekete:\n  restarts: 2\n", {
+        "fekete_points.csv": "3361cd1a38a4de061d185abe44b519e601937409dda7d16e18d70120968df58d",
+        "fekete_summary.json": "c226026cc9fc9d6d53cdb40a9baa0ade22dd4e6736c38729b811fe2c66a0d062"}),
+    ("circle-rate", ["rate-profile"],
+     PROBE_CIRCLE + "ldp:\n  constraint:\n    expr: cos(theta)\n    level: 0.3\n", {
+         "rate_profile.json": "172018ecde69bbea0330747473ff37c8c7dc33aec1484f37d6bdd4392791ee31",
+         "rate_witness.csv": "c8fc69d9aa17486371d3aaa70d331ab8ddf876c78142770f924787bbe05be75d"}),
+    ("circle-laplace", ["laplace-verify"],
+     PROBE_CIRCLE + "ldp:\n  n_values: [2, 4]\n  chain_budget: 400\n  rungs: 2\n"
+     "  ess_floor: 1.0\n  f:\n    expr: cos(theta)\n", {
+         "laplace_values.csv": "00e93d69f31f72060d7a3343e1cccb9fb38ec98ba18473109610683f246e9c6b",
+         "laplace_verdict.json": "b6310805f6455ad8414c3bbf64cbba6b761bbf0119aaf77282f2d542af027e66"}),
+    ("conditional", ["conditional"], SINGLE_PARTICLE_TEXT.replace("resolution: 128", "resolution: 64"), {
+        "conditional_values.csv": "03811da42327512eb15ee5b11b5301e7afbcc1812b9562827a0f2947b5215257",
+        "conditional_verdict.json": "d2239dd7f7029f9b0879e834edf638edd987d4caee2ef577cae26260136152df"}),
+]
+
+
+@pytest.mark.parametrize("args, template, hashes",
+                         [probe[1:] for probe in RESULT_FILE_PROBES],
+                         ids=[probe[0] for probe in RESULT_FILE_PROBES])
+def test_result_files_keep_their_bytes(tmp_path, runner, args, template, hashes):
+    config, out = write_config(tmp_path, template)
+    result = runner.invoke(main, [args[0], "--config", config, *args[1:]])
+    assert result.exit_code == 0, result.output
+    written = {name: hashlib.sha256(read_bytes(out, name)).hexdigest()
+               for name in os.listdir(out) if name != "manifest.json"}
+    assert written == hashes
+
+
+GREEN_ORDER_TEXT = """
+seed: 7
+output_dir: {out}
+space:
+  kind: torus
+  resolution: 16
+  basis_order: 4
+kernel:
+  kind: green
+  order: 6
+green_check:
+  trials: 5
+"""
+
+
+def test_green_check_reads_the_kernel_order(tmp_path, runner):
+    # kernel.order is the one truncation key, for green-check as for every
+    # command that builds a Green kernel
+    config, out = write_config(tmp_path, GREEN_ORDER_TEXT)
+    result = runner.invoke(main, ["green-check", "--config", config])
+    assert result.exit_code == 0, result.output
+    assert json.loads(read_bytes(out, "green_summary.json"))["order"] == 6
+    text = GREEN_ORDER_TEXT.replace("  order: 6\n", "").replace("trials: 5", "trials: 5\n  order: 6")
+    config, _ = write_config(tmp_path, text)
+    result = runner.invoke(main, ["green-check", "--config", config])
+    assert result.exit_code == 1
+    assert "unknown key 'order' in section 'green_check'" in result.output
+
+
+@pytest.mark.parametrize("args", [["equilibrium"], ["fekete"]])
+def test_kernel_infinite_on_the_diagonal_is_refused(tmp_path, runner, args):
+    # -log of the chord is +inf at coinciding points; the node table cannot
+    # hold it, so the run stops there with one error line and no warning
+    text = PROBE_CIRCLE.replace("kind: log_chord", "kind: expression\n  expr: -log(c)")
+    config, _ = write_config(tmp_path, text + "fekete:\n  n_values: [4, 8]\n")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        result = runner.invoke(main, [args[0], "--config", config])
+    assert result.exit_code == 1
+    lines = result.output.strip().splitlines()
+    assert len(lines) == 1 and "not finite on the diagonal" in lines[0], result.output

@@ -171,9 +171,11 @@ def test_diagonal_corrections(circle_space):
     assert_allclose(rz, 2.0 * (math.pi / n) ** -0.5, rtol=1e-14)
     with pytest.raises(EnergyError):
         RieszKernel(1.0).diagonal_values(circle_space)
-    with pytest.raises(EnergyError):
-        CallableKernel(lambda sp, a, b: a[..., 0] * b[..., 0],
-                       singular=True).diagonal_values(circle_space)
+    # -log of the chord is +inf on the diagonal, and a callable kernel has no
+    # correction for it
+    log_chord = CallableKernel(lambda sp, a, b: -np.log(sp.distance(a, b, chord=True)))
+    with pytest.raises(EnergyError, match="not finite on the diagonal"):
+        log_chord.diagonal_values(circle_space)
 
 
 def test_node_matrix_symmetry(circle_space):

@@ -28,7 +28,6 @@ from gibbslab.equilibrium import (
     minimize_free_energy,
 )
 from gibbslab.errors import EnergyError, MeasureError, StepSizeFailureError
-from gibbslab.ldp import rate_function_profile
 from gibbslab.measures import FiniteSpace, GridMeasure, relative_entropy
 from gibbslab.spaces import BackgroundCharge, GreenModel, GreenOperator, build_space
 
@@ -248,14 +247,11 @@ def test_minimize_refuses_bad_step_and_tol(circle_space, keyword, value, message
 
 @pytest.mark.parametrize("max_iters", [0, -5])
 def test_descent_refuses_max_iters_below_one(circle_space, max_iters):
-    # both callers of the one descent engine: 0 and -5 used to return
-    # "max_iterations" after no iteration at all
+    # 0 and -5 used to return "max_iterations" after no iteration at all
     model = EnergyModel(circle_space, LogChordKernel(), BetaSchedule.constant(1.0))
     message = f"max_iters must be >= 1, got {max_iters}"
     with pytest.raises(EnergyError, match=message):
         minimize_free_energy(model, max_iters=max_iters)
-    with pytest.raises(EnergyError, match=message):
-        rate_function_profile(model, max_iters=max_iters)
 
 
 def test_grid_only_jobs_refuse_a_finite_model(torus_space):
@@ -274,10 +270,17 @@ def test_grid_only_jobs_refuse_a_finite_model(torus_space):
 
 
 def test_nonfinite_gradient_raises(torus_space):
+    # NaN off the diagonal reaches the descent; a NaN diagonal is refused
+    # when the node table is built
+    nan_kernel = CallableKernel(
+        lambda sp, a, b: np.where(np.all(a == b, axis=-1), 0.0, np.nan))
+    model = EnergyModel(torus_space, nan_kernel, BetaSchedule.constant(1.0))
+    with pytest.raises(StepSizeFailureError):
+        minimize_free_energy(model, max_iters=10)
     nan_kernel = CallableKernel(
         lambda sp, a, b: np.full((a.shape[0], b.shape[1]), np.nan))
     model = EnergyModel(torus_space, nan_kernel, BetaSchedule.constant(1.0))
-    with pytest.raises(StepSizeFailureError):
+    with pytest.raises(EnergyError, match="not finite on the diagonal"):
         minimize_free_energy(model, max_iters=10)
 
 

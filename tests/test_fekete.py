@@ -1,13 +1,14 @@
 """Configuration optimizers against closed-form minimal energies."""
 
 import itertools
+import json
 import math
 
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
-from gibbslab import energy, fekete
+from gibbslab import cli, energy, fekete
 from gibbslab.energy import (
     BetaSchedule,
     CallableKernel,
@@ -438,20 +439,21 @@ def test_vector_functional_needs_a_finite_space(log_gas):
 
 
 def test_exports(circle_table, log_gas):
-    rows = circle_table.to_csv_rows()
+    # the files `gibbslab fekete` writes for a table and for one n
+    rows = [line.split(",") for line in cli._fekete_table_csv(circle_table).splitlines()]
     assert rows[0] == ["n", "inf_n", "inf_macro", "gap"]
     assert len(rows) == len(circle_table.n_values) + 1
-    payload = circle_table.to_json_dict()
+    payload = json.loads(cli._record_json(circle_table, cli.FEKETE_TABLE_KEYS))
     assert payload["passed"] is True
     result = fekete_minimize(log_gas, 4, restarts=2, seed=8)
-    prows = result.to_csv_rows()
-    assert prows[0] == ["index", "theta"]
+    prows = cli._points_csv(log_gas.space, result.points).splitlines()
+    assert prows[0] == "index,theta"
     assert len(prows) == 5
-    finite = fekete_minimize(
-        FiniteEnergyModel(FiniteSpace([0.5, 0.5]), BetaSchedule.constant(1.0),
-                          pair_matrix=np.eye(2)), 3)
-    assert finite.to_csv_rows()[0] == ["index", "atom"]
-    assert "points" in finite.to_json_dict()
+    model = FiniteEnergyModel(FiniteSpace([0.5, 0.5]), BetaSchedule.constant(1.0),
+                              pair_matrix=np.eye(2))
+    finite = fekete_minimize(model, 3)
+    assert cli._points_csv(model.space, finite.points).splitlines()[0] == "index,atom"
+    assert "points" in json.loads(cli._record_json(finite, cli.FEKETE_KEYS))
 
 
 # -- closest pairs ---------------------------------------------------------------

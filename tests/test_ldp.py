@@ -1,4 +1,5 @@
 import itertools
+import json
 import math
 import warnings
 from pathlib import Path
@@ -9,7 +10,7 @@ from numpy.testing import assert_allclose
 from scipy.optimize import brentq, minimize_scalar
 from scipy.special import iv
 
-from gibbslab import fekete, ldp
+from gibbslab import cli, fekete, ldp
 from gibbslab.config import RunConfig, build_finite_model, build_functional
 from gibbslab.energy import (
     BetaSchedule,
@@ -260,12 +261,13 @@ def test_verdict_export_round_trip():
     model = FiniteEnergyModel(space, BetaSchedule.constant(1.0),
                               pair_matrix=np.array([[0.0, 1.0], [1.0, 0.0]]))
     verdict = laplace_verify_finite(space, model, None, [2, 4, 8])
-    rows = verdict.to_csv_rows()
+    # the files `gibbslab laplace-verify` writes
+    rows = [line.split(",") for line in cli._verdict_csv(verdict).splitlines()]
     assert rows[0] == ["n", "L_n", "error"]
     assert len(rows) == 4
     parsed = [float(row[1]) for row in rows[1:]]
     assert_allclose(parsed, verdict.values, rtol=1e-12)
-    blob = verdict.to_json_dict()
+    blob = json.loads(cli._record_json(verdict, cli.VERDICT_KEYS))
     assert blob["kind"] == "finite-enumeration"
     assert blob["n_values"] == [2, 4, 8]
     assert blob["errors"] is None
@@ -378,7 +380,7 @@ def test_profile_without_constraint_is_zero(three_atom_model):
     assert_allclose(profile.witness.sum(), 1.0, atol=1e-12)
     _, tau = simplex_minimize(_three_atom_free_energy, 3, steps=600)
     assert_allclose(profile.witness, tau, atol=1e-4)
-    blob = profile.to_json_dict()
+    blob = json.loads(cli._record_json(profile, cli.RATE_KEYS))
     assert set(blob) == {"value", "base_value", "constrained_value",
                          "constraint_slack", "iterations", "multiplier"}
     assert profile.multiplier == 0.0
@@ -420,7 +422,7 @@ def test_profile_multiplier_is_the_slope_in_the_level(three_atom_model):
     up, down = (rate_function_profile(three_atom_model, HalfSpace(g, c)).value
                 for c in (level + h, level - h))
     assert_allclose(profile.multiplier, (up - down) / (2.0 * h), atol=1e-6)
-    assert profile.to_json_dict()["multiplier"] == profile.multiplier
+    assert json.loads(cli._record_json(profile, cli.RATE_KEYS))["multiplier"] == profile.multiplier
 
 
 def _tilted_fixed_point(model, g, lam):
@@ -718,8 +720,7 @@ def test_environment_route_matches_static_potential_route(circle_space):
     # (cos(x) + cos(x - 1))/2.  Both Monte Carlo estimates and both limits
     # must agree.
     beta = BetaSchedule.constant(2.0)
-    pair = CallableKernel(
-        lambda sp, a, b: np.cos(sp_geodesic(a, b)), singular=False)
+    pair = CallableKernel(lambda sp, a, b: np.cos(sp_geodesic(a, b)))
 
     def sp_geodesic(a, b):
         delta = np.abs(a[..., 0] - b[..., 0]) % (2.0 * math.pi)

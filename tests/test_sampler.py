@@ -1,6 +1,7 @@
 """Metropolis chains against exact enumerations and closed-form marginals."""
 
 import hashlib
+import json
 import math
 import warnings
 
@@ -11,7 +12,7 @@ from hypothesis import strategies as st
 from scipy.integrate import quad
 from scipy.stats import chi2 as chi2_dist
 
-from gibbslab import sampler
+from gibbslab import cli, sampler
 from gibbslab.energy import (
     BetaSchedule,
     CallableKernel,
@@ -680,5 +681,5 @@ def test_result_accessors(four_atom_model):
     finite = mcmc_run(four_atom_model, 5, steps=2000, seed=6)
     counts = finite.counts(4, 0)
     assert counts.sum() == 5
-    payload = finite.to_json_dict()
+    payload = json.loads(cli._record_json(finite, cli.SAMPLE_KEYS))  # sample_summary.json
     assert payload["kind"] == "finite" and payload["n"] == 5

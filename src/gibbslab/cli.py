@@ -431,7 +431,8 @@ def conditional_cmd(config_path):
         n_values = _n_values(config)
         block = config.section("ldp")
         mode = block.get("mode", "environment")
-        model = build_model(config, environment=True)
+        config.require("environment")
+        model = build_model(config)
         if mode == "environment":
             f = build_functional(config, block.get("f"), model.space)
             verdict = laplace_estimate_mc(

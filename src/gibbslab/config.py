@@ -354,6 +354,10 @@ def build_environment(config, space):
 
 
 def build_finite_model(config):
+    extra = [key for key in ("space", "kernel", "potentials", "environment") if key in config.data]
+    if extra:
+        raise ConfigError(f"{config.source}: a finite model takes no "
+                          f"{' or '.join(map(repr, extra))} section")
     space = build_finite_space(config)
     matrix = config.options("finite", "pair_matrix").get("pair_matrix")
     if matrix is None:
@@ -362,12 +366,13 @@ def build_finite_model(config):
                              pair_matrix=np.asarray(matrix, dtype=float))
 
 
-def build_model(config, environment=False):
-    """Continuous-space energy model assembled from the config sections."""
+def build_model(config):
+    """Continuous-space energy model assembled from the config sections; an
+    ``environment`` section adds its potential after the ``potentials``."""
     space = build_run_space(config)
     kernel = build_kernel(config, space)
     potentials = build_potentials(config, space)
-    if environment:
+    if "environment" in config.data:
         potentials.append(build_environment(config, space))
     return EnergyModel(space, kernel, build_beta(config),
                        potentials=potentials)

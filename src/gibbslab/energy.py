@@ -6,8 +6,10 @@ kernel G plus one-body potentials V is
     w_n(x) = n^{-2} * sum over pairs i < j G(x_i, x_j)
              + n^{-1} * sum_i V_n(x_i).
 
-Its pair sum reads the n(n-1)/2 pairs i < j only, evaluated elementwise by
-``Kernel.values`` (the Green kernel excepted) without an n x n table.
+Each kernel owns the pair sums of a configuration (``Kernel.pairs``): they
+read the n(n-1)/2 pairs i < j only, elementwise by ``Kernel.values``
+without an n x n table (the Green kernel excepted: ``_GreenPairs``), and
+score the single-particle moves of the sampler and the Fekete polish.
 
 The macroscopic energy of a density mu is
 
@@ -106,6 +108,10 @@ class Kernel:
         with np.errstate(divide="ignore"):
             return self.values(space, a, b)
 
+    def pairs(self, space, points):
+        """Pair sums of the configuration ``points``; accepted moves write it."""
+        return _DensePairs(self, space, points)
+
     def diagonal_values(self, space):
         """Corrected self-pair values at the grid nodes (singular kernels)."""
         raise EnergyError(f"{type(self).__name__} has no diagonal correction")
@@ -196,6 +202,9 @@ class GreenKernel(Kernel):
     def pairwise(self, space, x, y):
         return self._model_on(space).pairwise(x, y)
 
+    def pairs(self, space, points):
+        return _GreenPairs(self._model_on(space), points)
+
     def _model_on(self, space):
         """The Green model, which must live on ``space``."""
         if space is not self.model.space:
@@ -204,9 +213,6 @@ class GreenKernel(Kernel):
 
     def diagonal_values(self, space):
         return self.model.node_diagonal()
-
-    def lower_bound(self, space):
-        return self.model.lower_bound()
 
 
 class CallableKernel(Kernel):
@@ -261,6 +267,96 @@ class TiltedKernel(Kernel):
         v = self.v_fn(space.nodes)
         extreme = v.min() if self.coefficient >= 0 else v.max()
         return base + 2.0 * self.coefficient * float(extreme)
+
+
+# -- pair sums of one configuration ----------------------------------------------
+
+
+@functools.lru_cache(maxsize=64)
+def _upper_triangle(n):
+    """Read-only index pair of the strict upper triangle of an n x n table."""
+    rows, cols = np.triu_indices(n, k=1)
+    rows.flags.writeable = False
+    cols.flags.writeable = False
+    return rows, cols
+
+
+class _DensePairs:
+    """Pair sums of a configuration under elementwise ``values``.  Callers of
+    ``changes`` and ``against`` hold ``np.errstate(divide="ignore", invalid="ignore")``."""
+
+    def __init__(self, kernel, space, points):
+        self.kernel = kernel
+        self.space = space
+        self.points = points
+
+    def values(self):
+        """Kernel values on the pairs i < j in row-major order."""
+        rows, cols = _upper_triangle(self.points.shape[0])
+        with np.errstate(divide="ignore"):
+            return self.kernel.values(self.space, self.points[rows], self.points[cols])
+
+    def changes(self, i, rows):
+        """n^2 times the internal energy change of moving particle i to each
+        of ``rows[:-1]`` (``rows[-1]`` is particle i), from one table."""
+        self.drawn = rows
+        table = self.kernel.values(self.space, rows[:, None], self.points[None])
+        table[:, i] = 0.0
+        # np.add.reduce, a 1-element slice and a float divisor skip numpy's
+        # slower paths for .sum, numpy scalars and int operands (the same bits)
+        sums = np.add.reduce(table, 1)
+        return sums[:-1] - sums[-1:]
+
+    def accept(self, i, k):
+        """Move particle i to row k of the last ``changes``."""
+        self.points[i] = self.drawn[k]
+
+    def against(self, points):
+        """The kernel table between ``points`` and the configuration."""
+        return self.kernel.pairwise(self.space, points, self.points)
+
+
+class _GreenPairs:
+    """Pair sums of a configuration under a Green model.  G(x, y) =
+    b~(x).b~(y) - phi(x) - phi(y) + c has phi = q.b~, b~ the scaled basis
+    row and q the charge coefficients over sqrt(lambda).  With the rows
+    b~(x_j) and the field S - (n-1) q kept, S their sum, moving particle i
+    to the rows of P changes n^2 times the internal energy by
+    (B~(P) - b~(x_i)).(S - (n-1) q - b~(x_i)), exactly 0 at p = x_i: the
+    basis is evaluated elementwise, so a kept row has a fresh one's bits.
+    One evaluation (``GreenModel.features``) gives the rows and ``values``,
+    ``w_n``'s bits; on accept row i is replaced, S summed afresh, and the
+    features dropped, so that later reads evaluate them."""
+
+    def __init__(self, green, points):
+        self.green = green
+        self.points = points
+        self.features = green.features(points)
+        self.rows = self.features[0]
+        self.shift = (points.shape[0] - 1) * (green.charge_coeffs * green._inv_sqrt_eigs)
+        self.field = self.rows.sum(axis=0) - self.shift
+
+    def values(self):
+        rows, cols = _upper_triangle(self.points.shape[0])
+        features = self.features or self.green.features(self.points)
+        return self.green._feature_table(features, features)[rows, cols]
+
+    def changes(self, i, rows):
+        green, old = self.green, self.rows[i]
+        self.drawn = rows
+        basis = green.space.evaluate_basis(rows[:-1])
+        self.scaled = basis[:, 1 : green.order + 1] * green._inv_sqrt_eigs
+        return (self.scaled - old) @ (self.field - old)
+
+    def accept(self, i, k):
+        self.points[i] = self.drawn[k]
+        self.rows[i] = self.scaled[k]
+        self.field = self.rows.sum(axis=0) - self.shift
+        self.features = None
+
+    def against(self, points):
+        features = self.features or self.green.features(self.points)
+        return self.green._feature_table(self.green.features(points), features)
 
 
 def kernel_node_matrix(kernel, space):
@@ -380,42 +476,21 @@ def _sorted_sum(values):
     return float(np.sort(flat).sum())
 
 
-@functools.lru_cache(maxsize=64)
-def _upper_triangle(n):
-    """Read-only index pair of the strict upper triangle of an n x n table."""
-    rows, cols = np.triu_indices(n, k=1)
-    rows.flags.writeable = False
-    cols.flags.writeable = False
-    return rows, cols
-
-
-def _internal_pair_values(model, config, features=None):
-    """Kernel values on the pairs i < j in row-major order: elementwise, or
-    for the Green kernel entries of its matrix-product table, built from
-    ``features`` (``GreenModel.features(config)``) when they are given."""
-    kernel, space = model.kernel, model.space
-    rows, cols = _upper_triangle(config.shape[0])
-    if isinstance(kernel, GreenKernel):
-        if features is None:
-            return kernel.pairwise(space, config, config)[rows, cols]
-        return kernel.model._feature_table(features, features)[rows, cols]
-    with np.errstate(divide="ignore"):
-        return kernel.values(space, config[rows], config[cols])
-
-
 def w_n_report(model, config):
     """Microscopic energy with its internal/external decomposition."""
     return _w_n_report(model, config)
 
 
-def _w_n_report(model, config, features=None):
-    """``w_n_report``; a Green model's pair table comes from ``features``
-    of the configuration when the caller holds them."""
+def _w_n_report(model, config, pairs=None):
+    """``w_n_report``, reading the pair values from ``pairs`` of the
+    configuration when the caller holds them."""
     config = model.space._as_points(config)
     n = config.shape[0]
     if n < 1:
         raise EnergyError("configuration must hold at least one point")
-    pair_values = _internal_pair_values(model, config, features)
+    if pairs is None:
+        pairs = model.kernel.pairs(model.space, config)
+    pair_values = pairs.values()
     internal = _sorted_sum(pair_values) / float(n) ** 2
     external = _sorted_sum(model.potential_stage_values(n, config)) / n
     value = internal + external
@@ -465,8 +540,7 @@ def confining_bound_check(model, config, inside_fn, kernel_floor, energy_bound=N
     inside = np.asarray(inside_fn(config), dtype=bool)
     outside = ~inside
     if outside.sum() >= 2:
-        probe = EnergyModel(model.space, model.kernel, model.beta)
-        values = _internal_pair_values(probe, config[outside])
+        values = model.kernel.pairs(model.space, config[outside]).values()
         if values.min() < kernel_floor - 1e-12:
             raise EnergyError(
                 f"kernel drops to {values.min()!r} < floor {kernel_floor!r} outside the set"

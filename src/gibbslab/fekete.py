@@ -38,7 +38,6 @@ import numpy as np
 from .energy import (
     EnergyModel,
     FiniteEnergyModel,
-    GreenKernel,
     LogChordKernel,
     StaticPotential,
     _upper_triangle,
@@ -48,7 +47,7 @@ from .equilibrium import _equilibrium, _limit_tables, _mirror_descent
 from .errors import CollisionError, EnergyError
 from .measures import FiniteSpace, relative_entropy
 from .rng import derive_rng
-from .sampler import _continuous_deltas, _GreenCache
+from .sampler import _continuous_deltas
 from .simplex import class_table, simplex_minimize
 
 __all__ = [
@@ -213,14 +212,11 @@ def _analytic_pair_gradient(model, config):
 
 
 def _fd_pair_gradient(model, config, h):
-    """Central-difference pair-energy gradient, one coordinate at a time.
-    On the sphere the shifted points are renormalized, so the difference
-    quotient is automatically the tangential derivative."""
-    space, kernel = model.space, model.kernel
-    table = lambda pts: kernel.pairwise(space, pts, config)
-    if isinstance(kernel, GreenKernel):  # the configuration's basis once, not 2*dim times
-        green, fixed = kernel.model, kernel._model_on(space).features(config)
-        table = lambda pts: green._feature_table(green.features(pts), fixed)
+    """Central-difference pair-energy gradient, one coordinate at a time, from
+    the tables of the shifted points against the configuration.  On the sphere
+    they are renormalized, so the quotient is the tangential derivative."""
+    space = model.space
+    pairs = model.kernel.pairs(space, config)
     n, dim = config.shape
     grad = np.empty_like(config)
     for c in range(dim):
@@ -229,7 +225,7 @@ def _fd_pair_gradient(model, config, h):
         plus = _retract(space, config + shift)
         minus = _retract(space, config - shift)
         with np.errstate(divide="ignore", invalid="ignore"):
-            diff = table(plus) - table(minus)
+            diff = pairs.against(plus) - pairs.against(minus)
         np.fill_diagonal(diff, 0.0)
         grad[:, c] = diff.sum(axis=1) / (2.0 * h) / n ** 2
     return grad
@@ -306,15 +302,13 @@ def _relocation_polish(model, config, rng, value, rounds):
     for the best of a batch of fresh reference draws when that strictly
     lowers w_n.  The batch costs one geodesic table for the collision mask
     and one batched energy delta (``sampler._continuous_deltas``, under this
-    function's one errstate); an integral tilt arrives folded into the model
-    as a one-body potential, so the deltas score it too.  A Green kernel's
-    ``_GreenCache`` is built once and takes each exchange's row."""
+    function's one errstate) on ``Kernel.pairs`` of one copy of the
+    configuration, which take each exchange; an integral tilt arrives folded
+    into the model as a one-body potential, so the deltas score it too."""
     space = model.space
     n = config.shape[0]
-    cache = None
-    if isinstance(model.kernel, GreenKernel):
-        green = model.kernel.model
-        cache = _GreenCache(green, green.features(config)[0])
+    config = config.copy()
+    pairs = model.kernel.pairs(space, config)
     improved_any = False
     for _ in range(rounds):
         improved = False
@@ -323,18 +317,15 @@ def _relocation_polish(model, config, rng, value, rounds):
             gaps = space.distance(draws[:, None], config[None])
             gaps[:, i] = np.inf
             clear = gaps.min(axis=1) >= _COLLISION_TOL
-            deltas = _continuous_deltas(model, config, i, draws, cache)
+            deltas = _continuous_deltas(model, pairs, i, np.concatenate((draws, config[i : i + 1])))
             # colliding draws and NaN deltas never win; argmin keeps the first
             # of equal minima, as a strict-improvement scan would
             deltas[~clear | np.isnan(deltas)] = math.inf
             best = int(np.argmin(deltas))
             best_delta = deltas[best]
             if best_delta < -1e-13 * max(1.0, abs(value)):
-                config = config.copy()
-                config[i] = draws[best]
+                pairs.accept(i, best)
                 value += best_delta
-                if cache is not None:
-                    cache.accept(i, best)
                 improved = improved_any = True
         if not improved:
             break

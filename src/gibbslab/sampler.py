@@ -39,26 +39,11 @@ entering one per call.
 
 One function, ``_continuous_deltas``, scores every continuous
 single-particle move: R = 1 candidate in a chain step, a batch of R draws in
-the Fekete relocation polish.  Dense pair kernels take one (R + 1, n) table
-of elementwise ``Kernel.values`` (the candidates' rows and the moving
-particle's own, its own column zeroed).  The Green kernel
-G(x, y) = b~(x).b~(y) - phi(x) - phi(y) + c has phi = q.b~, with b~ the
-scaled basis row and q the charge coefficients over sqrt(lambda); a
-``_GreenCache`` keeps the rows b~(x_j) and S - (n-1) q, with S their sum,
-and moving particle i to the rows of P changes n^2 times the internal
-energy by
-
-    (B~(P) - b~(x_i)).(S - (n-1) q - b~(x_i)).
-
-The basis is evaluated elementwise, so a cached row equals a fresh one bit
-for bit and the change at p = x_i is exactly 0.  A chain evaluates the
-basis at its n start points once (``GreenModel.features``): the same rows
-give its start energy, equal to ``w_n`` bit for bit, and its cache.  A
-chain and the Fekete polish keep their cache live: on accept the chosen
-candidate's row from the last call replaces row i and S is summed afresh,
-so no rounding error accumulates.  A chain's coherence check rebuilds the
-cache from the one evaluation that gives the fresh energy, and a tempering
-swap exchanges it with the positions.
+the Fekete relocation polish.  It reads the configuration's ``Kernel.pairs``
+(one table of ``Kernel.values``, or the Green kernel's basis rows), whose
+``accept`` writes a move into the configuration.  A chain builds its pairs
+with its start energy, from one evaluation, rebuilds them so at each
+coherence check, and a tempering swap exchanges them with the positions.
 
 A finite-chain step does scalar work only, beyond reading and writing one
 entry of the live labels array.  It keeps the counts c and the row sums
@@ -78,7 +63,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .energy import EnergyModel, FiniteEnergyModel, GreenKernel, _w_n_report, w_n
+from .energy import EnergyModel, FiniteEnergyModel, _w_n_report
 from .errors import EnergyError, TrappedChainError
 from .rng import derive_rng
 from .simplex import class_table, logsumexp
@@ -165,65 +150,19 @@ def _propose_point(space, point, normals, scale):
     return moved
 
 
-def _continuous_deltas(model, positions, i, points, cache=None, rows=None):
-    """Energy changes of moving particle i to each of the (R, d) ``points``.
-
-    A Green kernel reads the rows of ``cache``, a ``_GreenCache`` of
-    ``positions`` (built here when None); every other kernel takes one
-    (R + 1, n) table of ``values``, the R candidate rows and particle i's
-    own row, with column i zeroed.  ``rows``, when given, already holds the
-    candidates followed by particle i's position.  A candidate whose pair
-    sum is NaN gives +inf.  Coinciding points divide by zero: the caller
-    holds ``np.errstate(divide="ignore", invalid="ignore")``.
-    """
-    n, kernel = positions.shape[0], model.kernel
-    if rows is None:
-        rows = np.concatenate((points, positions[i : i + 1]))
-    if isinstance(kernel, GreenKernel):
-        if cache is None:
-            cache = _GreenCache(kernel.model, kernel.model.features(positions)[0])
-        internal = cache.changes(i, points)
-    else:
-        table = kernel.values(model.space, rows[:, None], positions[None])
-        table[:, i] = 0.0
-        # np.add.reduce, a 1-element slice and a float divisor skip numpy's
-        # slower paths for .sum, numpy scalars and int operands (the same bits)
-        sums = np.add.reduce(table, 1)
-        internal = sums[:-1] - sums[-1:]
+def _continuous_deltas(model, pairs, i, rows):
+    """Energy changes of moving particle i of the configuration of ``pairs``
+    (``Kernel.pairs``) to each of ``rows[:-1]``; ``rows[-1]`` is particle i.
+    A candidate whose pair sum is NaN gives +inf.  Coinciding points divide
+    by zero: the caller holds ``np.errstate(divide="ignore", invalid="ignore")``."""
+    n = pairs.points.shape[0]
+    internal = pairs.changes(i, rows)
     deltas = internal / float(n * n)
     if model.potentials:
         external = model.potential_stage_values(n, rows)
         deltas += (external[:-1] - external[-1]) / n
     deltas[np.isnan(internal)] = math.inf
     return deltas
-
-
-class _GreenCache:
-    """The scaled basis rows of one Green-kernel configuration (the first of
-    its ``GreenModel.features``) and the field S - (n-1) q (see the module
-    docstring)."""
-
-    def __init__(self, green, rows):
-        self.green = green
-        self.rows = rows
-        self.shift = (rows.shape[0] - 1) * (green.charge_coeffs * green._inv_sqrt_eigs)
-        self.field = rows.sum(axis=0) - self.shift
-
-    def scaled_rows(self, points):
-        green = self.green
-        return green.space.evaluate_basis(points)[:, 1 : green.order + 1] * green._inv_sqrt_eigs
-
-    def changes(self, i, points):
-        """n^2 times the internal energy change of moving particle i to each
-        of ``points``; keeps their rows for ``accept``."""
-        old = self.rows[i]
-        self.drawn = self.scaled_rows(points)
-        return (self.drawn - old) @ (self.field - old)
-
-    def accept(self, i, k):
-        """Move particle i to point k of the last ``changes``."""
-        self.rows[i] = self.drawn[k]
-        self.field = self.rows.sum(axis=0) - self.shift
 
 
 # -- single-chain kernels ----------------------------------------------------------
@@ -262,8 +201,8 @@ class _Chain:
         state.energy = fresh
 
     def exchange(self, other):
-        """Swap particle states with ``other``: positions, energy and the
-        caches kept from them (``carried``).  Tuned proposal scales and
+        """Swap particle states with ``other``: positions, energy and what
+        is kept from them (``carried``).  Tuned proposal scales and
         bookkeeping stay with their rung."""
         mine, theirs = self.state, other.state
         mine.positions, theirs.positions = theirs.positions, mine.positions
@@ -275,7 +214,7 @@ class _Chain:
 
 
 class _ContinuousChain(_Chain):
-    carried = ("green_cache",)
+    carried = ("pairs",)
 
     def __init__(self, model, n, rng, initial, scale):
         self.model = model
@@ -287,9 +226,6 @@ class _ContinuousChain(_Chain):
             positions = space._as_points(initial).copy()
             if positions.shape[0] != n:
                 raise EnergyError(f"initial configuration has {positions.shape[0]} points, expected {n}")
-        self.green = (model.kernel._model_on(space) if isinstance(model.kernel, GreenKernel)
-                      else None)
-        self.green_cache = None
         energy = self._energy_of(positions)
         if not math.isfinite(energy):
             raise EnergyError("initial configuration has infinite energy")
@@ -297,7 +233,6 @@ class _ContinuousChain(_Chain):
         self.width = space.point_dim  # standard normals per proposal
         # the candidate, then the moving particle's position
         self.rows = np.empty((2, space.point_dim))
-        self.candidate = self.rows[:1]
         self.density = (space.reference_density if space.kind == "box"
                         and space.params.get("_density_fn") is not None else None)
 
@@ -308,16 +243,14 @@ class _ContinuousChain(_Chain):
         # one scalar draw on the circle: the stream of standard_normal(1)
         normals = ((rng.standard_normal(),) if self.width == 1
                    else rng.standard_normal(self.width).tolist())
-        positions = state.positions
-        own = positions[i]
+        own = state.positions[i]
         point = _propose_point(self.space, own.tolist(), normals, state.proposal_scale)
         accept = False
         if point is not None:
             rows = self.rows
             rows[0] = point
             rows[1] = own
-            delta = _continuous_deltas(self.model, positions, i, self.candidate,
-                                       self.green_cache, rows).item()
+            delta = _continuous_deltas(self.model, self.pairs, i, rows).item()
             if math.isfinite(delta):
                 log_alpha = -coupling * delta
                 if self.density is not None:
@@ -327,10 +260,8 @@ class _ContinuousChain(_Chain):
                     else:
                         log_alpha += math.log(new_d) - math.log(old_d)
                 if log_alpha >= 0.0 or rng.random() < math.exp(log_alpha):
-                    positions[i] = rows[0]
+                    self.pairs.accept(i, 0)
                     state.energy += delta
-                    if self.green_cache is not None:
-                        self.green_cache.accept(i, 0)
                     accept = True
         self._book(accept)
 
@@ -338,13 +269,9 @@ class _ContinuousChain(_Chain):
         return self._energy_of(self.state.positions)
 
     def _energy_of(self, positions):
-        """w_n of ``positions``.  A Green chain (re)builds its cache from the
-        same single basis evaluation of the points."""
-        if self.green is None:
-            return w_n(self.model, positions)
-        features = self.green.features(positions)
-        self.green_cache = _GreenCache(self.green, features[0])
-        return _w_n_report(self.model, positions, features).value
+        """w_n of ``positions``, from the pairs it (re)builds for them."""
+        self.pairs = self.model.kernel.pairs(self.space, positions)
+        return _w_n_report(self.model, positions, self.pairs).value
 
 
 class _FiniteChain(_Chain):

@@ -647,27 +647,13 @@ class GreenModel:
         """Kernel values G(x_j, node_i) for arbitrary points x, shape (p, n_nodes)."""
         return self._feature_table(self.features(x), (self.scaled_nodes, self.phi_nodes))
 
-    def table_blocks(self):
-        """The node kernel table as (row slice, block) pairs of about 4 MB of
-        rows each, so that the table is never held whole."""
-        scaled, phi = self.scaled_nodes, self.phi_nodes
-        rows = max(1, 2 ** 19 // scaled.shape[0])
-        for start in range(0, scaled.shape[0], rows):
-            part = slice(start, start + rows)
-            yield part, self._feature_table((scaled[part], phi[part]), (scaled, phi))
-
-    def lower_bound(self):
-        """Grid minimum of the kernel table, taken block by block (finite for
-        the truncated kernel)."""
-        return min(float(block.min()) for _, block in self.table_blocks())
-
 
 class GreenOperator:
     """The node kernel table G = B~ B~^T - phi 1^T - 1 phi^T + c of a Green
     model, held as its factors: ``op @ x`` and ``x @ op`` cost
     O(n_nodes * order) and the n_nodes^2 table is never formed.  It offers
     products only; code that needs entries builds the table with
-    ``energy.kernel_node_matrix`` or walks ``GreenModel.table_blocks``."""
+    ``energy.kernel_node_matrix``."""
 
     # makes ``ndarray @ op`` defer to __rmatmul__ instead of numpy treating
     # op as an object scalar

@@ -10,6 +10,7 @@ import sys
 import warnings
 from pathlib import Path
 
+import numpy as np
 import pytest
 from click.testing import CliRunner
 
@@ -17,6 +18,13 @@ import gibbslab
 from gibbslab import cli
 from gibbslab.cli import main
 from gibbslab.config import _SCHEMA
+from gibbslab.energy import (
+    BetaSchedule,
+    EnergyModel,
+    EnvironmentPotential,
+    EnvironmentSequence,
+    LogChordKernel,
+)
 from gibbslab.equilibrium import minimize_free_energy
 from gibbslab.fekete import fekete_minimize, infima_convergence_table
 from gibbslab.ldp import (
@@ -24,7 +32,9 @@ from gibbslab.ldp import (
     laplace_verify_finite,
     single_particle_limit,
 )
+from gibbslab.measures import EmpiricalMeasure
 from gibbslab.sampler import mcmc_run
+from gibbslab.spaces import build_space
 
 REPO = Path(__file__).resolve().parent.parent
 
@@ -379,6 +389,53 @@ ldp:
     assert abs(verdict["limit"] - 1.0) < 1e-12
 
 
+ENVIRONMENT_SECTION = """
+environment:
+  kernel:
+    kind: log_chord
+    scale: 5.0
+  points: [[0.05], [1.05]]
+"""
+
+
+@pytest.mark.parametrize("command, name", [("sample", "samples.csv"),
+                                           ("equilibrium", "equilibrium_summary.json")])
+def test_every_command_adds_the_environment(tmp_path, runner, command, name):
+    written = []
+    for folder, extra in (("without", ""), ("with", ENVIRONMENT_SECTION)):
+        (tmp_path / folder).mkdir()
+        text = PROBE_CIRCLE + "sampler:\n  n: 4\n  steps: 400\n" + extra
+        config, out = write_config(tmp_path / folder, text)
+        result = runner.invoke(main, [command, "--config", config])
+        assert result.exit_code == 0, result.output
+        written.append(read_bytes(out, name))
+    assert written[0] != written[1]
+    if command == "equilibrium":
+        space = build_space("circle", 64)
+        points = EmpiricalMeasure(space, np.array([[0.05], [1.05]]))
+        environment = EnvironmentPotential(LogChordKernel(5.0), EnvironmentSequence.fixed(points))
+        model = EnergyModel(space, LogChordKernel(), BetaSchedule.constant(2.0),
+                            potentials=[environment])
+        assert json.loads(written[1])["value"] == minimize_free_energy(model).value
+
+
+def test_conditional_requires_the_environment(tmp_path, runner):
+    config, _ = write_config(tmp_path, PROBE_CIRCLE + "ldp:\n  n_values: [4]\n")
+    result = runner.invoke(main, ["conditional", "--config", config])
+    assert result.exit_code == 1
+    assert "section 'environment' is required for this command" in result.output
+
+
+def test_finite_model_refuses_continuous_sections(tmp_path, runner):
+    text = SAMPLE_TEXT + "kernel:\n  kind: log_chord\npotentials:\n  - expr: cos(theta)\n"
+    config, _ = write_config(tmp_path, text)
+    result = runner.invoke(main, ["sample", "--config", config])
+    assert result.exit_code == 1
+    lines = result.output.strip().splitlines()
+    assert len(lines) == 1, result.output
+    assert "a finite model takes no 'kernel' or 'potentials' section" in lines[0]
+
+
 def test_ldp_commands_require_n_values(tmp_path, runner):
     text = FINITE_TEXT.replace("  n_values: [2, 4, 6, 8, 10, 12]\n", "")
     config, _ = write_config(tmp_path, text)
@@ -460,6 +517,42 @@ def unread_attribute_stores(package, readers):
 def test_no_attribute_is_stored_and_never_read():
     package = Path(gibbslab.__file__).resolve().parent
     assert unread_attribute_stores(package, [package, REPO / "bench", REPO / "tests"]) == []
+
+
+GREEN_INTERNALS = {"GreenKernel", "GreenModel", "features", "_feature_table",
+                   "charge_coeffs", "_inv_sqrt_eigs"}
+
+
+def spelled_names(source, names):
+    """The identifiers among ``names`` that a module spells, as "name (line
+    n)": variable and attribute names, imported names, definitions,
+    arguments and keywords."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Name):
+            name = node.id
+        elif isinstance(node, ast.Attribute):
+            name = node.attr
+        elif isinstance(node, ast.alias):
+            name = node.asname or node.name
+        elif isinstance(node, (ast.arg, ast.keyword)):
+            name = node.arg
+        elif isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            name = node.name
+        else:
+            continue
+        if name in names:
+            found.append(f"{name} (line {node.lineno})")
+    return found
+
+
+def test_sampler_and_fekete_hold_no_green_code():
+    # each kernel builds the pair sums of a configuration (Kernel.pairs), so
+    # the chains and the Fekete search never ask which kernel they hold
+    package = Path(gibbslab.__file__).resolve().parent
+    found = {name: spelled_names((package / name).read_text(), GREEN_INTERNALS)
+             for name in ("sampler.py", "fekete.py")}
+    assert found == {"sampler.py": [], "fekete.py": []}
 
 
 SINGLE_PARTICLE_TEXT = """
@@ -669,6 +762,40 @@ beta:
   value: 2.0
 """
 
+PROBE_TORUS_GREEN = """
+seed: 13
+output_dir: {out}
+space:
+  kind: torus
+  resolution: 16
+  basis_order: 4
+kernel:
+  kind: green
+beta:
+  kind: constant
+  value: 2.0
+"""
+
+PROBE_SPHERE_GREEN = """
+seed: 13
+output_dir: {out}
+space:
+  kind: sphere
+  resolution: 2
+  basis_order: 4
+kernel:
+  kind: green
+  charge: 1 + 0.5*z
+beta:
+  kind: constant
+  value: 1.0
+potentials:
+  - expr: x*y - z
+"""
+
+PROBE_LADDER = ("sampler:\n  n: 6\n  steps: 600\n  thin: 20\n  ladder: [0.25, 0.5, 1.0]\n"
+                "  swap_every: 10\n")
+
 # Command and config pairs that reach each result-file writer, with the
 # sha256 of every CSV and JSON they write.  The files must not change when
 # the code that formats them does.
@@ -708,6 +835,18 @@ RESULT_FILE_PROBES = [
     ("conditional", ["conditional"], SINGLE_PARTICLE_TEXT.replace("resolution: 128", "resolution: 64"), {
         "conditional_values.csv": "03811da42327512eb15ee5b11b5301e7afbcc1812b9562827a0f2947b5215257",
         "conditional_verdict.json": "d2239dd7f7029f9b0879e834edf638edd987d4caee2ef577cae26260136152df"}),
+    ("torus-green-sample", ["sample"], PROBE_TORUS_GREEN + PROBE_LADDER, {
+        "sample_summary.json": "368cb7ba5d010b48cb3121614103677557f99cc2d94f1cb414894adcb87070d7",
+        "samples.csv": "1171fcf3390b2444aef9773029aadf33010e7fed3079159209f5e49269f84226"}),
+    ("torus-green-fekete", ["fekete", "--n", "6"], PROBE_TORUS_GREEN + "fekete:\n  restarts: 2\n", {
+        "fekete_points.csv": "bb0be7a128efe7b9bb3210321549f80be9100c9ca1a58d2db218f8726521301c",
+        "fekete_summary.json": "63da7277f02789311f70e1d5596bf33b774c00dde3e609368dde711419692122"}),
+    ("sphere-green-sample", ["sample"], PROBE_SPHERE_GREEN + PROBE_LADDER, {
+        "sample_summary.json": "6b5a1c0104fd6cccda9381166433335f41f87d87466a14ab53373c9fb5cd4f43",
+        "samples.csv": "42d9c8d8cf109708b19c01d7a94837a19cb71694e6550bc7f23b9474430efd96"}),
+    ("sphere-green-fekete", ["fekete", "--n", "6"], PROBE_SPHERE_GREEN + "fekete:\n  restarts: 2\n", {
+        "fekete_points.csv": "ea5d1d522ee54003bb7e6b4f6ce3fb08f08ff6752f0f0ba94535f6fd905b030c",
+        "fekete_summary.json": "4fb1c60e0e8af664fc7eb4732d4de9e4e833614be263a4d9b782001c567e8f2b"}),
 ]
 
 

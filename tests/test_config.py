@@ -353,7 +353,7 @@ environment:
     expr: cos(d)
   equispaced: true
 """
-    model = build_model(RunConfig.from_text(text), environment=True)
+    model = build_model(RunConfig.from_text(text))
     kinds = [type(p).__name__ for p in model.potentials]
     assert kinds == ["StaticPotential", "EnvironmentPotential"]
     env = model.potentials[1]

@@ -219,7 +219,7 @@ def test_confining_bound_randomized(box_space, rng):
         assert mass <= bound + 1e-12
 
 
-def test_confining_bound_guards(box_space, circle_space, rng):
+def test_confining_bound_guards(box_space, circle_space, circle_green, rng):
     kernel = CallableKernel(
         lambda sp, a, b: np.abs(a[..., 0]) * np.abs(b[..., 0]), bound=0.0
     )
@@ -234,6 +234,11 @@ def test_confining_bound_guards(box_space, circle_space, rng):
     signed = EnergyModel(circle_space, LogChordKernel(), BETA)
     with pytest.raises(EnergyError):
         confining_bound_check(signed, circle_space.sample_points(rng, 10),
+                              lambda pts: np.ones(pts.shape[0], bool), kernel_floor=1.0)
+    # a Green kernel has no lower bound, so the check refuses it
+    green = EnergyModel(circle_space, GreenKernel(circle_green), BETA)
+    with pytest.raises(EnergyError, match="nonnegative kernel"):
+        confining_bound_check(green, circle_space.sample_points(rng, 10),
                               lambda pts: np.ones(pts.shape[0], bool), kernel_floor=1.0)
     # a floor larger than realized kernel values outside the set is rejected
     with pytest.raises(EnergyError):

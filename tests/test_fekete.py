@@ -208,9 +208,9 @@ def test_batched_polish_matches_looped_scan(case, circle_space, sphere_space):
 
 @pytest.mark.parametrize("fixture", ["torus_green", "sphere_charged_green"])
 def test_green_polish_keeps_one_cache(fixture, request, monkeypatch):
-    # the polish builds one _GreenCache and gives it each exchange's row; a
-    # cache built afresh for every particle, which _continuous_deltas makes
-    # when it is given none, scores the same bits
+    # the polish builds the configuration's pairs once and writes each
+    # exchange into them; pairs built afresh for every particle score the
+    # same bits at every step, and the polish then ends where it did
     green = request.getfixturevalue(fixture)
     space = green.space
     model = EnergyModel(space, GreenKernel(green), BetaSchedule.constant(1.0))
@@ -221,18 +221,27 @@ def test_green_polish_keeps_one_cache(fixture, request, monkeypatch):
     evaluate = Space.evaluate_basis
     monkeypatch.setattr(Space, "evaluate_basis",
                         lambda self, points: rows.append(len(points)) or evaluate(self, points))
+    live_deltas = fekete._continuous_deltas
+
+    def against_fresh_pairs(model, pairs, i, candidates):
+        fresh = model.kernel.pairs(model.space, pairs.points.copy())
+        want = live_deltas(model, fresh, i, candidates)
+        deltas = live_deltas(model, pairs, i, candidates)
+        assert np.array_equal(deltas, want)
+        return deltas
+
     outcomes = []
     for _ in range(2):
         rows.clear()
         rng = np.random.default_rng(7)
         outcomes.append((_relocation_polish(model, config.copy(), rng, value, 3),
                          rng.bit_generator.state, list(rows)))
-        monkeypatch.setattr(fekete, "_GreenCache", lambda green, rows: None)
+        monkeypatch.setattr(fekete, "_continuous_deltas", against_fresh_pairs)
     (live, state, live_rows), (fresh, fresh_state, fresh_rows) = outcomes
     assert live[2]
     assert np.array_equal(live[0], fresh[0])
     assert live[1] == fresh[1] and state == fresh_state
-    # the configuration's rows once for the cache and once for the closing w_n
+    # the configuration's rows once for the pairs and once for the closing w_n
     assert live_rows.count(n) == 2 < fresh_rows.count(n)
 
 

@@ -272,34 +272,36 @@ def green_chain_models(torus_green, sphere_charged_green):
 @given(kind=st.sampled_from(["torus", "sphere"]), n=st.integers(2, 9),
        r=st.integers(1, 6), seed=st.integers(0, 2 ** 32 - 1))
 def test_green_cached_delta_equals_energy_difference(green_chain_models, kind, n, r, seed):
-    # one Green formula: the chain's live cache, after several accepted
-    # moves, scores a batch exactly as a cache built from the positions, and
+    # one Green formula: the chain's live pairs, after several accepted
+    # moves, score a batch exactly as pairs built from the positions, and
     # each value is the w_n difference
     model = green_chain_models[kind]
     space = model.space
     rng = np.random.default_rng(seed)
     chain = _ContinuousChain(model, n, rng, space.sample_points(rng, n), 0.5)
-    positions, cache = chain.state.positions, chain.green_cache
+    positions, pairs = chain.state.positions, chain.pairs
+    assert pairs.points is positions
     for _ in range(4):
         i = int(rng.integers(n))
         point = space.sample_points(rng, 1)[0]
-        delta = _continuous_deltas(model, positions, i, point[None, :], cache)[0]
-        assert abs(delta - _energy_difference(model, positions, i, point)[0]) < 1e-12
-        positions[i] = point
-        cache.accept(i, 0)
+        want = _energy_difference(model, positions, i, point)[0]
+        delta = _continuous_deltas(model, pairs, i, np.stack((point, positions[i])))[0]
+        assert abs(delta - want) < 1e-12
+        pairs.accept(i, 0)
+        assert np.array_equal(positions[i], point)
     i = int(rng.integers(n))
-    points = space.sample_points(rng, r)
-    live = _continuous_deltas(model, positions, i, points, cache)
-    fresh = _continuous_deltas(model, positions, i, points)
+    rows = np.concatenate((space.sample_points(rng, r), positions[i : i + 1]))
+    live = _continuous_deltas(model, pairs, i, rows)
+    fresh = _continuous_deltas(model, model.kernel.pairs(space, positions.copy()), i, rows)
     assert np.array_equal(live, fresh)
-    for point, delta in zip(points, live):
+    for point, delta in zip(rows[:-1], live):
         want, scale = _energy_difference(model, positions, i, point)
         assert abs(delta - want) < 1e-12 * scale
 
 
 @pytest.mark.parametrize("kind", ["torus", "sphere"])
 def test_green_chain_start_is_one_evaluation(green_chain_models, monkeypatch, kind, rng):
-    # the start energy and the cache come from one basis evaluation of the n
+    # the start energy and the pairs come from one basis evaluation of the n
     # points; the energy is w_n's bit for bit, and so is the coherence check's
     model = green_chain_models[kind]
     space, green = model.space, model.kernel.model
@@ -316,20 +318,21 @@ def test_green_chain_start_is_one_evaluation(green_chain_models, monkeypatch, ki
     assert calls == [7]
     monkeypatch.setattr(type(space), "evaluate_basis", evaluate_basis)
     assert chain.state.energy == w_n(model, positions)
-    assert np.array_equal(chain.green_cache.rows, green.features(positions)[0])
+    assert np.array_equal(chain.pairs.rows, green.features(positions)[0])
     for _ in range(3):
         chain.step(rng, 2.0)
     chain.check_coherence()
     assert chain.state.energy == w_n(model, chain.state.positions)
-    assert np.array_equal(chain.green_cache.rows, green.features(chain.state.positions)[0])
+    assert chain.pairs.points is chain.state.positions
+    assert np.array_equal(chain.pairs.rows, green.features(chain.state.positions)[0])
 
 
 @pytest.fixture(scope="module")
 def dense_delta_models(circle_space, sphere_space, box_space, torus_green):
-    """Pair models scored by ``_continuous_deltas`` without a live cache:
-    the circle log gas, a sphere Riesz gas and a box log gas in a confining
-    potential through one (R + 1, n) kernel table, and the torus Green gas
-    through a cache built from the positions, as in the Fekete polish."""
+    """Pair models scored by ``_continuous_deltas`` on pairs built from the
+    positions, as in the Fekete polish: the circle log gas, a sphere Riesz
+    gas and a box log gas in a confining potential through one (R + 1, n)
+    kernel table, and the torus Green gas through its basis rows."""
     return {
         "circle": EnergyModel(circle_space, LogChordKernel(), BetaSchedule.constant(2.0)),
         "sphere": EnergyModel(sphere_space, RieszKernel(1.0), BetaSchedule.constant(1.0)),
@@ -351,27 +354,44 @@ def _energy_difference(model, positions, i, point):
 @given(kind=st.sampled_from(["circle", "sphere", "box", "torus"]), n=st.integers(2, 9),
        r=st.integers(1, 8), seed=st.integers(0, 2 ** 32 - 1))
 def test_dense_deltas_equal_energy_differences(dense_delta_models, kind, n, r, seed):
+    # every kernel family scores a batch through its pairs; an accepted move
+    # is written into the configuration, and the pairs then score the next
+    # batch as pairs built afresh do
     model = dense_delta_models[kind]
     space = model.space
     rng = np.random.default_rng(seed)
     positions = space.sample_points(rng, n)
-    i = int(rng.integers(n))
-    points = space.sample_points(rng, r)
-    with np.errstate(divide="ignore", invalid="ignore"):  # as the caller must
-        deltas = _continuous_deltas(model, positions, i, points)
-    assert deltas.shape == (r,)
-    for point, delta in zip(points, deltas):
-        want, scale = _energy_difference(model, positions, i, point)
-        assert abs(delta - want) < 1e-12 * scale
+    pairs = model.kernel.pairs(space, positions)
+    for accepted in (False, True):
+        i = int(rng.integers(n))
+        rows = np.concatenate((space.sample_points(rng, r), positions[i : i + 1]))
+        with np.errstate(divide="ignore", invalid="ignore"):  # as the caller must
+            deltas = _continuous_deltas(model, pairs, i, rows)
+            fresh = _continuous_deltas(model, model.kernel.pairs(space, positions.copy()), i, rows)
+        assert deltas.shape == (r,)
+        assert np.array_equal(deltas, fresh)
+        for point, delta in zip(rows[:-1], deltas):
+            want, scale = _energy_difference(model, positions, i, point)
+            assert abs(delta - want) < 1e-12 * scale
+        if not accepted:
+            k = int(rng.integers(r))
+            pairs.accept(i, k)
+            assert np.array_equal(positions[i], rows[k])
+            fresh_pairs = model.kernel.pairs(space, positions.copy())
+            assert np.array_equal(pairs.values(), fresh_pairs.values())
+            with np.errstate(divide="ignore", invalid="ignore"):
+                assert np.array_equal(pairs.against(rows), fresh_pairs.against(rows))
 
 
 @pytest.mark.parametrize("kind", ["circle", "sphere", "box", "torus"])
 def test_dense_deltas_at_a_particle(dense_delta_models, kind, rng):
     model = dense_delta_models[kind]
     positions = model.space.sample_points(rng, 6)
-    # row 0: particle 2's own position; row 1: particle 4's position
+    pairs = model.kernel.pairs(model.space, positions)
+    # row 0: particle 2's own position; row 1: particle 4's position; then
+    # particle 2, the moving one
     with np.errstate(divide="ignore", invalid="ignore"):  # as the caller must
-        deltas = _continuous_deltas(model, positions, 2, positions[[2, 4]])
+        deltas = _continuous_deltas(model, pairs, 2, positions[[2, 4, 2]])
     assert deltas[0] == 0.0
     if kind == "torus":  # the truncated Green kernel is finite on the diagonal
         want, scale = _energy_difference(model, positions, 2, positions[4])
@@ -388,7 +408,8 @@ def test_dense_delta_nan_row_is_infinite(circle_space):
 
     model = EnergyModel(circle_space, CallableKernel(fn), BetaSchedule.constant(1.0))
     positions = np.array([[0.5], [1.5], [2.5], [3.5]])
-    deltas = _continuous_deltas(model, positions, 1, np.array([[5.5], [4.5]]))
+    pairs = model.kernel.pairs(circle_space, positions)
+    deltas = _continuous_deltas(model, pairs, 1, np.array([[5.5], [4.5], [1.5]]))
     assert deltas[0] == math.inf
     want, scale = _energy_difference(model, positions, 1, np.array([4.5]))
     assert abs(deltas[1] - want) < 1e-12 * scale

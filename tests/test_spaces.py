@@ -388,12 +388,6 @@ def test_green_unique_up_to_constant():
     assert diff[off].std() < 1e-4
 
 
-def test_green_lower_bound_finite(circle_green):
-    bound = circle_green.lower_bound()
-    assert np.isfinite(bound)
-    assert dense_green_table(circle_green).min() >= bound
-
-
 @pytest.mark.parametrize("case", ["torus", "charged-torus", "charged-sphere", "circle"])
 def test_green_operator_matches_dense_table(case, circle_green, torus_green,
                                             sphere_charged_green):

@@ -312,7 +312,8 @@ def build_environment(config, space):
 
     ``equispaced: true`` places n equally spaced circle points at stage n
     (weakly converging to the uniform limit); ``points`` pins the same
-    empirical environment at every stage.
+    empirical environment at every stage, with itself as the limit unless
+    ``limit: uniform`` (the only other value) names the uniform one.
     """
     block = config.require("environment")
     kernel = build_kernel(config, space, block=block.get("kernel"))
@@ -322,6 +323,9 @@ def build_environment(config, space):
     if equispaced is not None and points is not None:
         raise ConfigError(f"{config.source}: give either environment.points "
                           "or environment.equispaced, not both")
+    if limit_key not in (None, "uniform"):
+        raise ConfigError(f"{config.source}: environment.limit supports only "
+                          f"'uniform', got {limit_key!r}")
     if equispaced is not None:
         if not equispaced:
             raise ConfigError(f"{config.source}: environment.equispaced must "
@@ -342,13 +346,8 @@ def build_environment(config, space):
         raise ConfigError(f"{config.source}: environment needs 'points' or "
                           "'equispaced: true'")
     fixed = EmpiricalMeasure(space, np.asarray(points, dtype=float))
-    if limit_key == "uniform":
-        limit = GridMeasure.from_unnormalized(space, np.ones(space.n_nodes))
-    elif limit_key is None:
-        limit = fixed
-    else:
-        raise ConfigError(f"{config.source}: environment.limit supports only "
-                          f"'uniform', got {limit_key!r}")
+    limit = fixed if limit_key is None else GridMeasure.from_unnormalized(
+        space, np.ones(space.n_nodes))
     return EnvironmentPotential(
         kernel, EnvironmentSequence(lambda n: fixed, limit))
 

@@ -22,6 +22,12 @@ same volume (radius R, with mean(-log r) = -log R + 1/d and
 mean(r^-s) = d/(d-s) * R^-s in dimension d).  The same corrected node matrix
 is used by the free-energy minimizer, so both sides of every comparison see
 one discretization.
+
+A Euclidean transform (``euclidean_transform``) moves a confining potential
+V on a box into the reference measure and a pair tilt c_n (V(x) + V(y)).
+Over the pairs i < j that tilt sums to the one-body potential
+c_n (n-1)/n V, so a transformed model is a plain ``EnergyModel`` that every
+chain, estimator, Fekete search and limit solver takes.
 """
 
 import functools
@@ -33,7 +39,7 @@ import numpy as np
 from .errors import EnergyError
 from .expressions import compile_point_function
 from .measures import FiniteSpace, GridMeasure
-from .spaces import _coordinate_names
+from .spaces import Space, _coordinate_names
 
 __all__ = [
     "BetaSchedule",
@@ -43,14 +49,12 @@ __all__ = [
     "RieszKernel",
     "GreenKernel",
     "CallableKernel",
-    "TiltedKernel",
     "StaticPotential",
     "EnvironmentPotential",
     "EnvironmentSequence",
     "EnergyModel",
     "EnergyReport",
     "FiniteEnergyModel",
-    "TransformedEnergyModel",
     "w_n",
     "w_n_report",
     "w_macro",
@@ -242,31 +246,6 @@ class CallableKernel(Kernel):
 
     def lower_bound(self, space):
         return self.bound
-
-
-class TiltedKernel(Kernel):
-    """G(x, y) + coefficient * (V(x) + V(y)) for a one-body tilt V."""
-
-    def __init__(self, base, v_fn, coefficient=1.0):
-        self.base = base
-        self.v_fn = v_fn
-        self.coefficient = float(coefficient)
-
-    def values(self, space, a, b):
-        # v_fn maps (r, d) point arrays to (r,)
-        v = lambda pts: self.v_fn(pts.reshape(-1, pts.shape[-1])).reshape(pts.shape[:-1])
-        return self.base.values(space, a, b) + self.coefficient * (v(a) + v(b))
-
-    def diagonal_values(self, space):
-        return self.base.diagonal_values(space) + 2.0 * self.coefficient * self.v_fn(space.nodes)
-
-    def lower_bound(self, space):
-        base = self.base.lower_bound(space)
-        if base is None:
-            return None
-        v = self.v_fn(space.nodes)
-        extreme = v.min() if self.coefficient >= 0 else v.max()
-        return base + 2.0 * self.coefficient * float(extreme)
 
 
 # -- pair sums of one configuration ----------------------------------------------
@@ -561,43 +540,42 @@ def confining_bound_check(model, config, inside_fn, kernel_floor, energy_bound=N
 # -- transforms of Euclidean models ----------------------------------------------
 
 
-class TransformedEnergyModel:
-    """Result of a weak/strong transform: reference space plus an n-dependent
-    kernel family with its limit."""
+class _TransformPotential:
+    """The pair tilt c_n (V(x) + V(y)) of a Euclidean transform as the
+    one-body potential it sums to over the pairs i < j of n particles,
+    c_n (n - 1)/n V.  Weak mode (no ``xi``) has c_n = 1, so stage n holds
+    (n - 1)/n V and the limit V; strong mode has
+    c_n = (n - n xi/beta_n)/(n - 1), so stage n holds (1 - xi/beta_n) V and
+    the limit (1 - xi/beta) V."""
 
-    def __init__(self, space, base_kernel, v_fn, beta, mode, xi=None, eps=None):
-        self.space = space
-        self.base_kernel = base_kernel
-        self.v_fn = v_fn
+    def __init__(self, potential, beta, xi=None, eps=None):
+        self.potential = potential
         self.beta = beta
-        self.mode = mode
         self.xi = xi
         self.eps = eps
 
     def coefficient_at(self, n):
-        if self.mode == "weak":
+        if self.xi is None:
             return 1.0
-        beta_n = self.beta.beta_at(n)
-        return (n - (n / beta_n) * self.xi) / (n - 1.0)
+        return (n - (n / self.beta.beta_at(n)) * self.xi) / (n - 1.0)
 
     def a_coefficient(self, n):
         """Normalizing coefficient a_n -> 1 in the strong regime."""
-        if self.mode == "weak":
+        if self.xi is None:
             return 1.0
         return (self.coefficient_at(n) - self.eps) / (1.0 - self.eps)
 
-    def kernel_at(self, n):
-        return TiltedKernel(self.base_kernel, self.v_fn, self.coefficient_at(n))
+    def stage_values(self, n, points):
+        scale = (n - 1.0) / n if self.xi is None else 1.0 - self.xi / self.beta.beta_at(n)
+        return scale * self.potential.limit_values(points)
 
-    @property
-    def limit_kernel(self):
-        return TiltedKernel(self.base_kernel, self.v_fn, 1.0)
+    def limit_values(self, points):
+        scale = 1.0 if self.xi is None else 1.0 - self.xi / self.beta.limit
+        return scale * self.potential.limit_values(points)
 
 
 def _reweighted_box(space, v_fn, factor):
     """Copy of a box space with reference density multiplied by exp(-factor*V)."""
-    from .spaces import Space
-
     base_density = space.density_values if space.density_values is not None else (
         np.ones(space.n_nodes) / space.volume
     )
@@ -620,51 +598,46 @@ def _reweighted_box(space, v_fn, factor):
                  space.cell_volumes.copy(), params, density_values=raw / total)
 
 
-def euclidean_transform(model, mode, xi=None, eps=None, potential=None):
-    """Fold a confining potential into the kernel and reference measure.
+def euclidean_transform(model, mode, xi=None, eps=None):
+    """Fold the model's one static potential V into the reference measure
+    and a pair tilt.
 
-    ``weak``:   reference exp(-V) l, kernel G + V(x) + V(y).
-    ``strong``: reference exp(-xi V) l, kernel family
-                G + (n - (n/beta_n) xi)/(n-1) (V(x) + V(y)) with
-                a_n = (coefficient - eps)/(1 - eps) -> 1; needs eps in [0,1).
+    ``weak``:   reference exp(-V) l, pair kernel G + V(x) + V(y).
+    ``strong``: reference exp(-xi V) l, pair kernel G + c_n (V(x) + V(y)) with
+                c_n = (n - (n/beta_n) xi)/(n-1) and
+                a_n = (c_n - eps)/(1 - eps) -> 1; needs eps in [0,1).
+
+    The tilt enters as the one-body potential it sums to over the pairs, so
+    the result is an ``EnergyModel``: the model's kernel and potentials, with
+    V replaced by a ``_TransformPotential``.
     """
     space = model.space
     if space.kind != "box":
         raise EnergyError("euclidean transforms apply to box spaces")
     pots = [p for p in model.potentials if isinstance(p, StaticPotential)]
-    if potential is None:
-        if len(pots) != 1:
-            raise EnergyError("model needs exactly one static potential V to transform")
-        potential = pots[0]
-    v_fn = lambda pts: np.asarray(potential.fn(pts), dtype=float)
-    v_nodes = v_fn(space.nodes)
+    if len(pots) != 1:
+        raise EnergyError("model needs exactly one static potential V to transform")
+    potential = pots[0]
+    v_nodes = potential.limit_values(space.nodes)
     if not np.all(np.isfinite(v_nodes)):
         raise EnergyError("potential V must be finite on the grid")
     if mode == "weak":
-        factor = 1.0
+        factor, coefficient = 1.0, 1.0
+        tilt = _TransformPotential(potential, model.beta)
     elif mode == "strong":
         if xi is None or eps is None:
             raise EnergyError("strong mode needs xi and eps")
         if not 0.0 <= eps < 1.0:
             raise EnergyError(f"eps must lie in [0, 1), got {eps!r}")
-        base_floor = model.kernel.lower_bound(space)
-        probe = TiltedKernel(model.kernel, v_fn, eps)
-        if base_floor is not None:
-            floor = probe.lower_bound(space)
-            if floor is None or not math.isfinite(floor):
-                raise EnergyError("G + eps(V + V) is not bounded below on the grid")
-        factor = float(xi)
+        factor, coefficient = float(xi), float(eps)
+        tilt = _TransformPotential(potential, model.beta, factor, coefficient)
     else:
         raise EnergyError(f"unknown transform mode {mode!r}")
-    new_space = _reweighted_box(space, v_fn, factor)
-    if mode == "weak":
-        tilted = TiltedKernel(model.kernel, v_fn, 1.0)
-        floor = tilted.lower_bound(space)
-        if floor is not None and not math.isfinite(floor):
-            raise EnergyError("transformed kernel is not bounded below")
-        return EnergyModel(new_space, tilted, model.beta)
-    return TransformedEnergyModel(new_space, model.kernel, v_fn, model.beta,
-                                  "strong", xi=float(xi), eps=float(eps))
+    floor = model.kernel.lower_bound(space)
+    if floor is not None and not math.isfinite(floor + 2.0 * coefficient * float(v_nodes.min())):
+        raise EnergyError("G + c(V(x) + V(y)) is not bounded below on the grid")
+    return EnergyModel(_reweighted_box(space, potential.limit_values, factor), model.kernel,
+                       model.beta, [tilt if p is potential else p for p in model.potentials])
 
 
 # -- finite atom spaces ------------------------------------------------------------

@@ -236,10 +236,10 @@ class MeanFieldReport:
 
 
 def _spectral_laplacian(space, order, node_values):
-    """Coefficients -> values of -Laplacian of the projected function."""
+    """Node values of -Laplacian of the function projected on the basis."""
     basis = space.basis_values[:, 1 : order + 1]
     coeffs = basis.T @ (space.weights * node_values)
-    return basis @ (space.eigenvalues[1 : order + 1] * coeffs), coeffs
+    return basis @ (space.eigenvalues[1 : order + 1] * coeffs)
 
 
 def mean_field_residual(model, mu):
@@ -269,9 +269,8 @@ def mean_field_residual(model, mu):
     field_values = rho - lam
     v = model.potential_limit_values(space.nodes)
     if np.any(v):
-        lap_v, _ = _spectral_laplacian(space, order, v)
-        field_values = field_values + lap_v / 1.0
-    lap_log_rho, _ = _spectral_laplacian(space, order, np.log(rho))
+        field_values = field_values + _spectral_laplacian(space, order, v)
+    lap_log_rho = _spectral_laplacian(space, order, np.log(rho))
     residual_values = beta * field_values + lap_log_rho
     residual = math.sqrt(float(space.weights @ residual_values ** 2))
     basis = space.basis_values[:, : order + 1]

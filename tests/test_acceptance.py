@@ -307,20 +307,22 @@ def test_criterion_10_euclidean_transforms():
         beta = BetaSchedule.linear(coefficient)
         model = EnergyModel(space, LogChordKernel(2.0), beta,
                             potentials=[pot])
-        strong = euclidean_transform(model, "strong", xi=xi, eps=eps)
+        tilt = euclidean_transform(model, "strong", xi=xi, eps=eps).potentials[0]
         n = int(rng.integers(2, 500))
         beta_n = beta.beta_at(n)
         c_n = (n - (n / beta_n) * xi) / (n - 1.0)
         expected = (c_n - eps) / (1.0 - eps)
-        worst = max(worst, abs(strong.a_coefficient(n) - expected))
-        assert abs(strong.a_coefficient(10 ** 6) - 1.0) < 1e-3
+        worst = max(worst, abs(tilt.a_coefficient(n) - expected))
+        assert abs(tilt.a_coefficient(10 ** 6) - 1.0) < 1e-3
     assert worst < 1e-12, f"coefficient mismatch {worst:.2e}"
 
+    # the weak transform's pair kernel G + V(x) + V(y) on the grid
     model = EnergyModel(space, LogChordKernel(2.0), BetaSchedule.linear(),
                         potentials=[pot])
     weak = euclidean_transform(model, "weak")
     nodes = weak.space.nodes
-    values = weak.kernel.pairwise(weak.space, nodes, nodes)
+    v = pot.limit_values(nodes)
+    values = weak.kernel.pairwise(weak.space, nodes, nodes) + v[:, None] + v[None, :]
     off_diag = values[~np.eye(len(nodes), dtype=bool)]
     grid_min = float(off_diag.min())
     assert math.isfinite(grid_min)

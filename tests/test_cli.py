@@ -493,6 +493,23 @@ def test_modules_import_no_unused_names():
     assert not {name: found for name, found in unused.items() if found}
 
 
+def function_imports(source):
+    """Imports inside a function body, as "function (line n)"."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            found.extend(f"{node.name} (line {inner.lineno})" for inner in ast.walk(node)
+                         if isinstance(inner, (ast.Import, ast.ImportFrom)))
+    return found
+
+
+def test_modules_import_only_at_top_level():
+    package = Path(gibbslab.__file__).resolve().parent
+    local = {path.name: function_imports(path.read_text())
+             for path in sorted(package.glob("*.py"))}
+    assert not {name: found for name, found in local.items() if found}
+
+
 def unread_attribute_stores(package, readers):
     """Every ``self.<name> = ...`` store in the modules of ``package``, as
     "name (module line n)", whose name no module under ``readers`` loads as
@@ -654,6 +671,8 @@ RATE_IGNORED_KEYS = [("chain_budget", -5), ("rungs", 0), ("ess_floor", -1.0),
      "fekete.threshold configures the n_values table, not a single-n search"),
     ("fekete", FEKETE_TEXT, "restarts: 4", "restarts: 4\n  n: 3\n  grid_steps: -3",
      "fekete.grid_steps configures the n_values table, not a single-n search"),
+    ("conditional", SINGLE_PARTICLE_TEXT, "equispaced: true", "equispaced: true\n  limit: bogus",
+     "environment.limit supports only 'uniform', got 'bogus'"),
 ], ids=["green-trials", "green-tolerance", "equilibrium-tol", "sample-swap",
         "sample-steps", "fekete-restarts", "laplace-n-values", "laplace-grid-steps",
         "rate-level", "conditional-mode", "laplace-circle-vector",
@@ -665,7 +684,8 @@ RATE_IGNORED_KEYS = [("chain_budget", -5), ("rungs", 0), ("ess_floor", -1.0),
         "conditional-single-particle-rungs", "conditional-single-particle-grid-steps",
         "conditional-environment-grid-steps", "conditional-single-particle-potentials",
         *[f"rate-{key.replace('_', '-')}" for key, _ in RATE_IGNORED_KEYS],
-        "fekete-single-threshold", "fekete-single-grid-steps"])
+        "fekete-single-threshold", "fekete-single-grid-steps",
+        "conditional-equispaced-limit"])
 def test_bad_values_exit_with_one_error_line(tmp_path, runner, command,
                                               template, old, new, message):
     assert old in template

@@ -22,7 +22,6 @@ from gibbslab.energy import (
     LogChordKernel,
     RieszKernel,
     StaticPotential,
-    TiltedKernel,
     confining_bound_check,
     euclidean_transform,
     kernel_node_matrix,
@@ -31,7 +30,10 @@ from gibbslab.energy import (
     w_n_report,
 )
 from gibbslab.errors import EnergyError
+from gibbslab.fekete import IntegralFunctional, fekete_minimize
+from gibbslab.ldp import laplace_estimate_mc
 from gibbslab.measures import EmpiricalMeasure, FiniteSpace, GridMeasure
+from gibbslab.sampler import mcmc_run
 from gibbslab.spaces import BackgroundCharge, GreenModel, build_space
 
 BETA = BetaSchedule.constant(2.0)
@@ -283,7 +285,17 @@ def _box_model():
                        potentials=[pot]), space, pot
 
 
-def test_weak_transform_reference_and_kernel():
+def _tilted_pair_energy(config, c_n):
+    """n^-2 times the sum over pairs i < j of G + c_n (V_i + V_j), written
+    out for the box model's G = -2 log|x - y| and V = x^2/2."""
+    x = config[:, 0]
+    n = x.shape[0]
+    total = sum(-2.0 * math.log(abs(x[i] - x[j])) + c_n * (x[i] ** 2 + x[j] ** 2) / 2.0
+                for i, j in itertools.combinations(range(n), 2))
+    return total / n ** 2
+
+
+def test_weak_transform_reference_and_kernel(rng):
     model, space, pot = _box_model()
     weak = euclidean_transform(model, "weak")
     v = 0.5 * space.nodes[:, 0] ** 2
@@ -291,40 +303,86 @@ def test_weak_transform_reference_and_kernel():
     expected_weights = raw * space.cell_volumes
     expected_weights /= expected_weights.sum()
     assert_allclose(weak.space.weights, expected_weights, rtol=1e-12)
-    # kernel gained the V(x) + V(y) tilt
-    x, y = np.array([[0.5]]), np.array([[-1.0]])
-    base = -2.0 * math.log(1.5)
-    assert_allclose(weak.kernel.pairwise(weak.space, x, y)[0, 0],
-                    base + 0.125 + 0.5, rtol=1e-14)
-    assert weak.potentials == ()
+    # the kernel stays G; the pair tilt V(x) + V(y) is the stage potential
+    assert weak.kernel is model.kernel
+    for n in (2, 3, 7, 12):
+        config = rng.uniform(-3.0, 3.0, size=(n, 1))
+        assert_allclose(w_n(weak, config), _tilted_pair_energy(config, 1.0), rtol=1e-13)
+    nodes = space.nodes[::7]
+    assert_allclose(weak.potential_limit_values(nodes), 0.5 * nodes[:, 0] ** 2, rtol=1e-15)
     # off-node density is consistent with the node table
     probe = weak.space.nodes[:5]
     assert_allclose(weak.space.reference_density(probe),
                     weak.space.density_values[:5], rtol=1e-12)
 
 
-def test_strong_transform_coefficients():
+def test_strong_transform_coefficients(rng):
     model, space, pot = _box_model()
     strong = euclidean_transform(model, "strong", xi=1.0, eps=0.0)
     # beta_n = n and xi = 1 give the constant-one normalization exactly
     for n in (2, 10, 1000):
-        assert strong.a_coefficient(n) == 1.0
+        assert strong.potentials[0].a_coefficient(n) == 1.0
     xi, eps = 0.7, 0.3
     general = euclidean_transform(model, "strong", xi=xi, eps=eps)
+    tilt = general.potentials[0]
     for n in (2, 37, 1000):
         beta_n = general.beta.beta_at(n)
         c_n = (n - (n / beta_n) * xi) / (n - 1.0)
-        assert_allclose(general.coefficient_at(n), c_n, rtol=1e-15)
-        assert_allclose(general.a_coefficient(n), (c_n - eps) / (1.0 - eps), rtol=1e-15)
-    assert abs(general.a_coefficient(10_000) - 1.0) < 1e-4
-    # the stage-n kernel really is G + c_n (V + V)
-    k5 = general.kernel_at(5)
-    x, y = np.array([[0.5]]), np.array([[-1.0]])
-    c5 = general.coefficient_at(5)
-    assert_allclose(k5.pairwise(general.space, x, y)[0, 0],
-                    -2.0 * math.log(1.5) + c5 * 0.625, rtol=1e-14)
-    # limit kernel carries coefficient one
-    assert general.limit_kernel.coefficient == 1.0
+        assert_allclose(tilt.coefficient_at(n), c_n, rtol=1e-15)
+        assert_allclose(tilt.a_coefficient(n), (c_n - eps) / (1.0 - eps), rtol=1e-15)
+    assert abs(tilt.a_coefficient(10_000) - 1.0) < 1e-4
+    # the stage-n energy really is the pair sum of G + c_n (V + V)
+    for n in (2, 5, 11):
+        config = rng.uniform(-3.0, 3.0, size=(n, 1))
+        c_n = (n - (n / general.beta.beta_at(n)) * xi) / (n - 1.0)
+        assert_allclose(w_n(general, config), _tilted_pair_energy(config, c_n), rtol=1e-13)
+    # the limit potential is (1 - xi/beta) V, V itself for beta_n = n
+    nodes = space.nodes[::7]
+    assert_allclose(general.potential_limit_values(nodes), 0.5 * nodes[:, 0] ** 2, rtol=1e-15)
+    finite = EnergyModel(space, LogChordKernel(2.0), BetaSchedule.constant(2.0),
+                         potentials=[pot])
+    limit = euclidean_transform(finite, "strong", xi=xi, eps=eps).potential_limit_values(nodes)
+    assert_allclose(limit, (1.0 - xi / 2.0) * 0.5 * nodes[:, 0] ** 2, rtol=1e-15)
+
+
+@settings(max_examples=60, deadline=None)
+@given(xi=st.floats(0.05, 1.5), eps=st.floats(0.0, 0.9), coefficient=st.floats(0.5, 3.0),
+       n=st.integers(2, 12), seed=st.integers(0, 2 ** 32 - 1))
+def test_strong_transform_shifts_n_beta_w_n_by_xi_sum_v(xi, eps, coefficient, n, seed):
+    # n beta_n (w_n^T - w_n) = -xi sum_i V(x_i): the strong transform moves
+    # xi V from the energy into the reference measure
+    model, space, pot = _box_model()
+    model.beta = BetaSchedule.linear(coefficient)
+    strong = euclidean_transform(model, "strong", xi=xi, eps=eps)
+    config = np.random.default_rng(seed).uniform(-3.0, 3.0, size=(n, 1))
+    xi_sum_v = xi * float(pot.stage_values(n, config).sum())
+    shift = n * model.beta.beta_at(n) * (w_n(strong, config) - w_n(model, config))
+    assert abs(shift + xi_sum_v) <= 1e-10 * max(1.0, abs(xi_sum_v))
+
+
+def test_weak_transform_keeps_the_environment_potential():
+    model, space, pot = _box_model()
+    environment = EnvironmentPotential(
+        LogChordKernel(), EnvironmentSequence.fixed(EmpiricalMeasure(space, [[0.5], [-1.5]])))
+    model.potentials = (environment, pot)
+    weak = euclidean_transform(model, "weak")
+    assert weak.potentials[0] is environment
+    assert weak.potentials[1].a_coefficient(5) == 1.0
+    nodes = space.nodes[::5]
+    assert_allclose(weak.potential_limit_values(nodes),
+                    environment.limit_values(nodes) + 0.5 * nodes[:, 0] ** 2, rtol=1e-14)
+
+
+def test_strong_transformed_line_gas_runs_through_every_solver():
+    model, space, pot = _box_model()
+    strong = euclidean_transform(model, "strong", xi=1.0, eps=0.0)
+    run = mcmc_run(strong, 6, steps=400, seed=3, thin=20)
+    assert np.isfinite(run.energies).all()
+    points = fekete_minimize(strong, 6, restarts=2, seed=3, max_iters=200)
+    assert math.isfinite(points.value)
+    verdict = laplace_estimate_mc(strong, IntegralFunctional(lambda pts: pts[:, 0]), [2, 4],
+                                  chain_budget=400, seed=3, rungs=2, ess_floor=1.0)
+    assert np.isfinite(verdict.values).all()
 
 
 def test_transform_guards(circle_space):
@@ -388,15 +446,6 @@ def test_kernel_guards(circle_space):
         RieszKernel(-0.5)
 
 
-def test_tilted_kernel_bounds(circle_space):
-    v = lambda pts: np.cos(pts[:, 0])
-    tilted = TiltedKernel(LogChordKernel(), v, 0.5)
-    bound = tilted.lower_bound(circle_space)
-    assert bound == -math.log(2.0) + 2.0 * 0.5 * float(np.cos(circle_space.nodes[:, 0]).min())
-    matrix = kernel_node_matrix(tilted, circle_space)
-    assert matrix.min() >= bound - 1e-12
-
-
 # -- the elementwise kernel primitive ------------------------------------------
 
 
@@ -426,8 +475,6 @@ _KERNELS = {
     "riesz": lambda space: RieszKernel(0.7, 2.0),
     "constant": lambda space: ConstantKernel(-0.25),
     "expression": _expression_kernel,
-    "tilted": lambda space: TiltedKernel(
-        RieszKernel(0.5), lambda pts: np.sin(3.0 * pts[:, 0]) + pts[:, -1] ** 2, 0.4),
 }
 
 
@@ -440,10 +487,7 @@ def _table_reference(name, kernel, space, x, y):
         return kernel.scale * space.chord(x, y) ** (-kernel.s)
     if name == "constant":
         return np.full((x.shape[0], y.shape[0]), kernel.value)
-    if name == "expression":
-        return np.cos(space.geodesic(x, y)) + space.chord(x, y) ** 2
-    tilt = kernel.coefficient * (kernel.v_fn(x)[:, None] + kernel.v_fn(y)[None, :])
-    return _table_reference("riesz", kernel.base, space, x, y) + tilt
+    return np.cos(space.geodesic(x, y)) + space.chord(x, y) ** 2
 
 
 def _points(space, rng, count):

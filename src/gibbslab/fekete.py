@@ -285,7 +285,7 @@ def _gradient_descent(model, config, max_iters, grad_tol):
             cand = _retract(space, config - eta * grad)
             dist, _ = _closest_pair(space, cand)
             cand_value = math.inf if dist < _COLLISION_TOL else w_n(model, cand)
-            if cand_value <= value - 1e-6 * eta * gnorm2:
+            if cand_value < value - 1e-6 * eta * gnorm2:
                 config, value = cand, cand_value
                 trace.append(value)
                 accepted = True

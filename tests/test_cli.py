@@ -865,8 +865,8 @@ RESULT_FILE_PROBES = [
         "sample_summary.json": "6b5a1c0104fd6cccda9381166433335f41f87d87466a14ab53373c9fb5cd4f43",
         "samples.csv": "42d9c8d8cf109708b19c01d7a94837a19cb71694e6550bc7f23b9474430efd96"}),
     ("sphere-green-fekete", ["fekete", "--n", "6"], PROBE_SPHERE_GREEN + "fekete:\n  restarts: 2\n", {
-        "fekete_points.csv": "ea5d1d522ee54003bb7e6b4f6ce3fb08f08ff6752f0f0ba94535f6fd905b030c",
-        "fekete_summary.json": "4fb1c60e0e8af664fc7eb4732d4de9e4e833614be263a4d9b782001c567e8f2b"}),
+        "fekete_points.csv": "227e2c83465a85fbf74ca16b4e4b999016dd6942f6ab279fe4c78055e45e8b67",
+        "fekete_summary.json": "a210f06a9a72b987c21957749812cb395eca85742ce6134b0012ce909e6e1e85"}),
 ]
 
 

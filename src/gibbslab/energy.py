@@ -430,7 +430,8 @@ class EnergyModel:
 
     def node_matrix(self):
         """Corrected kernel table on the grid (cached).  A Green kernel gives
-        its rank-(order + 2) ``GreenOperator``, which offers products only."""
+        its ``GreenOperator``, which offers products only: by FFT on the
+        circle and the torus, from the scaled node basis on the sphere."""
         if self._node_matrix is None:
             if isinstance(self.kernel, GreenKernel):
                 self._node_matrix = self.kernel.model.kernel_matrix()

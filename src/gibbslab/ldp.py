@@ -336,7 +336,8 @@ def rate_function_profile(model, descriptor=None):
             f"no probability measure reaches integral {c} (max attainable {g_max})")
     if c >= g_max - 1e-12:
         # the face block of the table from one product per face node, which a
-        # GreenOperator serves as well as a dense table
+        # GreenOperator (one FFT convolution on the circle and the torus)
+        # serves as well as a dense table
         face = np.flatnonzero(g == g_max)
         block = np.column_stack([np.asarray(matrix @ np.eye(1, ref.size, j)[0])[face]
                                  for j in face])

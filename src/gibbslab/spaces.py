@@ -605,8 +605,9 @@ class GreenModel:
     @functools.cached_property
     def scaled_nodes(self):
         """Scaled node basis B~ = basis(nodes)[:, 1:order+1] / sqrt(lambda),
-        built on first use so that models that only evaluate off the grid
-        never hold it."""
+        built on first use: ``node_diagonal``, ``rows_at_nodes``,
+        ``green_identity_residual`` and the sphere's node operator read it,
+        and circle and torus descents, whose operator convolves, never do."""
         return self.space.basis_values[:, 1 : self.order + 1] * self._inv_sqrt_eigs
 
     def features(self, points):
@@ -620,8 +621,34 @@ class GreenModel:
         return basis * self._inv_sqrt_eigs, basis @ (self.charge_coeffs / self.eigs)
 
     def kernel_matrix(self):
-        """The node-by-node kernel table as a rank-(order + 2) GreenOperator."""
-        return GreenOperator(self.scaled_nodes, self.phi_nodes, self.constant)
+        """The node-by-node kernel table as a GreenOperator.  On the circle and
+        the torus the complete cos/sin pairs of kept modes make a circulant
+        table, applied by FFT; an odd ``order`` leaves one cosine without its
+        sine, a rank-1 term.  The sphere has no circulant part: its whole
+        scaled basis, ``scaled_nodes``, is the low-rank term."""
+        space = self.space
+        if space.kind == "sphere":
+            return GreenOperator(self.phi_nodes, self.constant, columns=self.scaled_nodes)
+        pairs = self.order // 2
+        if space.kind == "circle":
+            grid, modes = (space.n_nodes,), np.arange(1, pairs + 1)[:, None]
+        else:
+            side = space.params["resolution"]
+            grid, modes = (side, side), space.mode_index[:pairs].astype(int)
+        # the table sum over pairs of 2/lambda cos(2 pi m.(a - b)/R) has the
+        # DFT n_nodes/lambda at +-m; the aliasing guard 2 * basis_order <
+        # resolution keeps those 2 * pairs frequencies distinct and below the
+        # Nyquist frequency, so the symbol is real and even
+        symbol = np.zeros(grid)
+        strength = space.n_nodes / self.eigs[: 2 * pairs : 2]
+        symbol[tuple((modes % grid).T)] = strength
+        symbol[tuple((-modes % grid).T)] = strength
+        symbol = symbol[..., : grid[-1] // 2 + 1].copy()
+        columns = None
+        if self.order % 2:
+            columns = space.basis_values[:, [self.order]] * self._inv_sqrt_eigs[-1]
+        return GreenOperator(self.phi_nodes, self.constant, columns=columns,
+                             symbol=symbol, grid=grid)
 
     def node_diagonal(self):
         """G(node, node) at every grid node in O(n_nodes * order), without the table."""
@@ -649,27 +676,43 @@ class GreenModel:
 
 
 class GreenOperator:
-    """The node kernel table G = B~ B~^T - phi 1^T - 1 phi^T + c of a Green
-    model, held as its factors: ``op @ x`` and ``x @ op`` cost
-    O(n_nodes * order) and the n_nodes^2 table is never formed.  It offers
-    products only; code that needs entries builds the table with
+    """The node kernel table G = H - phi 1^T - 1 phi^T + c of a Green model,
+    where H = B~ B~^T is the table of the scaled basis, held so that
+    ``op @ x`` and ``x @ op`` never form the n_nodes^2 table.  H is the sum
+    of two terms, either of which may be absent:
+
+    - a circulant term on a uniform grid of shape ``grid``, applied as one
+      circular convolution by ``rfftn``/``irfftn`` with the real ``symbol``
+      (its rfftn half), in O(n_nodes log n_nodes);
+    - a low-rank term C C^T with the node columns ``columns``, in
+      O(n_nodes * rank).
+
+    It offers products only; code that needs entries builds the table with
     ``energy.kernel_node_matrix``."""
 
     # makes ``ndarray @ op`` defer to __rmatmul__ instead of numpy treating
     # op as an object scalar
     __array_ufunc__ = None
 
-    def __init__(self, scaled, phi, constant):
-        self.scaled = scaled
+    def __init__(self, phi, constant, columns=None, symbol=None, grid=None):
         self.phi = phi
         self.constant = constant
+        self.columns = columns
+        self.symbol = symbol
+        self.grid = grid
 
     def __matmul__(self, x):
         if np.ndim(x) != 1:
             raise SpaceError("the Green node operator applies to vectors of node values")
         total = x.sum()
-        return self.scaled @ (self.scaled.T @ x) - self.phi * total + (
-            self.constant * total - float(self.phi @ x))
+        out = -self.phi * total
+        if self.symbol is not None:
+            axes = tuple(range(len(self.grid)))
+            out += np.fft.irfftn(np.fft.rfftn(x.reshape(self.grid)) * self.symbol,
+                                 s=self.grid, axes=axes).ravel()
+        if self.columns is not None:
+            out += self.columns @ (self.columns.T @ x)
+        return out + (self.constant * total - float(self.phi @ x))
 
     # G is symmetric, so x @ G = G @ x
     __rmatmul__ = __matmul__

@@ -104,6 +104,17 @@ def test_operator_descent_matches_the_dense_table(torus_space):
     assert np.abs(fast.masses - dense.masses).max() <= 1e-12
 
 
+@pytest.mark.parametrize("kind", ["torus", "circle"])
+def test_green_equilibrium_never_builds_the_scaled_basis(kind, torus_space, circle_space):
+    space, expr = {"torus": (torus_space, "1 + 0.5*cos(2*pi*u)"),
+                   "circle": (circle_space, "1 + 0.5*cos(theta)")}[kind]
+    green = GreenModel(space, BackgroundCharge.from_expression(space, expr))
+    model = EnergyModel(space, GreenKernel(green), BetaSchedule.constant(2.0))
+    result = minimize_free_energy(model)
+    assert result.status == "gap_below_tol"
+    assert "scaled_nodes" not in vars(green)
+
+
 def _traced_equilibrium(space):
     """Equilibrium of the uniform-charge Green gas with potential cos(2 pi u)
     at beta = 2 on a fresh model, its mean-field report and the tracemalloc
@@ -129,7 +140,8 @@ def test_torus_equilibrium_never_forms_the_node_table(torus_space):
 
 
 def test_torus_128_equilibrium():
-    # the 128^2 node table would take 2 GiB; the scaled node basis takes 136 MiB
+    # the 128^2 node table would take 2 GiB; the node basis of the space takes
+    # 136 MiB, and the FFT node operator builds no scaled copy of it
     result, report, peak = _traced_equilibrium(build_space("torus", 128, 16))
     assert result.status == "gap_below_tol"
     assert report.residual < 1e-8

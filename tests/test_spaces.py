@@ -388,13 +388,24 @@ def test_green_unique_up_to_constant():
     assert diff[off].std() < 1e-4
 
 
-@pytest.mark.parametrize("case", ["torus", "charged-torus", "charged-sphere", "circle"])
+@pytest.mark.parametrize("case", ["torus", "charged-torus", "charged-sphere", "circle",
+                                  "odd-torus", "odd-circle"])
 def test_green_operator_matches_dense_table(case, circle_green, torus_green,
                                             sphere_charged_green):
     if case == "charged-torus":
         space = torus_green.space
         model = GreenModel(space, BackgroundCharge.from_expression(
             space, "1 + 0.5*cos(2*pi*u)"))
+    elif case == "odd-torus":
+        # order 7 keeps the cosine of the fourth mode without its sine
+        space = build_space("torus", 16, 4)
+        model = GreenModel(space, BackgroundCharge.from_expression(
+            space, "1 + 0.5*cos(2*pi*u) + 0.3*sin(2*pi*(u + v))"), order=7)
+    elif case == "odd-circle":
+        # order 63 keeps cos(32 theta) without sin(32 theta)
+        space = circle_green.space
+        model = GreenModel(space, BackgroundCharge.from_expression(
+            space, "1 + 0.5*cos(theta) + 0.2*sin(3*theta)"), order=63)
     else:
         model = {"torus": torus_green, "charged-sphere": sphere_charged_green,
                  "circle": circle_green}[case]
@@ -421,6 +432,25 @@ def test_green_operator_matches_dense_table(case, circle_green, torus_green,
     check()
     with pytest.raises(SpaceError):
         op @ np.ones((size, 2))
+
+
+def test_torus_128_operator_matches_the_factored_product():
+    # no dense table: at 128^2 it would take 2 GiB
+    space = build_space("torus", 128, 16)
+    model = GreenModel(space, BackgroundCharge.from_expression(
+        space, "1 + 0.5*cos(2*pi*u) + 0.3*sin(4*pi*v)"))
+    op = model.kernel_matrix()
+    scaled = space.basis_values[:, 1 : model.order + 1] * model._inv_sqrt_eigs
+    phi, c = model.phi_nodes, model.constant
+    rng = np.random.default_rng(26)
+    for signs in ["mixed", "mixed", "positive", "negative"]:
+        x = rng.standard_normal(space.n_nodes)
+        if signs != "mixed":
+            x = np.abs(x) if signs == "positive" else -np.abs(x)
+        x /= np.abs(x).sum()
+        total = x.sum()
+        factored = scaled @ (scaled.T @ x) - phi * total + (c * total - float(phi @ x))
+        assert np.abs(op @ x - factored).max() <= 1e-12 * np.abs(factored).max()
 
 
 def test_background_charge_validation(circle_space):

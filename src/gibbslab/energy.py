@@ -8,8 +8,10 @@ kernel G plus one-body potentials V is
 
 Each kernel owns the pair sums of a configuration (``Kernel.pairs``): they
 read the n(n-1)/2 pairs i < j only, elementwise by ``Kernel.values``
-without an n x n table (the Green kernel excepted: ``_GreenPairs``), and
-score the single-particle moves of the sampler and the Fekete polish.
+without an n x n table, and score the single-particle moves of the sampler
+and the Fekete polish.  The Green kernel's ``_GreenPairs`` holds the
+feature rows r(x_j) of its points instead (G(x, y) = r(x).r(y)) and reads
+the pairs off their table, each entry summed along its own two rows.
 
 The macroscopic energy of a density mu is
 
@@ -296,46 +298,38 @@ class _DensePairs:
 
 
 class _GreenPairs:
-    """Pair sums of a configuration under a Green model.  G(x, y) =
-    b~(x).b~(y) - phi(x) - phi(y) + c has phi = q.b~, b~ the scaled basis
-    row and q the charge coefficients over sqrt(lambda).  With the rows
-    b~(x_j) and the field S - (n-1) q kept, S their sum, moving particle i
-    to the rows of P changes n^2 times the internal energy by
-    (B~(P) - b~(x_i)).(S - (n-1) q - b~(x_i)), exactly 0 at p = x_i: the
-    basis is evaluated elementwise, so a kept row has a fresh one's bits.
-    One evaluation (``GreenModel.features``) gives the rows and ``values``,
-    ``w_n``'s bits; on accept row i is replaced, S summed afresh, and the
-    features dropped, so that later reads evaluate them."""
+    """Pair sums of a configuration under a Green model, from the feature
+    rows r(x_j) of its points (``GreenModel.features``): G(x, y) = r(x).r(y).
+    With S the sum of the rows, moving particle i to the rows of P changes
+    n^2 times the internal energy by (r(P) - r(x_i)).(S - r(x_i)); the basis
+    is evaluated elementwise, so a kept row has a fresh one's bits.  The
+    pair values are the entries i < j of the table of the rows, each summed
+    along its own two rows, so that w_n keeps its bits under any permutation
+    of the points.  On accept row i is replaced and S summed afresh."""
 
     def __init__(self, green, points):
         self.green = green
         self.points = points
-        self.features = green.features(points)
-        self.rows = self.features[0]
-        self.shift = (points.shape[0] - 1) * (green.charge_coeffs * green._inv_sqrt_eigs)
-        self.field = self.rows.sum(axis=0) - self.shift
+        self.rows = green.features(points)
+        self.total = self.rows.sum(axis=0)
 
     def values(self):
         rows, cols = _upper_triangle(self.points.shape[0])
-        features = self.features or self.green.features(self.points)
-        return self.green._feature_table(features, features)[rows, cols]
+        return self.green._feature_table(self.rows, self.rows)[rows, cols]
 
     def changes(self, i, rows):
-        green, old = self.green, self.rows[i]
+        old = self.rows[i]
         self.drawn = rows
-        basis = green.space.evaluate_basis(rows[:-1])
-        self.scaled = basis[:, 1 : green.order + 1] * green._inv_sqrt_eigs
-        return (self.scaled - old) @ (self.field - old)
+        self.candidates = self.green.features(rows[:-1])
+        return (self.candidates - old) @ (self.total - old)
 
     def accept(self, i, k):
         self.points[i] = self.drawn[k]
-        self.rows[i] = self.scaled[k]
-        self.field = self.rows.sum(axis=0) - self.shift
-        self.features = None
+        self.rows[i] = self.candidates[k]
+        self.total = self.rows.sum(axis=0)
 
     def against(self, points):
-        features = self.features or self.green.features(self.points)
-        return self.green._feature_table(self.green.features(points), features)
+        return self.green._feature_table(self.green.features(points), self.rows)
 
 
 def kernel_node_matrix(kernel, space):

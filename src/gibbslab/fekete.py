@@ -211,38 +211,32 @@ def _analytic_pair_gradient(model, config):
     return None
 
 
-def _fd_pair_gradient(model, config, h):
-    """Central-difference pair-energy gradient, one coordinate at a time, from
-    the tables of the shifted points against the configuration.  On the sphere
-    they are renormalized, so the quotient is the tangential derivative."""
+def _gradient(model, config, h=1e-6):
+    """Gradient of w_n: the pair part in closed form where available, else
+    by central differences from the tables of the shifted points against
+    the configuration, plus the potentials' central differences.  Each
+    shifted configuration is built once for both; on the sphere it is
+    renormalized, so the quotient is the tangential derivative."""
     space = model.space
-    pairs = model.kernel.pairs(space, config)
     n, dim = config.shape
-    grad = np.empty_like(config)
+    grad = _analytic_pair_gradient(model, config)
+    pairs = None
+    if grad is None:
+        pairs = model.kernel.pairs(space, config)
+        grad = np.empty_like(config)
+    elif not model.potentials:
+        return grad
     for c in range(dim):
         shift = np.zeros((1, dim))
         shift[0, c] = h
         plus = _retract(space, config + shift)
         minus = _retract(space, config - shift)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            diff = pairs.against(plus) - pairs.against(minus)
-        np.fill_diagonal(diff, 0.0)
-        grad[:, c] = diff.sum(axis=1) / (2.0 * h) / n ** 2
-    return grad
-
-
-def _gradient(model, config, h=1e-6):
-    grad = _analytic_pair_gradient(model, config)
-    if grad is None:
-        grad = _fd_pair_gradient(model, config, h)
-    if model.potentials:
-        space = model.space
-        n, dim = config.shape
-        for c in range(dim):
-            shift = np.zeros((1, dim))
-            shift[0, c] = h
-            plus = _retract(space, config + shift)
-            minus = _retract(space, config - shift)
+        if pairs is not None:
+            with np.errstate(divide="ignore", invalid="ignore"):
+                diff = pairs.against(plus) - pairs.against(minus)
+            np.fill_diagonal(diff, 0.0)
+            grad[:, c] = diff.sum(axis=1) / (2.0 * h) / n ** 2
+        if model.potentials:
             dv = model.potential_stage_values(n, plus) - model.potential_stage_values(n, minus)
             grad[:, c] += dv / (2.0 * h) / n
     return grad

@@ -14,6 +14,13 @@ total mass 1 against the reference measure) is
 where ``H`` is the zero-mean Green kernel of the reference measure,
 ``phi(x) = integral of H(x, .) against L`` and the constant ``c`` is chosen
 so that ``integral of G(x, .) against L`` vanishes for every ``x``.
+
+Truncated to the first eigenfunctions, with b~ the basis over sqrt(lambda)
+and q~ the charge coefficients over sqrt(lambda), H = b~(x).b~(y),
+phi = b~.q~ and c = |q~|^2, so G is the Gram kernel r(x).r(y) of the one
+feature map r = b~ - q~ (``GreenModel.features``).  Every kernel value is
+read from r; only the node operator keeps phi and c, as the rank-one
+corrections of its circulant term.
 """
 
 import functools
@@ -593,42 +600,42 @@ class GreenModel:
         self.charge = charge
         self.order = order
         self.eigs = space.eigenvalues[1 : order + 1]
-        # Scaling both factors by 1/sqrt(lambda) keeps every evaluation path
-        # exactly symmetric in floating point.
         self._inv_sqrt_eigs = 1.0 / np.sqrt(self.eigs)
         basis = space.basis_values[:, 1 : order + 1]
         # Spectral coefficients of the charge density.
         self.charge_coeffs = basis.T @ (space.weights * charge.values)
         self.phi_nodes = basis @ (self.charge_coeffs / self.eigs)
         self.constant = float((self.charge_coeffs ** 2 / self.eigs).sum())
+        self._scaled_charge = self.charge_coeffs * self._inv_sqrt_eigs
 
     @functools.cached_property
-    def scaled_nodes(self):
-        """Scaled node basis B~ = basis(nodes)[:, 1:order+1] / sqrt(lambda),
-        built on first use: ``node_diagonal``, ``rows_at_nodes``,
-        ``green_identity_residual`` and the sphere's node operator read it,
-        and circle and torus descents, whose operator convolves, never do."""
-        return self.space.basis_values[:, 1 : self.order + 1] * self._inv_sqrt_eigs
+    def node_features(self):
+        """``features`` of the grid nodes, R = r(nodes), built on first use:
+        ``node_diagonal``, ``rows_at_nodes`` and ``green_identity_residual``
+        read it, and no descent's node operator does."""
+        return self._basis_features(self.space.basis_values)
 
     def features(self, points):
-        """Scaled basis rows b~(x) = basis(x)[1:order+1] / sqrt(lambda) and
-        phi(x), from one basis evaluation; G(x, y) = b~(x).b~(y) - phi(x) - phi(y) + c."""
+        """Feature rows r(x) = basis(x)[1:order+1] / sqrt(lambda) - q~, from
+        one basis evaluation; G(x, y) = r(x).r(y)."""
         return self._basis_features(self.space.evaluate_basis(points))
 
     def _basis_features(self, basis):
         """``features`` of the points whose basis rows are ``basis``."""
-        basis = basis[:, 1 : self.order + 1]
-        return basis * self._inv_sqrt_eigs, basis @ (self.charge_coeffs / self.eigs)
+        rows = basis[:, 1 : self.order + 1] * self._inv_sqrt_eigs
+        rows -= self._scaled_charge  # in place: a node table's rows are large
+        return rows
 
     def kernel_matrix(self):
         """The node-by-node kernel table as a GreenOperator.  On the circle and
         the torus the complete cos/sin pairs of kept modes make a circulant
         table, applied by FFT; an odd ``order`` leaves one cosine without its
         sine, a rank-1 term.  The sphere has no circulant part: its whole
-        scaled basis, ``scaled_nodes``, is the low-rank term."""
+        scaled node basis B~ is the low-rank term."""
         space = self.space
         if space.kind == "sphere":
-            return GreenOperator(self.phi_nodes, self.constant, columns=self.scaled_nodes)
+            scaled = space.basis_values[:, 1 : self.order + 1] * self._inv_sqrt_eigs
+            return GreenOperator(self.phi_nodes, self.constant, columns=scaled)
         pairs = self.order // 2
         if space.kind == "circle":
             grid, modes = (space.n_nodes,), np.arange(1, pairs + 1)[:, None]
@@ -651,9 +658,9 @@ class GreenModel:
                              symbol=symbol, grid=grid)
 
     def node_diagonal(self):
-        """G(node, node) at every grid node in O(n_nodes * order), without the table."""
-        scaled = self.scaled_nodes
-        return (np.einsum("ij,ij->i", scaled, scaled) - 2.0 * self.phi_nodes) + self.constant
+        """G(node, node) = |r(node)|^2 at every grid node, without the table."""
+        rows = self.node_features
+        return np.einsum("ij,ij->i", rows, rows)
 
     def pairwise(self, x, y):
         """Pairwise kernel values between two point arrays, finite on the
@@ -661,18 +668,17 @@ class GreenModel:
         fx = self.features(x)
         return self._feature_table(fx, fx if y is x else self.features(y))
 
-    def _feature_table(self, fx, fy):
-        """The kernel table between the points of two ``features`` pairs.
-        One set of features on both sides is copied for the product: b~ @ b~.T
-        on one buffer may take BLAS syrk, which rounds differently from gemm."""
-        (bx, phi_x), (by, phi_y) = fx, fy
-        if by is bx:
-            by = by.copy()
-        return (bx @ by.T - (phi_x[:, None] + phi_y[None, :])) + self.constant
+    @staticmethod
+    def _feature_table(fx, fy):
+        """The kernel table r(x_i).r(y_j) between two arrays of feature rows.
+        Each entry is summed along its own two rows by one loop, not by BLAS,
+        whose rounding of an entry depends on its position in the table, so
+        an entry has the same bits wherever its points stand."""
+        return np.einsum("ik,jk->ij", fx, fy)
 
     def rows_at_nodes(self, x):
         """Kernel values G(x_j, node_i) for arbitrary points x, shape (p, n_nodes)."""
-        return self._feature_table(self.features(x), (self.scaled_nodes, self.phi_nodes))
+        return self._feature_table(self.features(x), self.node_features)
 
 
 class GreenOperator:
@@ -745,8 +751,7 @@ def green_identity_residual(model, f_coeffs, x):
     f_nodes = space.basis_values @ full
     basis = space.evaluate_basis(x)
     f_at_x = float((basis @ full)[0])
-    g_row = model._feature_table(model._basis_features(basis),
-                                 (model.scaled_nodes, model.phi_nodes))[0]
+    g_row = model._feature_table(model._basis_features(basis), model.node_features)[0]
     integral = float((space.weights * g_row * lap_nodes).sum())
     target = float((space.weights * f_nodes * model.charge.values).sum())
     return abs(integral + f_at_x - target)

@@ -572,6 +572,16 @@ def test_sampler_and_fekete_hold_no_green_code():
     assert found == {"sampler.py": [], "fekete.py": []}
 
 
+GREEN_REPRESENTATION = {"charge_coeffs", "_inv_sqrt_eigs", "phi_nodes", "evaluate_basis"}
+
+
+def test_energy_reads_green_kernel_values_only_through_features():
+    # GreenModel.features decides how a Green kernel value is formed; the
+    # pair sums hold its rows and never rebuild them from the basis or charge
+    package = Path(gibbslab.__file__).resolve().parent
+    assert spelled_names((package / "energy.py").read_text(), GREEN_REPRESENTATION) == []
+
+
 SINGLE_PARTICLE_TEXT = """
 seed: 4
 output_dir: {out}
@@ -856,17 +866,17 @@ RESULT_FILE_PROBES = [
         "conditional_values.csv": "03811da42327512eb15ee5b11b5301e7afbcc1812b9562827a0f2947b5215257",
         "conditional_verdict.json": "d2239dd7f7029f9b0879e834edf638edd987d4caee2ef577cae26260136152df"}),
     ("torus-green-sample", ["sample"], PROBE_TORUS_GREEN + PROBE_LADDER, {
-        "sample_summary.json": "368cb7ba5d010b48cb3121614103677557f99cc2d94f1cb414894adcb87070d7",
+        "sample_summary.json": "27ab4c7a545cd5369127b39f4ec33ccea7e59ddbd5d62a83cfdd5191e3e15252",
         "samples.csv": "1171fcf3390b2444aef9773029aadf33010e7fed3079159209f5e49269f84226"}),
     ("torus-green-fekete", ["fekete", "--n", "6"], PROBE_TORUS_GREEN + "fekete:\n  restarts: 2\n", {
-        "fekete_points.csv": "bb0be7a128efe7b9bb3210321549f80be9100c9ca1a58d2db218f8726521301c",
-        "fekete_summary.json": "63da7277f02789311f70e1d5596bf33b774c00dde3e609368dde711419692122"}),
+        "fekete_points.csv": "ca3e7b9aed4b04969ce5cef275c8780b90c94b7a90da513f731bdb5845d4aa81",
+        "fekete_summary.json": "da9fbb25df1b489112582956e8e07862cffe0b818a6f1aa4e6934a9e88c56516"}),
     ("sphere-green-sample", ["sample"], PROBE_SPHERE_GREEN + PROBE_LADDER, {
-        "sample_summary.json": "6b5a1c0104fd6cccda9381166433335f41f87d87466a14ab53373c9fb5cd4f43",
+        "sample_summary.json": "1b04dbf50d83abc0aebc6c78e9ab46cb6a161072f59e486c5d059911acf5ecb9",
         "samples.csv": "42d9c8d8cf109708b19c01d7a94837a19cb71694e6550bc7f23b9474430efd96"}),
     ("sphere-green-fekete", ["fekete", "--n", "6"], PROBE_SPHERE_GREEN + "fekete:\n  restarts: 2\n", {
-        "fekete_points.csv": "227e2c83465a85fbf74ca16b4e4b999016dd6942f6ab279fe4c78055e45e8b67",
-        "fekete_summary.json": "a210f06a9a72b987c21957749812cb395eca85742ce6134b0012ce909e6e1e85"}),
+        "fekete_points.csv": "7eef84d4253720d762bcd74afbfa94453475c3bbfbf4a81765afa30a699a2894",
+        "fekete_summary.json": "1a50fc86bbdc40648e29e445f1d0f542fe9ab57a7cb6609c224c6b2d98fb55d8"}),
 ]
 
 

@@ -535,16 +535,29 @@ def test_w_n_pair_values_are_the_upper_triangle_of_the_table(kind, name, seed, n
                kernel.pairwise(space, config, config)[np.triu_indices(n, k=1)])
 
 
+# non-uniform charges: a uniform one leaves q~, the charge coefficients over
+# sqrt(lambda) that the Green feature rows subtract, at round-off
+_CHARGES = {"circle": "1 + 0.5*cos(theta)", "torus": "1 + 0.5*cos(2*pi*u)",
+            "sphere": "1 + 0.5*z"}
+
+
 @settings(max_examples=120, deadline=None)
 @given(kind=st.sampled_from(sorted(_SPACES)),
-       name=st.sampled_from(sorted(_KERNELS) + ["green"]),
+       name=st.sampled_from(sorted(_KERNELS) + ["green", "charged green"]),
        seed=st.integers(0, 2 ** 32 - 1), n=st.integers(2, 14))
+# two draws whose torus Green w_n moved by one ulp when the pair values were
+# read off a BLAS product, which rounds an entry by its position
+@example(kind="torus", name="green", seed=19524, n=7)
+@example(kind="torus", name="green", seed=57, n=7)
+@example(kind="sphere", name="charged green", seed=5, n=11)
 def test_w_n_is_bitwise_permutation_invariant(kind, name, seed, n):
     space = _SPACES[kind]
-    if name == "green":
+    if name.endswith("green"):
         if not space.has_basis:
             return
-        kernel = GreenKernel(GreenModel(space, BackgroundCharge.uniform(space)))
+        charge = (BackgroundCharge.from_expression(space, _CHARGES[kind])
+                  if name == "charged green" else BackgroundCharge.uniform(space))
+        kernel = GreenKernel(GreenModel(space, charge))
     else:
         kernel = _KERNELS[name](space)
     potential = StaticPotential(lambda pts: np.cos(2.0 * pts[:, 0]) + pts[:, -1] ** 2)

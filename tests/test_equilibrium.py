@@ -112,7 +112,7 @@ def test_green_equilibrium_never_builds_the_scaled_basis(kind, torus_space, circ
     model = EnergyModel(space, GreenKernel(green), BetaSchedule.constant(2.0))
     result = minimize_free_energy(model)
     assert result.status == "gap_below_tol"
-    assert "scaled_nodes" not in vars(green)
+    assert "node_features" not in vars(green)
 
 
 def _traced_equilibrium(space):

@@ -308,8 +308,8 @@ def residual_two_evaluations(model, coeffs, x):
 
 # The torus residuals at the four probes below, as float.hex; they hold at
 # one BLAS thread and at two.  The sphere's move with the thread count.
-TORUS_RESIDUALS = ["0x1.e352000000000p-40", "0x1.1ea0000000000p-44",
-                   "0x1.be30000000000p-40", "0x1.c570000000000p-40"]
+TORUS_RESIDUALS = ["0x1.eb52000000000p-40", "0x1.7750000000000p-43",
+                   "0x1.7e30000000000p-40", "0x1.9f70000000000p-40"]
 
 
 @pytest.mark.parametrize("fixture", ["torus_green", "sphere_charged_green"])
@@ -327,6 +327,24 @@ def test_green_identity_residual_is_pinned(fixture, request):
         assert got[-1] == residual_two_evaluations(model, coeffs, x).hex()
     if fixture == "torus_green":
         assert got == TORUS_RESIDUALS
+
+
+@pytest.mark.parametrize("fixture", ["circle_space", "torus_space", "sphere_space"])
+def test_green_pairwise_off_the_grid_is_the_spectral_definition(fixture, request, rng):
+    # the module docstring's G(x, y) = b~(x).b~(y) - phi(x) - phi(y) + c with
+    # phi = b~.q~ and c = |q~|^2, formed here from the basis, the charge
+    # coefficients and the eigenvalues, at points off the grid
+    space = request.getfixturevalue(fixture)
+    charge = {"circle": "1 + 0.5*cos(theta)", "torus": "1 + 0.5*cos(2*pi*u)",
+              "sphere": "1 + 0.5*z"}[space.kind]
+    model = GreenModel(space, BackgroundCharge.from_expression(space, charge))
+    x, y = space.sample_points(rng, 7), space.sample_points(rng, 5)
+    root = np.sqrt(model.eigs)
+    bx = space.evaluate_basis(x)[:, 1 : model.order + 1] / root
+    by = space.evaluate_basis(y)[:, 1 : model.order + 1] / root
+    q = model.charge_coeffs / root
+    want = bx @ by.T - (bx @ q)[:, None] - (by @ q)[None, :] + q @ q
+    assert np.abs(model.pairwise(x, y) - want).max() < 1e-13
 
 
 @pytest.mark.parametrize("fixture", ["circle_green", "torus_green", "sphere_charged_green"])
